@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import warnings
 
@@ -13,6 +14,10 @@ from magskin.modal import (
     PlaneBenchmark,
     SolverError,
     _composite_integral,
+    _shell_difference,
+    _shell_error,
+    _shell_l2_error_quadrature,
+    _shell_squares_lommel,
     _solve_linear,
     conductor_l2_norm,
     convergence_study,
@@ -289,6 +294,122 @@ def test_quadrature_stable_under_refinement():
     coarse = _composite_integral(density, b.r_in, b.r_source, max_panels=4)
     fine = _composite_integral(density, b.r_in, b.r_source, max_panels=64)
     assert abs(coarse - fine) <= 1e-12 * fine
+
+
+def test_composite_integral_raises_at_panel_cap():
+    # sin^2(400 r) on [0, 10] integrates to 4.999...; two panels give 5.16
+    with pytest.raises(SolverError, match="2 panels"):
+        _composite_integral(lambda r: np.sin(400.0 * r) ** 2, 0.0, 10.0, max_panels=2)
+
+
+def test_numpy_failures_surface_as_solver_error():
+    # at mode 200 the unscaled basis overflows and numpy's SVD fails inside cond
+    with pytest.raises(SolverError, match="exact system"):
+        solve_exact(default_benchmark(mode=200))
+
+
+def _with_sigma_plus(b: CylinderBenchmark, sigma_plus: float) -> CylinderBenchmark:
+    return dataclasses.replace(b, cfg=dataclasses.replace(b.cfg, sigma_plus=sigma_plus))
+
+
+def _models(b: CylinderBenchmark):
+    return [solve_ibc(b, 0), solve_ibc(b, 1), solve_ibc(b, 2), truncated_expansion(b, 2)]
+
+
+def _gauss_shell_squares(b: CylinderBenchmark, diffs) -> list[tuple[float, float]]:
+    """Oracle: squared shell norms of coefficient differences, one 48-node Gauss panel per piece.
+
+    The Bessel basis is evaluated once per piece and shared by every difference.
+    """
+    x, w = np.polynomial.legendre.leggauss(48)
+    m, k = abs(b.mode), b.k_plus
+    pieces = []
+    for lo, hi in ((b.r_in, b.r_source), (b.r_source, b.r_out)):
+        r = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+        pairs = [(bessel_j(m, k * ri), bessel_h1(m, k * ri)) for ri in r]
+        vals = np.array([[jv.actual, hv.actual] for jv, hv in pairs])
+        ders = k * np.array([[jv.actual_derivative, hv.actual_derivative] for jv, hv in pairs])
+        pieces.append((r, 0.5 * (hi - lo) * w, vals, ders))
+    out = []
+    for coeffs in diffs:
+        e_sq = h_sq = 0.0
+        for coeff, (r, wr, vals, ders) in zip(coeffs, pieces):
+            u, du = vals @ np.array(coeff), ders @ np.array(coeff)
+            e_sq += float(np.sum(wr * r * np.abs(u) ** 2))
+            h_sq += float(np.sum(wr * r * (np.abs(du) ** 2 + (m / r) ** 2 * np.abs(u) ** 2)))
+        out.append((e_sq, h_sq))
+    return out
+
+
+@pytest.mark.parametrize("sigma_plus", [1e-2, 1e-3])
+@pytest.mark.parametrize("mode, tol", [(m, 1e-11) for m in range(6)] + [(10, 1e-9), (30, 1e-9)])
+def test_shell_closed_form_matches_quadrature(mode, tol, sigma_plus):
+    diffs = []
+    with warnings.catch_warnings():
+        # the unscaled basis reports condition numbers above the warning level from mode 9 on
+        warnings.simplefilter("ignore", UserWarning)
+        for eps in (1e-1, 1e-2, 1e-3):
+            b = _with_sigma_plus(default_benchmark(mode=mode, eps=eps), sigma_plus)
+            exact = solve_exact(b)
+            diffs += [_shell_difference(exact, model)[1:] for model in _models(b)]
+    # k_plus does not depend on eps, so every difference lives on the same shell basis
+    for (inner, outer), ref in zip(diffs, _gauss_shell_squares(b, diffs)):
+        got = _shell_squares_lommel(b, inner, outer)
+        assert max(abs(g - q) / q for g, q in zip(got, ref)) <= tol
+
+
+@pytest.mark.parametrize("mode", [0, 5, 30])
+def test_shell_error_agrees_with_quadrature_oracle(mode):
+    b = default_benchmark(mode=mode, eps=1e-2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        exact, models = solve_exact(b), _models(b)
+    for model in models:
+        got, ref = shell_l2_error(exact, model), _shell_l2_error_quadrature(exact, model)
+        assert abs(got.error_e - ref.error_e) <= 1e-11 * ref.error_e
+        assert abs(got.error_h - ref.error_h) <= 1e-11 * ref.error_h
+
+
+def test_low_loss_shell_error_falls_back_to_quadrature():
+    b = _with_sigma_plus(default_benchmark(mode=2, eps=1e-2), 1e-6)
+    exact, model = solve_exact(b), solve_ibc(b, 1)
+    ref = _shell_l2_error_quadrature(exact, model)
+    assert shell_l2_error(exact, model) == ref
+    # the closed form alone would differ here, so equality shows the quadrature ran
+    assert _shell_error(b, *_shell_squares_lommel(*_shell_difference(exact, model))) != ref
+
+
+def test_conductor_norm_matches_graded_quadrature():
+    x, w = np.polynomial.legendre.leggauss(24)
+    benches = [
+        default_benchmark(mode=mode, eps=1.0 / math.sqrt(mu_r))
+        for mode in (0, 1, 2, 5, 10, 30, 60, 100)
+        for mu_r in (1e2, 1e4, 1e6)
+    ]
+    benches.append(
+        CylinderBenchmark(r_in=0.7, r_out=2.9, r_source=1.3, mode=3, cfg=default_config(eps=0.02))
+    )
+    for b in benches:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            sol = solve_exact(b)
+        # one Gauss panel per layer [r_in - 2d, r_in - d], d doubling from the skin depth
+        depth = b.params.eps_small / (2.0 * b.params.lam.real)
+        edges = [b.r_in]
+        while depth < b.r_in:
+            edges.append(b.r_in - depth)
+            depth *= 2.0
+        edges.append(0.0)
+        total = 0.0
+        for lo, hi in zip(edges[1:], edges[:-1]):
+            r = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+            dens = np.array([abs(sol.u(float(ri))) ** 2 * ri for ri in r])
+            part = 0.5 * (hi - lo) * float(np.dot(w, dens))
+            total += part
+            if part <= 1e-16 * total:
+                break
+        ref = math.sqrt(total)
+        assert abs(conductor_l2_norm(sol) - ref) <= 1e-12 * ref
 
 
 def test_benchmark_validation():
