@@ -136,12 +136,11 @@ def _y_from_hankel(m: int, z: complex) -> tuple[complex, complex]:
     return (h1v - h2v * cmath.exp(e2 - e1)) / 2j, e1
 
 
-def _harmonic(n: int) -> float:
-    return sum(1.0 / k for k in range(1, n + 1))
-
-
 def _y01_series(z: complex) -> tuple[complex, complex]:
-    """Series evaluation of (Y_0, Y_1) for |z| <= SERIES_RADIUS."""
+    """Series evaluation of (Y_0, Y_1) for |z| <= SERIES_RADIUS.
+
+    The harmonic numbers H_k = 1 + 1/2 + ... + 1/k are carried as running sums.
+    """
     j0 = _j_series(0, z)[0]
     s1, e1 = _j_series(1, z)
     j1 = s1 * cmath.exp(e1)
@@ -150,19 +149,23 @@ def _y01_series(z: complex) -> tuple[complex, complex]:
     w = 0.25 * z * z
     term = 1.0 + 0j
     acc0 = 0j
+    h_k = 0.0
     for k in range(1, 400):
         term *= w / (k * k)
-        contrib = ((-1) ** (k + 1)) * _harmonic(k) * term
+        h_k += 1.0 / k
+        contrib = ((-1) ** (k + 1)) * h_k * term
         acc0 += contrib
         if abs(term) * (math.log(k + 1) + 1.0) < 1e-18 * max(1.0, abs(acc0)):
             break
     y0 = (2.0 / math.pi) * (lg * j0 + acc0)
 
     term = 1.0 + 0j
-    acc1 = (_harmonic(0) + _harmonic(1)) * term
+    h_k, h_k1 = 0.0, 1.0
+    acc1 = (h_k + h_k1) * term
     for k in range(1, 400):
         term *= -w / (k * (k + 1))
-        contrib = (_harmonic(k) + _harmonic(k + 1)) * term
+        h_k, h_k1 = h_k1, h_k1 + 1.0 / (k + 1)
+        contrib = (h_k + h_k1) * term
         acc1 += contrib
         if abs(contrib) < 1e-18 * max(1.0, abs(acc1)):
             break

@@ -16,7 +16,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import replace
 
 from .geometry import Surface, TangentVector, mean_curvature
 from .ibc import impedance_operator
@@ -141,14 +141,8 @@ def _apply_sweep(cfg: PhysicalConfig, variable: str, value: float) -> PhysicalCo
     if variable == "eps":
         return cfg.with_mu_minus(cfg.mu_plus / value**2)
     if variable == "sigma_minus":
-        return PhysicalConfig(
-            omega=cfg.omega, eps0=cfg.eps0, mu_plus=cfg.mu_plus,
-            mu_minus=cfg.mu_minus, sigma_plus=cfg.sigma_plus, sigma_minus=value,
-        )
-    return PhysicalConfig(
-        omega=value, eps0=cfg.eps0, mu_plus=cfg.mu_plus,
-        mu_minus=cfg.mu_minus, sigma_plus=cfg.sigma_plus, sigma_minus=cfg.sigma_minus,
-    )
+        return replace(cfg, sigma_minus=value)
+    return replace(cfg, omega=value)
 
 
 def _write_text(out_path: str | None, text: str) -> None:
@@ -202,11 +196,7 @@ def _skin_depth_row(cfg: PhysicalConfig, surface: Surface, benchmark_doc: dict |
     mean_curv = mean_curvature(surface)
     if surface.kind.value == "cylinder":
         if benchmark_doc is not None and "benchmark" in benchmark_doc:
-            bench = load_benchmark(benchmark_doc, cfg)
-            bench = CylinderBenchmark(
-                r_in=bench.r_in, r_out=bench.r_out, r_source=bench.r_source,
-                mode=0, cfg=cfg, source_amplitude=bench.source_amplitude,
-            )
+            bench = replace(load_benchmark(benchmark_doc, cfg), mode=0)
         else:
             r = surface.radius
             bench = CylinderBenchmark(r_in=r, r_out=2.0 * r, r_source=1.5 * r, mode=0, cfg=cfg)
@@ -319,10 +309,7 @@ def cmd_ibc_factors(doc: dict, args) -> str:
 
 def _sweep_point(job: tuple) -> tuple[int, float, float, float]:
     family, order, bench0, mode, eps = job
-    bench = CylinderBenchmark(
-        r_in=bench0.r_in, r_out=bench0.r_out, r_source=bench0.r_source,
-        mode=mode, cfg=bench0.cfg, source_amplitude=bench0.source_amplitude,
-    ).with_eps(eps)
+    bench = replace(bench0, mode=mode).with_eps(eps)
     exact = solve_exact(bench)
     model = solve_ibc(bench, order) if family == "ibc" else truncated_expansion(bench, order)
     err = shell_l2_error(exact, model)
@@ -385,10 +372,7 @@ def cmd_convergence(doc: dict, args) -> str:
     order = args.k if args.k is not None else 1
     fits = {}
     for mode in modes:
-        bench = CylinderBenchmark(
-            r_in=bench0.r_in, r_out=bench0.r_out, r_source=bench0.r_source,
-            mode=mode, cfg=bench0.cfg, source_amplitude=bench0.source_amplitude,
-        )
+        bench = replace(bench0, mode=mode)
         fits[str(mode)] = _fit_payload(convergence_study(bench, args.study, order, args.eps))
     payload = {"study": args.study, "order": order, "fits": fits}
     return _json_dump(payload)

@@ -23,6 +23,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,6 +54,21 @@ def default_config(eps: float = 0.1) -> PhysicalConfig:
         sigma_plus=0.01,
         sigma_minus=1.0,
     )
+
+
+_Pair = tuple[BesselEval, BesselEval]
+
+
+def _eval_pair(m: int, z: complex) -> _Pair:
+    return bessel_j(m, z), bessel_h1(m, z)
+
+
+class ShellBasis(NamedTuple):
+    """(J_m, H1_m) of k_plus*r at the shell's inner wall, source ring and outer wall."""
+
+    inner: _Pair
+    source: _Pair
+    outer: _Pair
 
 
 @dataclass(frozen=True)
@@ -87,6 +103,31 @@ class CylinderBenchmark:
         dp = self.params
         return dp.kappa_plus * cmath.sqrt(dp.alpha_minus) / dp.eps_small
 
+    @functools.cached_property
+    def shell_basis(self) -> ShellBasis:
+        """(J_m, H1_m) of k_plus*r at r_in, r_source and r_out, evaluated once per instance.
+
+        Every solve, residual check, point evaluation at those radii and
+        closed-form shell norm on this benchmark reads these values.
+        """
+        m, kp = abs(self.mode), self.k_plus
+        return ShellBasis(*(_eval_pair(m, kp * r) for r in (self.r_in, self.r_source, self.r_out)))
+
+    @functools.cached_property
+    def conductor_ref(self) -> BesselEval:
+        """J_m(k_minus r_in): the conductor column's normalisation, evaluated once per instance."""
+        return bessel_j(abs(self.mode), self.k_minus * self.r_in)
+
+    def shell_pair(self, r: float) -> _Pair:
+        """(J_m, H1_m) at k_plus*r; read from the shell basis at its three radii."""
+        if r == self.r_in:
+            return self.shell_basis.inner
+        if r == self.r_source:
+            return self.shell_basis.source
+        if r == self.r_out:
+            return self.shell_basis.outer
+        return _eval_pair(abs(self.mode), self.k_plus * r)
+
     def with_eps(self, eps: float) -> "CylinderBenchmark":
         """Same benchmark with mu_minus = mu_plus/eps^2; everything else fixed."""
         if not (0.0 < eps):
@@ -98,10 +139,6 @@ def default_benchmark(mode: int = 0, eps: float = 0.1) -> CylinderBenchmark:
     return CylinderBenchmark(
         r_in=1.0, r_out=2.0, r_source=1.5, mode=mode, cfg=default_config(eps)
     )
-
-
-def _eval_pair(m: int, z: complex) -> tuple[BesselEval, BesselEval]:
-    return bessel_j(m, z), bessel_h1(m, z)
 
 
 @dataclass(frozen=True)
@@ -127,11 +164,6 @@ class ModalSolution:
     def mode_abs(self) -> int:
         return abs(self.benchmark.mode)
 
-    @functools.cached_property
-    def _conductor_ref(self) -> BesselEval:
-        b = self.benchmark
-        return bessel_j(self.mode_abs, b.k_minus * b.r_in)
-
     def u(self, r: float) -> complex:
         return self._eval(r)[0]
 
@@ -143,8 +175,8 @@ class ModalSolution:
             raise SolverError(f"{self.kind} solution has no conductor region")
         b = self.benchmark
         k = b.k_minus
-        ref = self._conductor_ref
-        jv = bessel_j(self.mode_abs, k * r)
+        ref = b.conductor_ref
+        jv = ref if r == b.r_in else bessel_j(self.mode_abs, k * r)
         f = cmath.exp(jv.exponent - ref.exponent)
         val = self.conductor_amplitude * jv.value / ref.value * f
         der = self.conductor_amplitude * k * jv.derivative / ref.value * f
@@ -152,14 +184,13 @@ class ModalSolution:
 
     def _eval(self, r: float) -> tuple[complex, complex]:
         b = self.benchmark
-        m = self.mode_abs
         if r < 0 or r > b.r_out * (1 + 1e-12):
             raise ValueError(f"radius {r!r} outside [0, r_out]")
         if r < b.r_in:
             return self._eval_conductor(r)
         k = b.k_plus
         coeff = self.shell_inner if r <= b.r_source else self.shell_outer
-        jv, hv = _eval_pair(m, k * r)
+        jv, hv = b.shell_pair(r)
         val = coeff[0] * jv.actual + coeff[1] * hv.actual
         der = k * (coeff[0] * jv.actual_derivative + coeff[1] * hv.actual_derivative)
         return val, der
@@ -191,11 +222,9 @@ def solve_exact(b: CylinderBenchmark) -> ModalSolution:
     m = abs(b.mode)
     cfg = b.cfg
     kp, km = b.k_plus, b.k_minus
-    jc = bessel_j(m, km * b.r_in)
+    jc = b.conductor_ref
     hc = bessel_h1(m, km * b.r_in)
-    j_in, h_in = _eval_pair(m, kp * b.r_in)
-    j_s, h_s = _eval_pair(m, kp * b.r_source)
-    j_o, h_o = _eval_pair(m, kp * b.r_out)
+    (j_in, h_in), (j_s, h_s), (j_o, h_o) = b.shell_basis
 
     # unknowns [A_J, A_H, B, C, D, E]; conductor columns normalised at r_in
     ratio_j = km * jc.derivative / jc.value
@@ -265,16 +294,15 @@ def _transmission_residuals(sol: ModalSolution) -> dict[str, float]:
 def _shell_residuals(sol: ModalSolution) -> dict[str, float]:
     """Source-jump, source-continuity and outer-wall residuals (shell side)."""
     b = sol.benchmark
-    m = abs(b.mode)
     kp = b.k_plus
-    j_s, h_s = _eval_pair(m, kp * b.r_source)
+    j_s, h_s = b.shell_basis.source
     bi, ci = sol.shell_inner
     do, eo = sol.shell_outer
     u_in = bi * j_s.actual + ci * h_s.actual
     u_out = do * j_s.actual + eo * h_s.actual
     du_in = kp * (bi * j_s.actual_derivative + ci * h_s.actual_derivative)
     du_out = kp * (do * j_s.actual_derivative + eo * h_s.actual_derivative)
-    j_o, h_o = _eval_pair(m, kp * b.r_out)
+    j_o, h_o = b.shell_basis.outer
     du_outer = kp * (do * j_o.actual_derivative + eo * h_o.actual_derivative)
     outer_scale = abs(kp) * (
         abs(do) * abs(j_o.actual_derivative) + abs(eo) * abs(h_o.actual_derivative)
@@ -301,11 +329,8 @@ def _solve_shell(
     otherwise u'(r_in) + gamma*u(r_in) = 0, rewritten as u'(r_in)/gamma + u = 0
     when |gamma| > 1 so the Dirichlet limit stays well-conditioned.
     """
-    m = abs(b.mode)
     kp = b.k_plus
-    j_in, h_in = _eval_pair(m, kp * b.r_in)
-    j_s, h_s = _eval_pair(m, kp * b.r_source)
-    j_o, h_o = _eval_pair(m, kp * b.r_out)
+    (j_in, h_in), (j_s, h_s), (j_o, h_o) = b.shell_basis
 
     du_j = kp * j_in.actual_derivative
     du_h = kp * h_in.actual_derivative
@@ -368,33 +393,36 @@ def solve_ibc_with_gamma(b: CylinderBenchmark, gamma: complex) -> ModalSolution:
     return _solve_shell("ibc-custom", None, b, gamma, 0j, b.source_amplitude)
 
 
-def solve_expansion_term(b: CylinderBenchmark, j: int) -> ModalSolution:
-    """Order-j expansion term; terms below j are solved first for their traces.
+def _expansion_terms(b: CylinderBenchmark, order: int) -> list[ModalSolution]:
+    """Expansion terms 0..order, each solved once, in one pass.
 
     Wall data in u'(r_in): 0 at order 0 (with the ring source), lam*u0(r_in)
     at order 1, lam*u1(r_in) - H*u0(r_in) at order 2.  lam does not depend on
     the permeability contrast, so the terms are contrast-independent.
     """
-    if j not in (0, 1, 2):
-        raise ValueError(f"expansion order must be 0, 1 or 2, got {j!r}")
+    if order not in (0, 1, 2):
+        raise ValueError(f"expansion order must be 0, 1 or 2, got {order!r}")
     lam = b.params.lam
     curv = mean_curvature(Surface.cylinder(b.r_in))
-    term0 = _solve_shell("expansion", 0, b, None, 0j, b.source_amplitude)
-    if j == 0:
-        return term0
-    u0 = term0.u(b.r_in)
-    term1 = _solve_shell("expansion", 1, b, None, lam * u0, 0j)
-    if j == 1:
-        return term1
-    u1 = term1.u(b.r_in)
-    datum2 = lam * u1 - curv * u0
-    return _solve_shell("expansion", 2, b, None, datum2, 0j)
+    terms = [_solve_shell("expansion", 0, b, None, 0j, b.source_amplitude)]
+    if order >= 1:
+        u0 = terms[0].u(b.r_in)
+        terms.append(_solve_shell("expansion", 1, b, None, lam * u0, 0j))
+    if order >= 2:
+        u1 = terms[1].u(b.r_in)
+        terms.append(_solve_shell("expansion", 2, b, None, lam * u1 - curv * u0, 0j))
+    return terms
+
+
+def solve_expansion_term(b: CylinderBenchmark, j: int) -> ModalSolution:
+    """Order-j expansion term; terms below j are solved first for their traces."""
+    return _expansion_terms(b, j)[j]
 
 
 def truncated_expansion(b: CylinderBenchmark, order: int) -> ModalSolution:
     """Shell field of the eps-weighted sum of expansion terms up to ``order``."""
     eps = b.params.eps_small
-    terms = [solve_expansion_term(b, j) for j in range(order + 1)]
+    terms = _expansion_terms(b, order)
     bi = sum(eps**j * t.shell_inner[0] for j, t in enumerate(terms))
     ci = sum(eps**j * t.shell_inner[1] for j, t in enumerate(terms))
     do = sum(eps**j * t.shell_outer[0] for j, t in enumerate(terms))
@@ -476,19 +504,16 @@ def _shell_squares_lommel(
         int r|u|^2 dr = -Im(W) / Im(k^2),
         int r(|u'|^2 + m^2|u|^2/r^2) dr = Re(W) + Re(k^2) * int r|u|^2 dr.
     """
-    m = abs(b.mode)
     kp = b.k_plus
     k2 = kp * kp
 
-    def flux(coeff: _Coefficients, r: float, pair: tuple[BesselEval, BesselEval]) -> complex:
+    def flux(coeff: _Coefficients, r: float, pair: _Pair) -> complex:
         jv, hv = pair
         u = coeff[0] * jv.actual + coeff[1] * hv.actual
         du = kp * (coeff[0] * jv.actual_derivative + coeff[1] * hv.actual_derivative)
         return r * du * u.conjugate()
 
-    at_in = _eval_pair(m, kp * b.r_in)
-    at_s = _eval_pair(m, kp * b.r_source)
-    at_out = _eval_pair(m, kp * b.r_out)
+    at_in, at_s, at_out = b.shell_basis
     e_sq = h_sq = 0.0
     for coeff, lo, hi, at_lo, at_hi in (
         (inner, b.r_in, b.r_source, at_in, at_s),
@@ -616,7 +641,7 @@ def conductor_l2_norm(sol: ModalSolution) -> float:
         raise SolverError(f"{sol.kind} solution has no conductor region")
     b = sol.benchmark
     km = b.k_minus
-    ref = sol._conductor_ref
+    ref = b.conductor_ref
     # u(r_in) is the amplitude itself; u'/u is k_minus*J_m'/J_m at the interface
     log_der = km * ref.derivative / ref.value
     flux = b.r_in * abs(sol.conductor_amplitude) ** 2 * log_der

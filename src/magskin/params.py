@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 
 @dataclass(frozen=True)
@@ -46,14 +46,7 @@ class PhysicalConfig:
             )
 
     def with_mu_minus(self, mu_minus: float) -> "PhysicalConfig":
-        return PhysicalConfig(
-            omega=self.omega,
-            eps0=self.eps0,
-            mu_plus=self.mu_plus,
-            mu_minus=mu_minus,
-            sigma_plus=self.sigma_plus,
-            sigma_minus=self.sigma_minus,
-        )
+        return replace(self, mu_minus=mu_minus)
 
 
 def _root4_1p(x: float) -> float:

@@ -5,7 +5,10 @@ import mpmath as mp
 import pytest
 
 from magskin.bessel import (
+    _EULER_GAMMA,
     BesselDomainError,
+    _j_series,
+    _y01_series,
     bessel_h1,
     bessel_j,
     bessel_y,
@@ -193,3 +196,38 @@ def test_overflow_free_to_thousand():
         assert jv.is_scaled and hv.is_scaled
         target = 2j / (math.pi * z)
         assert abs(wronskian_jh1(2, z) - target) <= 1e-10 * abs(target)
+
+
+def _y01_series_quadratic(z: complex) -> tuple[complex, complex]:
+    """Reference: the Y_0/Y_1 series with each harmonic number summed afresh (O(k^2))."""
+    def harmonic(n: int) -> float:
+        return sum(1.0 / k for k in range(1, n + 1))
+
+    j0 = _j_series(0, z)[0]
+    s1, e1 = _j_series(1, z)
+    j1 = s1 * cmath.exp(e1)
+    lg = cmath.log(0.5 * z) + _EULER_GAMMA
+    w = 0.25 * z * z
+    term = 1.0 + 0j
+    acc0 = 0j
+    for k in range(1, 400):
+        term *= w / (k * k)
+        acc0 += ((-1) ** (k + 1)) * harmonic(k) * term
+        if abs(term) * (math.log(k + 1) + 1.0) < 1e-18 * max(1.0, abs(acc0)):
+            break
+    y0 = (2.0 / math.pi) * (lg * j0 + acc0)
+    term = 1.0 + 0j
+    acc1 = (harmonic(0) + harmonic(1)) * term
+    for k in range(1, 400):
+        term *= -w / (k * (k + 1))
+        contrib = (harmonic(k) + harmonic(k + 1)) * term
+        acc1 += contrib
+        if abs(contrib) < 1e-18 * max(1.0, abs(acc1)):
+            break
+    y1 = (2.0 / math.pi) * (lg * j1 - 1.0 / z) - (z / (2.0 * math.pi)) * acc1
+    return y0, y1
+
+
+@pytest.mark.parametrize("z", [0.01 + 0j, 0.5 + 0.2j, 1 + 0j, 3 - 4j, 7.1 + 2j, 8 + 3.9j, 11.9 + 0j])
+def test_y01_series_running_harmonic_sums_match_quadratic_reference(z):
+    assert _y01_series(z) == _y01_series_quadratic(z)

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from magskin import modal
 from magskin.bessel import bessel_h1, bessel_j
 from magskin.geometry import Surface, TangentVector
 from magskin.modal import (
@@ -438,3 +439,105 @@ def test_with_eps_sweeps_only_mu_minus():
     assert b2.cfg.sigma_minus == b.cfg.sigma_minus
     assert b2.cfg.omega == b.cfg.omega
     assert abs(b2.k_plus - b.k_plus) == 0.0
+
+
+def _count_bessel_calls(monkeypatch) -> list[tuple[str, int, complex]]:
+    """Record every bessel_j / bessel_h1 call that magskin.modal makes."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(m, z):
+            calls.append((name, m, z))
+            return fn(m, z)
+
+        return wrapper
+
+    monkeypatch.setattr(modal, "bessel_j", counted("j", modal.bessel_j))
+    monkeypatch.setattr(modal, "bessel_h1", counted("h1", modal.bessel_h1))
+    return calls
+
+
+def test_one_benchmark_evaluates_each_bessel_value_once(monkeypatch):
+    calls = _count_bessel_calls(monkeypatch)
+    b = default_benchmark(mode=2, eps=0.01)
+    exact = solve_exact(b)
+    for k in (0, 1, 2):
+        shell_l2_error(exact, solve_ibc(b, k))
+    # J_m and H1_m at k_plus*(r_in, r_source, r_out), and at k_minus*r_in
+    assert len(calls) == 8
+    assert len(set(calls)) == 8
+    conductor_l2_norm(exact)
+    shell_l2_norm(exact)
+    for r in (b.r_in, b.r_source, b.r_out):
+        exact.u(r)
+    assert len(calls) == 8
+
+
+def test_truncated_expansion_solves_each_term_once(monkeypatch):
+    calls = _count_bessel_calls(monkeypatch)
+    shell_solves = []
+    solve_shell = modal._solve_shell
+
+    def counted_solve(*args):
+        shell_solves.append(args[1])
+        return solve_shell(*args)
+
+    monkeypatch.setattr(modal, "_solve_shell", counted_solve)
+    truncated_expansion(default_benchmark(mode=1, eps=0.05), 2)
+    assert len(calls) == 6
+    assert shell_solves == [0, 1, 2]
+
+
+def test_truncated_expansion_is_the_weighted_sum_of_its_terms():
+    b = default_benchmark(mode=3, eps=0.02)
+    sol = truncated_expansion(b, 2)
+    # each term on its own benchmark instance, so nothing is shared with sol
+    terms = [solve_expansion_term(dataclasses.replace(b), j) for j in (0, 1, 2)]
+    eps = b.params.eps_small
+    assert sol.shell_inner[0] == sum(eps**j * t.shell_inner[0] for j, t in enumerate(terms))
+    assert sol.shell_inner[1] == sum(eps**j * t.shell_inner[1] for j, t in enumerate(terms))
+    assert sol.shell_outer[0] == sum(eps**j * t.shell_outer[0] for j, t in enumerate(terms))
+    assert sol.shell_outer[1] == sum(eps**j * t.shell_outer[1] for j, t in enumerate(terms))
+    for order in (-1, 3):
+        with pytest.raises(ValueError, match="expansion order"):
+            truncated_expansion(b, order)
+
+
+def test_shell_basis_belongs_to_one_benchmark_instance():
+    b = default_benchmark(mode=1, eps=0.1)
+    basis, ref = b.shell_basis, b.conductor_ref
+    for other in (b.with_eps(0.01), dataclasses.replace(b, mode=4)):
+        assert "shell_basis" not in vars(other) and "conductor_ref" not in vars(other)
+        m, kp = abs(other.mode), other.k_plus
+        assert other.shell_basis is not basis
+        for r, (jv, hv) in zip((other.r_in, other.r_source, other.r_out), other.shell_basis):
+            assert jv == bessel_j(m, kp * r)
+            assert hv == bessel_h1(m, kp * r)
+        assert other.conductor_ref == bessel_j(m, other.k_minus * other.r_in)
+        assert other.conductor_ref != ref
+    assert dataclasses.replace(b, mode=4).shell_basis != basis
+
+
+@pytest.mark.parametrize("solver", ["exact", "ibc1", "expansion2"])
+def test_point_values_at_basis_radii_match_fresh_bessel_calls(solver):
+    b = default_benchmark(mode=3, eps=0.02)
+    sol = {
+        "exact": solve_exact,
+        "ibc1": lambda b_: solve_ibc(b_, 1),
+        "expansion2": lambda b_: truncated_expansion(b_, 2),
+    }[solver](b)
+    m, kp = abs(b.mode), b.k_plus
+    for r, (c0, c1) in (
+        (b.r_in, sol.shell_inner),
+        (b.r_source, sol.shell_inner),
+        (b.r_out, sol.shell_outer),
+    ):
+        jv, hv = bessel_j(m, kp * r), bessel_h1(m, kp * r)
+        assert sol.u(r) == c0 * jv.actual + c1 * hv.actual
+        assert sol.u_prime(r) == kp * (c0 * jv.actual_derivative + c1 * hv.actual_derivative)
+    if solver == "exact":
+        km = b.k_minus
+        jv = bessel_j(m, km * b.r_in)
+        u, du = sol._eval_conductor(b.r_in)
+        assert u == sol.conductor_amplitude * jv.value / jv.value * cmath.exp(0j)
+        assert du == sol.conductor_amplitude * km * jv.derivative / jv.value * cmath.exp(0j)
