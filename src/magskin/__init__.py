@@ -13,6 +13,7 @@ from .geometry import (
     TangentVector,
     curvature_apply,
     hermitian_inner,
+    inverse_metric_diagonal,
     mean_curvature,
     mean_minus_curvature_apply,
     metric_modulus_sq,
@@ -60,6 +61,7 @@ from .params import (
 from .profiles import (
     HarmonicScalarField,
     HarmonicTangentField,
+    LayerField,
     ProfileTerm,
     TraceData,
     apply_b,

@@ -114,14 +114,45 @@ def _hankel_asymptotic(m: int, z: complex, kind: int) -> tuple[complex, complex]
         prev = abs(t)
         if prev < 1e-17 * abs(s):
             break
+    return _hankel_scaled(m, z, sgn, s)
+
+
+def _hankel_scaled(m: int, z: complex, sgn: float, s: complex) -> tuple[complex, complex]:
+    """(value, exponent) from the term sum s of the kind-1 (sgn = 1) or kind-2 (sgn = -1) expansion."""
     pref = cmath.sqrt(2.0 / (math.pi * z)) * cmath.exp(-1j * sgn * (0.5 * m + 0.25) * math.pi)
     return pref * s, 1j * sgn * z
 
 
+def _hankel_pair(m: int, z: complex) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+    """Both kinds of ``_hankel_asymptotic`` from one pass over the terms, bit for bit.
+
+    The kind-2 terms are the kind-1 terms times (-1)**k exactly, so one term
+    sequence feeds both sums; each sum keeps its own stop rule.
+    """
+    mu = 4.0 * m * m
+    t = 1.0 + 0j
+    s1 = s2 = t
+    prev = abs(t)
+    open1 = open2 = True
+    for k in range(90):
+        t = t * ((mu - (2 * k + 1) ** 2) / (8.0 * (k + 1) * z)) * 1j
+        if abs(t) >= prev:
+            break
+        prev = abs(t)
+        if open1:
+            s1 += t
+            open1 = not prev < 1e-17 * abs(s1)
+        if open2:
+            s2 = s2 + t if k % 2 else s2 - t
+            open2 = not prev < 1e-17 * abs(s2)
+        if not (open1 or open2):
+            break
+    return _hankel_scaled(m, z, 1.0, s1), _hankel_scaled(m, z, -1.0, s2)
+
+
 def _j_from_hankel(m: int, z: complex) -> tuple[complex, complex]:
     """J_m = (H1_m + H2_m)/2 combined on the dominant side's exponent."""
-    h1v, e1 = _hankel_asymptotic(m, z, 1)
-    h2v, e2 = _hankel_asymptotic(m, z, 2)
+    (h1v, e1), (h2v, e2) = _hankel_pair(m, z)
     if z.imag >= 0:
         return 0.5 * (h2v + h1v * cmath.exp(e1 - e2)), e2
     return 0.5 * (h1v + h2v * cmath.exp(e2 - e1)), e1
@@ -129,8 +160,7 @@ def _j_from_hankel(m: int, z: complex) -> tuple[complex, complex]:
 
 def _y_from_hankel(m: int, z: complex) -> tuple[complex, complex]:
     """Y_m = (H1_m - H2_m)/(2i) combined on the dominant side's exponent."""
-    h1v, e1 = _hankel_asymptotic(m, z, 1)
-    h2v, e2 = _hankel_asymptotic(m, z, 2)
+    (h1v, e1), (h2v, e2) = _hankel_pair(m, z)
     if z.imag >= 0:
         return (h1v * cmath.exp(e1 - e2) - h2v) / 2j, e2
     return (h1v - h2v * cmath.exp(e2 - e1)) / 2j, e1

@@ -31,7 +31,10 @@ from .modal import (
     truncated_expansion,
 )
 from .params import PhysicalConfig, derive_params, leontovich_factor
-from .profiles import HarmonicTangentField, TraceData, layer_modulus_sq, make_w0, make_w1
+from .profiles import HarmonicTangentField, LayerField, TraceData
+
+# bench/tracing.py wraps this name on magskin.cli as its "profiles" span
+from .profiles import layer_modulus_sq  # noqa: F401
 from .skin import DecayTrace, comparison_report
 
 USAGE_EXIT = 2
@@ -260,16 +263,13 @@ def cmd_profile_table(doc: dict, args) -> str:
         e0_trace=HarmonicTangentField(surface, tangent("e0", 1.0 + 0j), wavevector),
         e1_trace=HarmonicTangentField(surface, tangent("e1", 0j), wavevector),
     )
-    y = (0.0, 0.0)
-    p0 = make_w0(tr, dp.lam)
-    p1 = make_w1(tr, dp.lam)
+    field = LayerField.at(surface, tr, dp.lam, dp.eps_small, (0.0, 0.0))
     rows = []
     for i in range(count):
         y3 = max_depth * i / (count - 1)
         y3s = y3 / dp.eps_small
-        tang = p0.tangential(y, y3s) + p1.tangential(y, y3s).scale(dp.eps_small)
-        norm = dp.eps_small * p1.normal(y, y3s)
-        modulus = math.sqrt(layer_modulus_sq(surface, tr, dp.lam, dp.eps_small, y, y3))
+        tang, norm = field.fields(y3)
+        modulus = math.sqrt(field.modulus_sq(y3))
         rows.append([
             _fmt(y3), _fmt(y3s),
             _fmt(tang.c1.real), _fmt(tang.c1.imag),

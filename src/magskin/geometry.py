@@ -126,19 +126,25 @@ class ShiftedInverseMetric:
     first_order: np.ndarray
 
 
-def shifted_inverse_metric(s: Surface, h: float) -> ShiftedInverseMetric:
-    """Inverse metric at depth h into the conductor, 0 <= h < tubular radius."""
+def inverse_metric_diagonal(s: Surface, h: float) -> tuple[float, float]:
+    """Diagonal 1/(1 - kappa_a*h)^2 of the exact inverse metric at depth h, 0 <= h < tubular radius."""
     if not (0.0 <= h < s.tubular_radius):
         raise ValueError(
             f"depth h={h!r} outside the tubular neighborhood [0, {s.tubular_radius!r})"
         )
     k1, k2 = s.principal_curvatures
-    exact = np.diag([1.0 / (1.0 - k1 * h) ** 2, 1.0 / (1.0 - k2 * h) ** 2])
+    return 1.0 / (1.0 - k1 * h) ** 2, 1.0 / (1.0 - k2 * h) ** 2
+
+
+def shifted_inverse_metric(s: Surface, h: float) -> ShiftedInverseMetric:
+    """Inverse metric at depth h into the conductor, 0 <= h < tubular radius."""
+    exact = np.diag(inverse_metric_diagonal(s, h))
+    k1, k2 = s.principal_curvatures
     first_order = np.diag([1.0 + 2.0 * k1 * h, 1.0 + 2.0 * k2 * h])
     return ShiftedInverseMetric(exact=exact, first_order=first_order)
 
 
 def metric_modulus_sq(s: Surface, v: TangentVector, h: float = 0.0) -> float:
     """Squared modulus of covariant components v under the shifted inverse metric."""
-    a = shifted_inverse_metric(s, h).exact
-    return float(a[0, 0] * abs(v.c1) ** 2 + a[1, 1] * abs(v.c2) ** 2)
+    a11, a22 = inverse_metric_diagonal(s, h)
+    return float(a11 * abs(v.c1) ** 2 + a22 * abs(v.c2) ** 2)

@@ -420,7 +420,10 @@ def solve_expansion_term(b: CylinderBenchmark, j: int) -> ModalSolution:
 
 
 def truncated_expansion(b: CylinderBenchmark, order: int) -> ModalSolution:
-    """Shell field of the eps-weighted sum of expansion terms up to ``order``."""
+    """Shell field of the eps-weighted sum of expansion terms up to ``order``.
+
+    Its residuals are the worst value of each residual over the terms.
+    """
     eps = b.params.eps_small
     terms = _expansion_terms(b, order)
     bi = sum(eps**j * t.shell_inner[0] for j, t in enumerate(terms))
@@ -435,7 +438,7 @@ def truncated_expansion(b: CylinderBenchmark, order: int) -> ModalSolution:
         shell_outer=(do, eo),
         conductor_amplitude=None,
         condition_number=max(t.condition_number for t in terms),
-        residuals={k: v for t in terms for k, v in t.residuals.items()},
+        residuals={k: max(t.residuals[k] for t in terms) for k in terms[0].residuals},
         ring_source=terms[0].ring_source,
     )
 

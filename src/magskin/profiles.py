@@ -21,9 +21,9 @@ from .geometry import (
     SurfaceKind,
     TangentVector,
     hermitian_inner,
+    inverse_metric_diagonal,
     mean_curvature,
     mean_minus_curvature_apply,
-    metric_modulus_sq,
 )
 
 
@@ -277,6 +277,74 @@ def modulus_expansion_gm(
     return 1.0 + 2.0 * y3 * mean_curvature(s) + 2.0 * eps * cross / e0_sq
 
 
+def _unit_power(c: complex) -> complex:
+    """c as ProfileTerm accumulates its Y3**0 coefficient, zero signs included."""
+    return 0j + c * 1.0
+
+
+@dataclass(frozen=True)
+class LayerField:
+    """The two-term layer field W0 + eps*W1 at one surface point.
+
+    The harmonic coefficients are evaluated once, at construction; a sample at
+    depth y3 then costs one exponential.  The arithmetic is the one of
+    assembling ``make_w0``/``make_w1`` per sample, in the same order, so the
+    results agree bit for bit.
+    """
+
+    surface: Surface
+    decay_rate: complex
+    eps: float
+    e0: TangentVector  # W0 tangential, Y3**0
+    e1: TangentVector  # W1 tangential, Y3**0
+    curvature: TangentVector  # W1 tangential, Y3**1: (H - C)e0
+    normal: complex  # W1 normal, Y3**0: div(e0)/lam
+
+    @staticmethod
+    def at(
+        s: Surface, tr: TraceData, decay_rate: complex, eps: float, y: tuple[float, float]
+    ) -> "LayerField":
+        """Layer field of traces ``tr`` at point y, measured under the metric of ``s``."""
+        w0 = make_w0(tr, decay_rate)
+        w1 = make_w1(tr, decay_rate)
+        e0 = w0.tangential_coeffs[0].value(y)
+        e1 = w1.tangential_coeffs[0].value(y)
+        return LayerField(
+            surface=s,
+            decay_rate=decay_rate,
+            eps=eps,
+            e0=TangentVector(_unit_power(e0.c1), _unit_power(e0.c2)),
+            e1=TangentVector(_unit_power(e1.c1), _unit_power(e1.c2)),
+            curvature=w1.tangential_coeffs[1].value(y),
+            normal=_unit_power(w1.normal_coeffs[0].value(y)),
+        )
+
+    def _parts(self, y3: float) -> tuple[complex, complex, complex]:
+        """Tangential components and normal part at physical depth y3."""
+        eps = self.eps
+        y3_scaled = y3 / eps
+        if y3_scaled < 0:
+            raise ValueError(f"scaled depth must be >= 0, got {y3_scaled!r}")
+        decay = cmath.exp(-self.decay_rate * y3_scaled)
+        e0, e1, curv = self.e0, self.e1, self.curvature
+        return (
+            decay * e0.c1 + eps * (decay * (e1.c1 + y3_scaled * curv.c1)),
+            decay * e0.c2 + eps * (decay * (e1.c2 + y3_scaled * curv.c2)),
+            eps * (self.normal * decay),
+        )
+
+    def fields(self, y3: float) -> tuple[TangentVector, complex]:
+        """(tangential, normal) parts of W0 + eps*W1 at physical depth y3."""
+        t1, t2, norm = self._parts(y3)
+        return TangentVector(t1, t2), norm
+
+    def modulus_sq(self, y3: float) -> float:
+        """Squared modulus at depth y3: exact shifted metric tangentially, plus |normal|^2."""
+        t1, t2, norm = self._parts(y3)
+        a11, a22 = inverse_metric_diagonal(self.surface, y3)
+        return float(a11 * abs(t1) ** 2 + a22 * abs(t2) ** 2) + abs(norm) ** 2
+
+
 def layer_modulus_sq(
     s: Surface,
     tr: TraceData,
@@ -288,14 +356,10 @@ def layer_modulus_sq(
     """Full squared modulus of the two-term layer field at physical depth y3.
 
     Assembles W0 + eps*W1 tangentially under the exact shifted inverse metric
-    at depth y3, plus the |eps * normal part|^2 contribution.
+    at depth y3, plus the |eps * normal part|^2 contribution.  Samples along
+    one depth trace should build one ``LayerField`` and reuse it.
     """
-    y3_scaled = y3 / eps
-    w0 = make_w0(tr, decay_rate)
-    w1 = make_w1(tr, decay_rate)
-    tang = w0.tangential(y, y3_scaled) + w1.tangential(y, y3_scaled).scale(eps)
-    norm = eps * w1.normal(y, y3_scaled)
-    return metric_modulus_sq(s, tang, y3) + abs(norm) ** 2
+    return LayerField.at(s, tr, decay_rate, eps, y).modulus_sq(y3)
 
 
 def default_cutoff_horizon(s: Surface) -> float:

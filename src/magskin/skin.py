@@ -14,7 +14,10 @@ from typing import Callable
 
 from .geometry import Surface, SurfaceKind, TangentVector, mean_curvature
 from .params import DerivedParams
-from .profiles import HarmonicTangentField, TraceData, layer_modulus_sq
+from .profiles import HarmonicTangentField, LayerField, TraceData
+
+# bench/tracing.py wraps this name on magskin.skin as its "profiles" span
+from .profiles import layer_modulus_sq  # noqa: F401
 
 
 class SkinDepthError(RuntimeError):
@@ -44,9 +47,10 @@ def layer_trace(
 ) -> DecayTrace:
     """Decay trace of the two-term layer field, exact shifted metric included."""
     scale = dp.ell_phi
+    field = LayerField.at(s, tr, dp.lam, dp.eps_small, y)
 
     def sampler(h: float) -> float:
-        return math.sqrt(layer_modulus_sq(s, tr, dp.lam, dp.eps_small, y, h))
+        return math.sqrt(field.modulus_sq(h))
 
     max_depth = 10.0 * scale
     if s.kind is not SurfaceKind.PLANE:

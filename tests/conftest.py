@@ -27,3 +27,8 @@ def loglog_slope(points) -> float:
     num = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
     den = sum((x - mx) ** 2 for x in xs)
     return num / den
+
+
+def bits(*values) -> tuple[str, ...]:
+    """Hex of the real and imaginary part of each value, so -0.0 and 0.0 differ."""
+    return tuple(x.hex() for v in values for x in (complex(v).real, complex(v).imag))

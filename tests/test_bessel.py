@@ -7,6 +7,8 @@ import pytest
 from magskin.bessel import (
     _EULER_GAMMA,
     BesselDomainError,
+    _hankel_asymptotic,
+    _hankel_pair,
     _j_series,
     _y01_series,
     bessel_h1,
@@ -16,7 +18,7 @@ from magskin.bessel import (
     wronskian_jy,
 )
 
-from conftest import log_grid
+from conftest import bits, log_grid
 
 
 def ref_digits(z: complex) -> int:
@@ -231,3 +233,13 @@ def _y01_series_quadratic(z: complex) -> tuple[complex, complex]:
 @pytest.mark.parametrize("z", [0.01 + 0j, 0.5 + 0.2j, 1 + 0j, 3 - 4j, 7.1 + 2j, 8 + 3.9j, 11.9 + 0j])
 def test_y01_series_running_harmonic_sums_match_quadratic_reference(z):
     assert _y01_series(z) == _y01_series_quadratic(z)
+
+
+@pytest.mark.parametrize("arg", [-1.5, -0.6, -0.05, 0.0, 0.05, 0.6, 1.5])
+def test_hankel_pair_equals_two_single_kind_expansions(arg):
+    for r in log_grid(12.0, 1500.0, 8):
+        z = cmath.rect(r, arg)
+        for m in range(61):
+            (h1v, e1), (h2v, e2) = _hankel_pair(m, z)
+            assert bits(h1v, e1) == bits(*_hankel_asymptotic(m, z, 1)), (m, z)
+            assert bits(h2v, e2) == bits(*_hankel_asymptotic(m, z, 2)), (m, z)

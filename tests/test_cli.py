@@ -5,8 +5,11 @@ import math
 
 import pytest
 
-from magskin.cli import main
+from magskin.cli import load_physical, main
+from magskin.geometry import Surface, TangentVector
 from magskin.modal import fit_convergence
+from magskin.params import derive_params
+from magskin.profiles import HarmonicTangentField, LayerField, TraceData
 
 BASE_CONFIG = {
     "physical": {
@@ -81,6 +84,34 @@ def test_profile_table_header_and_monotone_decay(cfg_path, capsys):
     moduli = [float(r[8]) for r in rows[1:]]
     assert moduli[0] == 1.0
     assert all(b < a for a, b in zip(moduli, moduli[1:]))
+
+
+def test_profile_table_rows_sample_the_layer_field(tmp_path, capsys):
+    cfg = dict(BASE_CONFIG, surface={"kind": "cylinder", "radius": 0.7})
+    cfg["profile_table"] = {
+        "mode": 3, "count": 23,
+        "e0_1": [0.8, 0.3], "e0_2": [0.5, -0.2], "e1_1": [0.1, -0.4], "e1_2": [-0.3, 0.6],
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, _ = run(["profile-table", "--config", str(path)], capsys)
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert len(rows) == 23
+
+    s = Surface.cylinder(0.7)
+    tr = TraceData(
+        e0_trace=HarmonicTangentField.cylinder_mode(s, TangentVector(0.8 + 0.3j, 0.5 - 0.2j), 3),
+        e1_trace=HarmonicTangentField.cylinder_mode(s, TangentVector(0.1 - 0.4j, -0.3 + 0.6j), 3),
+    )
+    dp = derive_params(load_physical(cfg))
+    field = LayerField.at(s, tr, dp.lam, dp.eps_small, (0.0, 0.0))
+    for row in rows:
+        y3 = float(row[0])
+        tang, norm = field.fields(y3)
+        expected = [tang.c1.real, tang.c1.imag, tang.c2.real, tang.c2.imag, norm.real, norm.imag]
+        assert row[2:8] == [f"{x:.17g}" for x in expected]
+        assert row[8] == f"{math.sqrt(field.modulus_sq(y3)):.17g}"
 
 
 def test_ibc_factors_payload(cfg_path, capsys):

@@ -8,8 +8,10 @@ from magskin.geometry import (
     TangentVector,
     curvature_apply,
     hermitian_inner,
+    inverse_metric_diagonal,
     mean_curvature,
     mean_minus_curvature_apply,
+    metric_modulus_sq,
     shifted_inverse_metric,
 )
 
@@ -75,6 +77,30 @@ def test_shifted_metric_domain_errors():
         shifted_inverse_metric(Surface.cylinder(1.0), 0.5)
     with pytest.raises(ValueError):
         shifted_inverse_metric(Surface.sphere(1.0), -1e-3)
+
+
+@pytest.mark.parametrize(
+    "surface", [Surface.plane(), Surface.cylinder(0.7), Surface.sphere(1.0), Surface.sphere(3.1)]
+)
+def test_inverse_metric_diagonal_is_the_exact_matrix_diagonal(surface, rng):
+    depths = [0.0, 1e-9, 1e-3] + [rng.uniform(0.0, min(surface.tubular_radius, 5.0)) for _ in range(20)]
+    k1, k2 = surface.principal_curvatures
+    for h in depths:
+        diag = inverse_metric_diagonal(surface, h)
+        assert diag == (1.0 / (1.0 - k1 * h) ** 2, 1.0 / (1.0 - k2 * h) ** 2)
+        assert diag == tuple(np.diag(shifted_inverse_metric(surface, h).exact))
+        v = rand_tangent(rng)
+        a = shifted_inverse_metric(surface, h).exact
+        assert metric_modulus_sq(surface, v, h) == float(a[0, 0] * abs(v.c1) ** 2 + a[1, 1] * abs(v.c2) ** 2)
+
+
+@pytest.mark.parametrize("h", [-1e-3, 0.35, 0.5, math.nan])
+def test_inverse_metric_diagonal_domain_errors(h):
+    s = Surface.cylinder(0.7)
+    with pytest.raises(ValueError, match="tubular neighborhood"):
+        inverse_metric_diagonal(s, h)
+    with pytest.raises(ValueError, match="tubular neighborhood"):
+        metric_modulus_sq(s, TangentVector(1.0 + 0j, 0j), h)
 
 
 @pytest.mark.parametrize("surface", [Surface.cylinder(1.0), Surface.sphere(1.0)])

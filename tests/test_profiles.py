@@ -3,11 +3,12 @@ import math
 
 import pytest
 
-from magskin.geometry import Surface, TangentVector, mean_minus_curvature_apply
+from magskin.geometry import Surface, TangentVector, mean_minus_curvature_apply, shifted_inverse_metric
 from magskin.params import PhysicalConfig, derive_params
 from magskin.profiles import (
     HarmonicScalarField,
     HarmonicTangentField,
+    LayerField,
     TraceData,
     apply_b,
     apply_l1,
@@ -20,8 +21,9 @@ from magskin.profiles import (
     make_w1,
     modulus_expansion_gm,
 )
+from magskin.skin import DecayTrace, comparison_report, skin_depth_numeric
 
-from conftest import log_grid, loglog_slope
+from conftest import bits, log_grid, loglog_slope
 
 LAM = derive_params(
     PhysicalConfig(omega=1, eps0=1, mu_plus=1, mu_minus=100, sigma_plus=0.01, sigma_minus=1)
@@ -294,3 +296,100 @@ def test_trace_wavevector_mismatch_rejected():
             e0_trace=HarmonicTangentField.cylinder_mode(s, TangentVector(1, 0), 1),
             e1_trace=HarmonicTangentField.cylinder_mode(s, TangentVector(1, 0), 2),
         )
+
+
+def assembled_layer_fields(tr, lam, eps, y, y3):
+    """Reference: W0 + eps*W1 assembled from make_w0/make_w1 at every sample."""
+    y3_scaled = y3 / eps
+    w0 = make_w0(tr, lam)
+    w1 = make_w1(tr, lam)
+    tang = w0.tangential(y, y3_scaled) + w1.tangential(y, y3_scaled).scale(eps)
+    return tang, eps * w1.normal(y, y3_scaled)
+
+
+def assembled_modulus_sq(s, tr, lam, eps, y, y3):
+    """Reference: the assembled fields under the numpy shifted inverse metric."""
+    tang, norm = assembled_layer_fields(tr, lam, eps, y, y3)
+    a = shifted_inverse_metric(s, y3).exact
+    return float(a[0, 0] * abs(tang.c1) ** 2 + a[1, 1] * abs(tang.c2) ** 2) + abs(norm) ** 2
+
+
+def _rand_complex(rng):
+    return complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+
+
+def _layer_cases(rng):
+    """(surface, traces) on the plane, cylinders and spheres, with nonzero wavevectors off the sphere."""
+    cases = []
+    for i in range(30):
+        kind = i % 3
+        e0 = TangentVector(_rand_complex(rng), _rand_complex(rng))
+        e1 = TangentVector(_rand_complex(rng), _rand_complex(rng))
+        if i % 5 == 4:  # zero components: their signs of zero must survive too
+            e0 = TangentVector(e0.c1, 0j)
+            e1 = TangentVector(0j, e1.c2)
+        if kind == 0:
+            s = Surface.plane()
+            wavevector = (rng.uniform(-5, 5), rng.uniform(-5, 5))
+        elif kind == 1:
+            s = Surface.cylinder(rng.uniform(0.3, 3.0))
+            wavevector = (rng.randint(-6, 6) / s.radius, rng.uniform(-3, 3))
+        else:
+            s = Surface.sphere(rng.uniform(0.3, 3.0))
+            wavevector = (0.0, 0.0)
+        tr = TraceData(HarmonicTangentField(s, e0, wavevector), HarmonicTangentField(s, e1, wavevector))
+        cases.append((s, tr))
+    return cases
+
+
+def test_layer_field_matches_per_sample_assembly_bit_for_bit(rng):
+    for s, tr in _layer_cases(rng):
+        lam = complex(rng.uniform(0.3, 2.0), rng.uniform(-2.0, 2.0))
+        y = (rng.uniform(-3, 3), rng.uniform(-3, 3))
+        reach = min(s.tubular_radius, 2.0)
+        for eps in (0.3, 0.05, 1e-3):
+            field = LayerField.at(s, tr, lam, eps, y)
+            for y3 in [0.0] + [rng.uniform(0.0, 0.99 * reach) for _ in range(12)]:
+                tang, norm = field.fields(y3)
+                ref_tang, ref_norm = assembled_layer_fields(tr, lam, eps, y, y3)
+                assert bits(tang.c1, tang.c2, norm) == bits(ref_tang.c1, ref_tang.c2, ref_norm)
+                ref = assembled_modulus_sq(s, tr, lam, eps, y, y3)
+                assert field.modulus_sq(y3).hex() == ref.hex()
+                assert layer_modulus_sq(s, tr, lam, eps, y, y3).hex() == ref.hex()
+
+
+@pytest.mark.parametrize("s", [Surface.plane(), Surface.cylinder(0.8), Surface.sphere(0.8)])
+def test_layer_field_depth_errors(s):
+    tr = TraceData(
+        e0_trace=HarmonicTangentField(s, TangentVector(1.0 + 0j, 0.5j)),
+        e1_trace=HarmonicTangentField(s, TangentVector(0.2 + 0j, 0j)),
+    )
+    field = LayerField.at(s, tr, LAM, 0.1, (0.0, 0.0))
+    for call in (field.fields, field.modulus_sq, lambda h: layer_modulus_sq(s, tr, LAM, 0.1, (0.0, 0.0), h)):
+        with pytest.raises(ValueError, match="scaled depth"):
+            call(-1e-3)
+    if s.tubular_radius < math.inf:
+        for h in (s.tubular_radius, 1.5 * s.tubular_radius):
+            with pytest.raises(ValueError, match="tubular neighborhood"):
+                field.modulus_sq(h)
+
+
+@pytest.mark.parametrize("s", [Surface.plane(), Surface.cylinder(2.0), Surface.sphere(2.0)])
+@pytest.mark.parametrize("mu_minus", [100.0, 1e4])
+def test_comparison_report_numeric_matches_per_sample_assembly(s, mu_minus):
+    dp = derive_params(
+        PhysicalConfig(omega=1, eps0=1, mu_plus=1, mu_minus=mu_minus, sigma_plus=0.01, sigma_minus=1)
+    )
+    tr = TraceData(
+        e0_trace=HarmonicTangentField(s, TangentVector(1.0 + 0j, 0j)),
+        e1_trace=HarmonicTangentField(s, TangentVector.zero()),
+    )
+    max_depth = 10.0 * dp.ell_phi
+    if s.tubular_radius < math.inf:
+        max_depth = min(max_depth, 0.9 * s.tubular_radius)
+    reference = DecayTrace(
+        sampler=lambda h: math.sqrt(assembled_modulus_sq(s, tr, dp.lam, dp.eps_small, (0.0, 0.0), h)),
+        max_depth=max_depth,
+    )
+    expected = skin_depth_numeric(reference, dp.ell_phi)
+    assert comparison_report(dp, s).numeric.hex() == expected.hex()
