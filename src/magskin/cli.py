@@ -408,17 +408,19 @@ def build_parser() -> argparse.ArgumentParser:
         prog="magskin",
         description="Skin-effect asymptotics and impedance boundary conditions, validated on exact cylinder modes",
     )
+    # the flags every command takes, declared once and shared through parents=
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True, help="JSON run configuration")
+    common.add_argument("--out", default=None, help="output path (default: stdout)")
+    common.add_argument("--format", choices=("csv", "json"), default=None)
+    common.add_argument("--k", type=int, choices=(0, 1, 2), default=None,
+                        help="impedance/truncation order")
+    common.add_argument("--modes", type=_int_list, default=None, help="comma-separated azimuthal modes")
+    common.add_argument("--eps", type=_float_list, default=None, help="comma-separated eps values")
+    common.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--k", type=int, choices=(0, 1, 2), default=None,
-                       help="impedance/truncation order")
-        p.add_argument("--modes", type=_int_list, default=None, help="comma-separated azimuthal modes")
-        p.add_argument("--eps", type=_float_list, default=None, help="comma-separated eps values")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps")
+        p = sub.add_parser(name, parents=[common])
         if name == "convergence":
             p.add_argument("--study", choices=("ibc", "expansion"), default="ibc")
     return parser

@@ -4,11 +4,13 @@ Geometry: a conducting core r < R_in, a driven shell R_in < r < R_out with a
 surface-current ring at r = r_source, and a no-flux outer boundary.  The field
 is the axial electric component u(r)*exp(i*m*theta); per azimuthal mode the
 problem is a scalar Helmholtz equation with radial Bessel solutions, so every
-model variant (exact transmission, impedance-reduced, expansion terms) is a
-small dense linear solve over basis coefficients:
+model variant is a small dense linear solve over basis coefficients (5x5 for
+the exact transmission problem, 4x4 for the impedance-reduced models and the
+expansion terms):
 
-* conductor: J_m(k_minus r), normalised by its interface value so only scaled
-  Bessel ratios enter the matrix;
+* conductor: J_m(k_minus r) alone, the solution regular at the origin,
+  normalised by its interface value so only scaled Bessel ratios enter the
+  matrix;
 * shell: J_m(k_plus r) and H1_m(k_plus r) on each side of the source ring.
 
 Interface conditions are continuity of u and of u'/mu; the ring prescribes a
@@ -218,48 +220,46 @@ def _solve_linear(kind: str, rows: list[list[complex]], rhs: list[complex]) -> t
 
 
 def solve_exact(b: CylinderBenchmark) -> ModalSolution:
-    """Exact transmission solution: conductor + two-piece shell, 6x6 solve."""
-    m = abs(b.mode)
+    """Exact transmission solution: conductor + two-piece shell, 5x5 solve.
+
+    The conductor carries J_m alone (regular at the origin), so its one
+    unknown is the amplitude of the column normalised at r_in.
+    """
     cfg = b.cfg
     kp, km = b.k_plus, b.k_minus
     jc = b.conductor_ref
-    hc = bessel_h1(m, km * b.r_in)
     (j_in, h_in), (j_s, h_s), (j_o, h_o) = b.shell_basis
 
-    # unknowns [A_J, A_H, B, C, D, E]; conductor columns normalised at r_in
+    # unknowns [A, B, C, D, E]; the conductor column normalised at r_in
     ratio_j = km * jc.derivative / jc.value
-    ratio_h = km * hc.derivative / hc.value
     rows = [
-        [0j, 1.0 + 0j, 0j, 0j, 0j, 0j],  # regularity at the origin
-        [1.0 + 0j, 1.0 + 0j, -j_in.actual, -h_in.actual, 0j, 0j],
+        [1.0 + 0j, -j_in.actual, -h_in.actual, 0j, 0j],
         [
             ratio_j / cfg.mu_minus,
-            ratio_h / cfg.mu_minus,
             -kp * j_in.actual_derivative / cfg.mu_plus,
             -kp * h_in.actual_derivative / cfg.mu_plus,
             0j,
             0j,
         ],
-        [0j, 0j, j_s.actual, h_s.actual, -j_s.actual, -h_s.actual],
+        [0j, j_s.actual, h_s.actual, -j_s.actual, -h_s.actual],
         [
-            0j,
             0j,
             -kp * j_s.actual_derivative,
             -kp * h_s.actual_derivative,
             kp * j_s.actual_derivative,
             kp * h_s.actual_derivative,
         ],
-        [0j, 0j, 0j, 0j, kp * j_o.actual_derivative, kp * h_o.actual_derivative],
+        [0j, 0j, 0j, kp * j_o.actual_derivative, kp * h_o.actual_derivative],
     ]
-    rhs = [0j, 0j, 0j, 0j, b.source_amplitude, 0j]
+    rhs = [0j, 0j, 0j, b.source_amplitude, 0j]
     x, cond = _solve_linear("exact", rows, rhs)
 
     sol = ModalSolution(
         kind="exact",
         order=None,
         benchmark=b,
-        shell_inner=(x[2], x[3]),
-        shell_outer=(x[4], x[5]),
+        shell_inner=(x[1], x[2]),
+        shell_outer=(x[3], x[4]),
         conductor_amplitude=x[0],
         condition_number=cond,
         residuals={},

@@ -1,15 +1,26 @@
 import cmath
+import itertools
 import math
 
 import mpmath as mp
 import pytest
 
+from magskin import bessel
 from magskin.bessel import (
     _EULER_GAMMA,
+    SERIES_RADIUS,
+    _WEDGE_IM,
     BesselDomainError,
+    _align,
+    _ascend,
+    _forward_stable,
+    _h1_eval,
+    _h1_seeds_via_k,
     _hankel_asymptotic,
     _hankel_pair,
     _j_series,
+    _maybe_fold,
+    _validate,
     _y01_series,
     bessel_h1,
     bessel_j,
@@ -17,6 +28,7 @@ from magskin.bessel import (
     wronskian_jh1,
     wronskian_jy,
 )
+from magskin.modal import default_benchmark
 
 from conftest import bits, log_grid
 
@@ -243,3 +255,161 @@ def test_hankel_pair_equals_two_single_kind_expansions(arg):
             (h1v, e1), (h2v, e2) = _hankel_pair(m, z)
             assert bits(h1v, e1) == bits(*_hankel_asymptotic(m, z, 1)), (m, z)
             assert bits(h2v, e2) == bits(*_hankel_asymptotic(m, z, 2)), (m, z)
+
+
+@pytest.mark.parametrize(
+    "m,z,forward",
+    [
+        (0, 12.01 + 0.1j, True),  # order 0 ascends from its own seeds at any |z| > 12
+        (1, 19.99 + 0j, False),  # orders >= 1 wait for |z| >= 20 ...
+        (1, 20.0 + 0j, True),
+        (2, 20.0 + 0j, True),
+        (2, 19.99j, False),
+        (30, 60.0 + 0j, True),  # ... and stay below the turning point 2m <= |z| ...
+        (31, 60.0 + 0j, False),
+        (28, 100 + 100j, True),  # ... with m^2*|Im z|/|z|^2 <= 4 (here m^2 <= 800)
+        (29, 100 + 100j, False),
+        (28, 100 - 100j, True),
+        (29, 100 - 100j, False),
+    ],
+)
+def test_forward_route_bounds(m, z, forward):
+    assert _forward_stable(m, z) is forward
+
+
+def forward_route_grid() -> list[tuple[int, complex]]:
+    """Orders on both sides of the turning-point and amplification bounds, both half-planes."""
+    pts = []
+    for r in (12.5, 19.99, 20.0, 25.0, 60.0, 118.92, 400.0, 1189.2):
+        for arg in (-math.pi / 2, -1.2, -0.6, -0.2, 0.0, 0.2, 0.6, 1.2, math.pi / 2):
+            z = cmath.rect(r, arg)
+            z = complex(max(z.real, 0.0), z.imag)
+            orders = {0, 1, 2, 5, int(r) // 2, int(r) // 2 + 1}
+            if z.imag:
+                m_amp = math.isqrt(int(4.0 * r * r / abs(z.imag)))
+                orders |= {m_amp, m_amp + 1}
+            pts += [(m, z) for m in sorted(orders) if m <= 200]
+    return pts
+
+
+def test_forward_route_against_mpmath(monkeypatch):
+    miller_calls = []
+    miller = bessel._miller_j
+
+    def recorded_miller(m, z):
+        miller_calls.append((m, z))
+        return miller(m, z)
+
+    monkeypatch.setattr(bessel, "_miller_j", recorded_miller)
+    sides = {True: 0, False: 0}
+    for m, z in forward_route_grid():
+        forward = _forward_stable(m, z)
+        sides[forward] += 1
+        jv = bessel_j(m, z)
+        assert ((m, z) not in miller_calls) is forward
+        with mp.workdps(30):
+            f = mp.e ** (-mp.mpc(jv.exponent))
+            val = complex(mp.besselj(m, z) * f)
+            der = complex(mp.besselj(m, z, derivative=1) * f)
+        err = max(abs(jv.value - val), abs(jv.derivative - der)) / max(abs(val), abs(der))
+        # just past SERIES_RADIUS the order-0/1 Hankel seeds are good to ~4e-11
+        assert err <= (1e-13 if abs(z) >= 20.0 else 1e-10), (m, z, err)
+    assert min(sides.values()) >= 100
+
+
+def test_conductor_argument_at_high_contrast_skips_miller(monkeypatch):
+    def no_miller(m, z):
+        raise AssertionError(f"_miller_j({m}, {z!r})")
+
+    b = default_benchmark(mode=30, eps=1e-3)  # mu_r = 1e6, |k_minus*r_in| ~ 1189
+    z = b.k_minus * b.r_in
+    expected = bessel_j(30, z)
+    monkeypatch.setattr(bessel, "_miller_j", no_miller)
+    assert bessel_j(30, z) == expected
+    assert b.conductor_ref == expected
+
+
+def test_miller_raises_when_its_restarts_never_agree(monkeypatch):
+    counter = itertools.count(1)
+
+    def restless_pass(m, z, start):
+        k = next(counter)
+        return 1.0 + 0j, 0.5 + 0j, complex(k), complex(k + 1)
+
+    monkeypatch.setattr(bessel, "_miller_pass", restless_pass)
+    z = 50.0 + 3.0j
+    assert not _forward_stable(40, z)
+    with pytest.raises(BesselDomainError, match=r"J_40\(\(50\+3j\)\).*8 restarts") as info:
+        bessel_j(40, z)
+    assert next(counter) == 9  # every restart ran
+    # the message quotes the last two iterates, from passes 7 and 8
+    target = 2j / (math.pi * z)
+    h0v, _ = _hankel_asymptotic(0, z, 1)
+    h1v, _ = _hankel_asymptotic(1, z, 1)
+    cv = target / (0.5 * h0v - h1v)
+    assert f"{(cv * 7, cv * 8)}" in str(info.value)
+    assert f"{(cv * 8, cv * 9)}" in str(info.value)
+
+
+def _h2_eval_mirror(m: int, z: complex) -> tuple[complex, complex, complex]:
+    """Reference: the H^(2) evaluation that mirrored _h1_eval line by line."""
+    if z.imag <= 0:
+        if abs(z) <= SERIES_RADIUS:
+            s0, s1 = _h1_seeds_via_k(z.conjugate())
+            h0, h1v = s0.conjugate(), s1.conjugate()
+            e0 = -1j * z
+        else:
+            h0, e0 = _hankel_asymptotic(0, z, 2)
+            h1v, _ = _hankel_asymptotic(1, z, 2)
+        if m == 0:
+            return h0, -h1v, e0
+        prev, cur, extra = _ascend(h0, h1v, z, m)
+        return cur, prev - (m / z) * cur, e0 + extra
+    jv = bessel_j(m, z)
+    h1 = _h1_eval(m, z)
+    jval, jder, h1val, h1der, exponent = _align((jv.value, jv.derivative, jv.exponent), h1)
+    return 2.0 * jval - h1val, 2.0 * jder - h1der, exponent
+
+
+def _bessel_h2_mirror(m: int, z: complex) -> tuple[complex, complex, complex]:
+    """Reference: the mirrored H^(2) with the same series/J-Y split as bessel_h1."""
+    z = _validate(m, z, singular=True)
+    if abs(z) <= SERIES_RADIUS and abs(z.imag) <= _WEDGE_IM:
+        jv = bessel_j(m, z)
+        yv = bessel_y(m, z)
+        f = cmath.exp(jv.exponent - yv.exponent)
+        ev = _maybe_fold(
+            m, z, jv.value * f - 1j * yv.value, jv.derivative * f - 1j * yv.derivative, yv.exponent
+        )
+    else:
+        ev = _maybe_fold(m, z, *_h2_eval_mirror(m, z))
+    return ev.value, ev.derivative, ev.exponent
+
+
+def h2_grid() -> list[tuple[int, complex]]:
+    pts = []
+    for r in (0.05, 0.7, 3.0, 8.0, 11.9, 12.1, 20.0, 60.0, 300.0, 1000.0):
+        for arg in (-math.pi / 2, -1.2, -0.7, -0.2, -1e-3, 0.0, 1e-3, 0.2, 0.7, 1.2, math.pi / 2):
+            z = cmath.rect(r, arg)
+            z = complex(max(z.real, 0.0), z.imag)
+            pts += [(m, z) for m in (0, 1, 2, 7, 40, 120, 200)]
+    return pts
+
+
+def test_h2_by_reflection_equals_the_mirrored_code():
+    """H2_m(z) = conj(H1_m(conj z)) reproduces the deleted mirror to the last bit.
+
+    Worst difference on this grid: 0 ulp. Only signs of zeros differ in hex
+    (an unscaled exponent comes back as -0j instead of 0j).
+    """
+    for m, z in h2_grid():
+        hv = bessel_h1(m, z.conjugate())
+        reflected = (hv.value.conjugate(), hv.derivative.conjugate(), hv.exponent.conjugate())
+        assert reflected == _bessel_h2_mirror(m, z), (m, z)
+        if z.imag < 0 and not (abs(z) <= SERIES_RADIUS and abs(z.imag) <= _WEDGE_IM):
+            # H1 below the real axis is 2J - H2, now with the reflected H2
+            jv = bessel_j(m, z)
+            jval, jder, h2val, h2der, exponent = _align(
+                (jv.value, jv.derivative, jv.exponent), _h2_eval_mirror(m, z)
+            )
+            assert _h1_eval(m, z) == (2.0 * jval - h2val, 2.0 * jder - h2der, exponent), (m, z)

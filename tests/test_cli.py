@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -5,7 +6,7 @@ import math
 
 import pytest
 
-from magskin.cli import load_physical, main
+from magskin.cli import _COMMANDS, _float_list, _int_list, build_parser, load_physical, main
 from magskin.geometry import Surface, TangentVector
 from magskin.modal import fit_convergence
 from magskin.params import derive_params
@@ -216,3 +217,49 @@ def test_unreadable_config(capsys):
     code, _, err = run(["params", "--config", "/nonexistent/x.json"], capsys)
     assert code == 2
     assert "cannot read config" in err
+
+
+def _per_command_parser() -> argparse.ArgumentParser:
+    """Reference: the parser with the common flags declared again on every subcommand."""
+    parser = argparse.ArgumentParser(
+        prog="magskin",
+        description="Skin-effect asymptotics and impedance boundary conditions, validated on exact cylinder modes",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in _COMMANDS:
+        p = sub.add_parser(name)
+        p.add_argument("--config", required=True, help="JSON run configuration")
+        p.add_argument("--out", default=None, help="output path (default: stdout)")
+        p.add_argument("--format", choices=("csv", "json"), default=None)
+        p.add_argument("--k", type=int, choices=(0, 1, 2), default=None,
+                       help="impedance/truncation order")
+        p.add_argument("--modes", type=_int_list, default=None, help="comma-separated azimuthal modes")
+        p.add_argument("--eps", type=_float_list, default=None, help="comma-separated eps values")
+        p.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps")
+        if name == "convergence":
+            p.add_argument("--study", choices=("ibc", "expansion"), default="ibc")
+    return parser
+
+
+def _help_text(parser: argparse.ArgumentParser, argv: list[str], capsys) -> str:
+    with pytest.raises(SystemExit) as info:
+        parser.parse_args(argv)
+    assert info.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [None, *_COMMANDS])
+def test_shared_flag_parser_keeps_every_help_text(command, capsys):
+    argv = ["--help"] if command is None else [command, "--help"]
+    want = _help_text(_per_command_parser(), argv, capsys)
+    assert _help_text(build_parser(), argv, capsys) == want
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_shared_flag_parser_parses_like_per_command_flags(command):
+    argv = [command, "--config", "c.json", "--k", "2", "--modes", "0,3", "--eps", "0.1,0.01", "--jobs", "2"]
+    assert build_parser().parse_args(argv) == _per_command_parser().parse_args(argv)
+    assert build_parser().parse_args(argv[:3]) == _per_command_parser().parse_args(argv[:3])
