@@ -22,8 +22,13 @@ J_m(z) takes one of three routes:
   agree.
 
 Y and H^(1) ascend from order-0/1 seeds by forward recurrence, since they are
-dominant as the order grows; H^(2)_m(z) = conj(H^(1)_m(conj z)) for integer m
-stands in for H^(2) wherever it is needed.
+dominant as the order grows.
+
+Every internal helper works for Im z >= 0 only, where the solutions' k*r
+arguments lie.  The public functions reach the lower half plane by the
+integer-order reflections (DLMF 10.11.9): J_m(conj z) = conj J_m(z),
+Y_m(conj z) = conj Y_m(z) and H^(1)_m(conj z) = conj H^(2)_m(z), with
+H^(2)_m = 2 J_m - H^(1)_m.
 
 Values whose natural size is exponential are returned in scaled form
 ``value * exp(exponent)`` with the complex ``exponent`` recorded, so ratios
@@ -111,28 +116,6 @@ def _j_series(m: int, z: complex) -> tuple[complex, complex]:
     return s, E
 
 
-def _hankel_asymptotic(m: int, z: complex, kind: int) -> tuple[complex, complex]:
-    """Large-argument expansion of H^(kind)_m; returns (value, exponent).
-
-    H^(1)_m = value * exp(+iz), H^(2)_m = value * exp(-iz).  Truncated at the
-    smallest term; intended for |z| > SERIES_RADIUS and 4m^2 modest against |z|.
-    """
-    sgn = 1.0 if kind == 1 else -1.0
-    mu = 4.0 * m * m
-    t = 1.0 + 0j
-    s = t
-    prev = abs(t)
-    for k in range(90):
-        t = t * ((mu - (2 * k + 1) ** 2) / (8.0 * (k + 1) * z)) * (1j * sgn)
-        if abs(t) >= prev:
-            break
-        s += t
-        prev = abs(t)
-        if prev < 1e-17 * abs(s):
-            break
-    return _hankel_scaled(m, z, sgn, s)
-
-
 def _hankel_scaled(m: int, z: complex, sgn: float, s: complex) -> tuple[complex, complex]:
     """(value, exponent) from the term sum s of the kind-1 (sgn = 1) or kind-2 (sgn = -1) expansion."""
     pref = cmath.sqrt(2.0 / (math.pi * z)) * cmath.exp(-1j * sgn * (0.5 * m + 0.25) * math.pi)
@@ -140,10 +123,12 @@ def _hankel_scaled(m: int, z: complex, sgn: float, s: complex) -> tuple[complex,
 
 
 def _hankel_pair(m: int, z: complex) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-    """Both kinds of ``_hankel_asymptotic`` from one pass over the terms, bit for bit.
+    """(value, exponent) of H^(1)_m = value*exp(+iz) and of H^(2)_m = value*exp(-iz).
 
-    The kind-2 terms are the kind-1 terms times (-1)**k exactly, so one term
-    sequence feeds both sums; each sum keeps its own stop rule.
+    Large-argument expansions, for |z| > SERIES_RADIUS and 4m^2 modest against
+    |z|.  The kind-2 terms are the kind-1 terms times (-1)**k exactly, so one
+    term sequence feeds both sums; each stops at its smallest term or at 1e-17
+    of its own size.
     """
     mu = 4.0 * m * m
     t = 1.0 + 0j
@@ -167,19 +152,9 @@ def _hankel_pair(m: int, z: complex) -> tuple[tuple[complex, complex], tuple[com
 
 
 def _j_from_hankel(m: int, z: complex) -> tuple[complex, complex]:
-    """J_m = (H1_m + H2_m)/2 combined on the dominant side's exponent."""
+    """J_m = (H1_m + H2_m)/2 on the exponent of H2_m, dominant for Im z >= 0."""
     (h1v, e1), (h2v, e2) = _hankel_pair(m, z)
-    if z.imag >= 0:
-        return 0.5 * (h2v + h1v * cmath.exp(e1 - e2)), e2
-    return 0.5 * (h1v + h2v * cmath.exp(e2 - e1)), e1
-
-
-def _y_from_hankel(m: int, z: complex) -> tuple[complex, complex]:
-    """Y_m = (H1_m - H2_m)/(2i) combined on the dominant side's exponent."""
-    (h1v, e1), (h2v, e2) = _hankel_pair(m, z)
-    if z.imag >= 0:
-        return (h1v * cmath.exp(e1 - e2) - h2v) / 2j, e2
-    return (h1v - h2v * cmath.exp(e2 - e1)) / 2j, e1
+    return 0.5 * (h2v + h1v * cmath.exp(e1 - e2)), e2
 
 
 def _y01_series(z: complex) -> tuple[complex, complex]:
@@ -262,15 +237,10 @@ def _miller_pass(m: int, z: complex, start: int) -> tuple[complex, complex, comp
 
 
 def _miller_j(m: int, z: complex) -> tuple[complex, complex, complex]:
-    """(J_m, J_{m+1}, exponent) by backward recurrence, Hankel-anchored."""
-    if z.imag >= 0:
-        h0v, he = _hankel_asymptotic(0, z, 1)
-        h1v, _ = _hankel_asymptotic(1, z, 1)
-        target = 2j / (math.pi * z)
-    else:
-        h0v, he = _hankel_asymptotic(0, z, 2)
-        h1v, _ = _hankel_asymptotic(1, z, 2)
-        target = -2j / (math.pi * z)
+    """(J_m, J_{m+1}, exponent) for Im z >= 0 by backward recurrence, anchored on H1_0, H1_1."""
+    h0v, he = _hankel_pair(0, z)[0]
+    h1v, _ = _hankel_pair(1, z)[0]
+    target = 2j / (math.pi * z)
     jexp = -he
 
     start = max(m + 2, int(1.36 * abs(z)) + 2) + 20
@@ -321,9 +291,17 @@ def _maybe_fold(
     return BesselEval(m, z, value, derivative, exponent)
 
 
+def _reflect(ev: BesselEval) -> BesselEval:
+    """J_m or Y_m at conj z from its evaluation at z: each is conj of itself there (DLMF 10.11.9)."""
+    value, derivative, exponent = (c.conjugate() for c in (ev.value, ev.derivative, ev.exponent))
+    return BesselEval(ev.order, ev.argument.conjugate(), value, derivative, exponent)
+
+
 def bessel_j(m: int, z: complex) -> BesselEval:
     """Bessel function of the first kind J_m(z) and its derivative."""
     z = _validate(m, z, singular=False)
+    if z.imag < 0:
+        return _reflect(bessel_j(m, z.conjugate()))
     if z == 0:
         val = 1.0 + 0j if m == 0 else 0j
         der = 0.5 + 0j if m == 1 else 0j
@@ -348,36 +326,46 @@ def bessel_j(m: int, z: complex) -> BesselEval:
 
 
 _WEDGE_IM = 4.0
+_K01_RTOL = 1e-14
+
+
+def _k01_level(w: complex, h: float, T: float) -> tuple[complex, complex]:
+    """One trapezoid level of ``_k01_scaled``: step h over t in [0, T]."""
+    n = int(math.ceil(T / h))
+    s0 = s1 = 0.5 + 0j
+    for i in range(1, n + 1):
+        c = math.cosh(i * h)
+        g = cmath.exp(-w * (c - 1.0))
+        s0 += g
+        s1 += g * c
+    return h * s0, h * s1
 
 
 def _k01_scaled(w: complex) -> tuple[complex, complex]:
     """exp(w)*K_0(w) and exp(w)*K_1(w) for Re w >= _WEDGE_IM.
 
     Trapezoid rule on the even integrand exp(-w(cosh t - 1))*cosh(nu*t);
-    spectrally accurate, halving the step until two levels agree.
+    spectrally accurate, halving the step until two levels agree to
+    _K01_RTOL.  Round-off keeps converged levels up to ~9e-15 apart, so the
+    rule sits above that; it raises BesselDomainError if 6 levels never agree.
     """
     T = math.acosh(1.0 + 45.0 / w.real)
-    best: tuple[complex, complex] | None = None
+    previous = last = None
     h = 0.1
     for _ in range(6):
-        n = int(math.ceil(T / h))
-        s0 = 0.5 + 0j
-        s1 = 0.5 + 0j
-        for i in range(1, n + 1):
-            c = math.cosh(i * h)
-            g = cmath.exp(-w * (c - 1.0))
-            s0 += g
-            s1 += g * c
-        k0, k1 = h * s0, h * s1
+        k0, k1 = _k01_level(w, h, T)
         if (
-            best is not None
-            and abs(k0 - best[0]) <= 1e-15 * abs(k0)
-            and abs(k1 - best[1]) <= 1e-15 * abs(k1)
+            last is not None
+            and abs(k0 - last[0]) <= _K01_RTOL * abs(k0)
+            and abs(k1 - last[1]) <= _K01_RTOL * abs(k1)
         ):
             return k0, k1
-        best = (k0, k1)
+        previous, last = last, (k0, k1)
         h *= 0.5
-    return best
+    raise BesselDomainError(
+        f"trapezoid rule for exp(w)*(K_0, K_1)(w) at w = {w!r} did not settle in 6 levels: "
+        f"last two estimates {previous} and {last}"
+    )
 
 
 def _h1_seeds_via_k(z: complex) -> tuple[complex, complex]:
@@ -391,23 +379,20 @@ def _h1_seeds_via_k(z: complex) -> tuple[complex, complex]:
 
 
 def _h1_eval(m: int, z: complex) -> tuple[complex, complex, complex]:
-    """(value, derivative, exponent) of H^(1)_m, unfolded, for Im z > _WEDGE_IM or |z| > series radius."""
-    if z.imag >= 0:
-        if abs(z) <= SERIES_RADIUS:
-            h0, h1v = _h1_seeds_via_k(z)
-            e0 = 1j * z
-        else:
-            h0, e0 = _hankel_asymptotic(0, z, 1)
-            h1v, _ = _hankel_asymptotic(1, z, 1)
-        if m == 0:
-            return h0, -h1v, e0
-        prev, cur, extra = _ascend(h0, h1v, z, m)
-        return cur, prev - (m / z) * cur, e0 + extra
-    jv = bessel_j(m, z)
-    # H1 = 2J - H2, with H2_m(z) = conj(H1_m(conj z)) for integer m
-    h2 = tuple(c.conjugate() for c in _h1_eval(m, z.conjugate()))
-    jval, jder, h2val, h2der, exponent = _align((jv.value, jv.derivative, jv.exponent), h2)
-    return 2.0 * jval - h2val, 2.0 * jder - h2der, exponent
+    """(value, derivative, exponent) of H^(1)_m, unfolded, for Im z >= 0.
+
+    Outside the small-|z| wedge only: Im z > _WEDGE_IM or |z| > SERIES_RADIUS.
+    """
+    if abs(z) <= SERIES_RADIUS:
+        h0, h1v = _h1_seeds_via_k(z)
+        e0 = 1j * z
+    else:
+        h0, e0 = _hankel_pair(0, z)[0]
+        h1v, _ = _hankel_pair(1, z)[0]
+    if m == 0:
+        return h0, -h1v, e0
+    prev, cur, extra = _ascend(h0, h1v, z, m)
+    return cur, prev - (m / z) * cur, e0 + extra
 
 
 def bessel_y(m: int, z: complex) -> BesselEval:
@@ -418,7 +403,9 @@ def bessel_y(m: int, z: complex) -> BesselEval:
     order-argument transition, where |Y_k| dips by exp(2|Im z|).
     """
     z = _validate(m, z, singular=True)
-    if abs(z) <= SERIES_RADIUS and abs(z.imag) <= _WEDGE_IM:
+    if z.imag < 0:
+        return _reflect(bessel_y(m, z.conjugate()))
+    if abs(z) <= SERIES_RADIUS and z.imag <= _WEDGE_IM:
         y0, y1 = _y01_series(z)
         if m == 0:
             return _maybe_fold(0, z, y0, -y1, 0j)
@@ -454,27 +441,29 @@ def bessel_h1(m: int, z: complex) -> BesselEval:
         value = jv.value * f + 1j * yv.value
         deriv = jv.derivative * f + 1j * yv.derivative
         return _maybe_fold(m, z, value, deriv, yv.exponent)
-    value, deriv, exponent = _h1_eval(m, z)
-    return _maybe_fold(m, z, value, deriv, exponent)
+    if z.imag >= 0:
+        return _maybe_fold(m, z, *_h1_eval(m, z))
+    # H1 = 2J - H2, with J_m(z) = conj J_m(conj z) and H2_m(z) = conj H1_m(conj z)
+    zc = z.conjugate()
+    jv = bessel_j(m, zc)
+    jval, jder, hval, hder, exponent = _align((jv.value, jv.derivative, jv.exponent), _h1_eval(m, zc))
+    value, deriv = 2.0 * jval - hval, 2.0 * jder - hder
+    return _maybe_fold(m, z, value.conjugate(), deriv.conjugate(), exponent.conjugate())
 
 
 def wronskian_jh1(m: int, z: complex) -> complex:
     """J_m*H1_m' - J_m'*H1_m, evaluated with exponents combined exactly.
 
-    Equals 2i/(pi*z) identically.  The cross-product is formed from the pair
-    whose exponential scalings cancel: (J, H1) in the closed upper half plane,
-    (J, H2) below it (there W{J,H1} = -W{J,H2} since H1 = 2J - H2), with
-    H2_m(z) = conj(H1_m(conj z)) for integer m.
+    Equals 2i/(pi*z) identically, so W(z) = -conj W(conj z), which is how it
+    is taken below the real axis.  Above it the exponential scalings of J and
+    H1 cancel in the cross-product.
     """
-    jv = bessel_j(m, z)
-    z = complex(z)
-    if z.imag >= 0:
-        hv = bessel_h1(m, z)
-        cross = jv.value * hv.derivative - jv.derivative * hv.value
-        return cross * cmath.exp(jv.exponent + hv.exponent)
-    hv = bessel_h1(m, z.conjugate())
-    cross = -(jv.value * hv.derivative.conjugate() - jv.derivative * hv.value.conjugate())
-    return cross * cmath.exp(jv.exponent + hv.exponent.conjugate())
+    z = _validate(m, z, singular=True)
+    if z.imag < 0:
+        return -wronskian_jh1(m, z.conjugate()).conjugate()
+    jv, hv = bessel_j(m, z), bessel_h1(m, z)
+    cross = jv.value * hv.derivative - jv.derivative * hv.value
+    return cross * cmath.exp(jv.exponent + hv.exponent)
 
 
 def wronskian_jy(m: int, z: complex) -> complex:

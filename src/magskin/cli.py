@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import functools
 import io
 import json
 import math
@@ -378,14 +379,15 @@ def cmd_convergence(doc: dict, args) -> str:
     return _json_dump(payload)
 
 
+# command name -> (handler, the one output format it emits)
 _COMMANDS = {
-    "params": cmd_params,
-    "skin-depth": cmd_skin_depth,
-    "profile-table": cmd_profile_table,
-    "ibc-factors": cmd_ibc_factors,
-    "ibc-sweep": cmd_ibc_sweep,
-    "expansion-error": cmd_expansion_error,
-    "convergence": cmd_convergence,
+    "params": (cmd_params, "json"),
+    "skin-depth": (cmd_skin_depth, "csv"),
+    "profile-table": (cmd_profile_table, "csv"),
+    "ibc-factors": (cmd_ibc_factors, "json"),
+    "ibc-sweep": (cmd_ibc_sweep, "csv"),
+    "expansion-error": (cmd_expansion_error, "csv"),
+    "convergence": (cmd_convergence, "json"),
 }
 
 
@@ -426,23 +428,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_NATIVE_FORMAT = {
-    "params": "json",
-    "skin-depth": "csv",
-    "profile-table": "csv",
-    "ibc-factors": "json",
-    "ibc-sweep": "csv",
-    "expansion-error": "csv",
-    "convergence": "json",
-}
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser; argparse parsers hold no state between parses."""
+    return build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.format is not None and args.format != _NATIVE_FORMAT[args.command]:
+    args = _parser().parse_args(argv)
+    handler, native_format = _COMMANDS[args.command]
+    if args.format is not None and args.format != native_format:
         print(
-            f"error: command {args.command} emits {_NATIVE_FORMAT[args.command]}, not {args.format}",
+            f"error: command {args.command} emits {native_format}, not {args.format}",
             file=sys.stderr,
         )
         return USAGE_EXIT
@@ -459,7 +456,7 @@ def main(argv: list[str] | None = None) -> int:
         print("error: config root must be a JSON object", file=sys.stderr)
         return USAGE_EXIT
     try:
-        text = _COMMANDS[args.command](doc, args)
+        text = handler(doc, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT

@@ -59,10 +59,19 @@ def default_config(eps: float = 0.1) -> PhysicalConfig:
 
 
 _Pair = tuple[BesselEval, BesselEval]
+_Coefficients = tuple[complex, complex]
 
 
 def _eval_pair(m: int, z: complex) -> _Pair:
     return bessel_j(m, z), bessel_h1(m, z)
+
+
+def _field(coeff: _Coefficients, pair: _Pair, k: complex) -> tuple[complex, complex]:
+    """u and u' of coeff[0]*J_m(k r) + coeff[1]*H1_m(k r) from its basis pair at r."""
+    jv, hv = pair
+    u = coeff[0] * jv.actual + coeff[1] * hv.actual
+    du = k * (coeff[0] * jv.actual_derivative + coeff[1] * hv.actual_derivative)
+    return u, du
 
 
 class ShellBasis(NamedTuple):
@@ -190,12 +199,8 @@ class ModalSolution:
             raise ValueError(f"radius {r!r} outside [0, r_out]")
         if r < b.r_in:
             return self._eval_conductor(r)
-        k = b.k_plus
         coeff = self.shell_inner if r <= b.r_source else self.shell_outer
-        jv, hv = b.shell_pair(r)
-        val = coeff[0] * jv.actual + coeff[1] * hv.actual
-        der = k * (coeff[0] * jv.actual_derivative + coeff[1] * hv.actual_derivative)
-        return val, der
+        return _field(coeff, b.shell_pair(r), b.k_plus)
 
 
 def _check_residuals(sol: ModalSolution) -> None:
@@ -219,6 +224,26 @@ def _solve_linear(kind: str, rows: list[list[complex]], rhs: list[complex]) -> t
     return x, cond
 
 
+def _shell_rows(b: CylinderBenchmark) -> list[list[complex]]:
+    """Shell rows over [B, C, D, E]: u continuous and u' jumping at r_source, u' = 0 at r_out.
+
+    Their right-hand sides are 0, the ring source and 0.
+    """
+    kp = b.k_plus
+    j_s, h_s = b.shell_basis.source
+    j_o, h_o = b.shell_basis.outer
+    return [
+        [j_s.actual, h_s.actual, -j_s.actual, -h_s.actual],
+        [
+            -kp * j_s.actual_derivative,
+            -kp * h_s.actual_derivative,
+            kp * j_s.actual_derivative,
+            kp * h_s.actual_derivative,
+        ],
+        [0j, 0j, kp * j_o.actual_derivative, kp * h_o.actual_derivative],
+    ]
+
+
 def solve_exact(b: CylinderBenchmark) -> ModalSolution:
     """Exact transmission solution: conductor + two-piece shell, 5x5 solve.
 
@@ -228,7 +253,7 @@ def solve_exact(b: CylinderBenchmark) -> ModalSolution:
     cfg = b.cfg
     kp, km = b.k_plus, b.k_minus
     jc = b.conductor_ref
-    (j_in, h_in), (j_s, h_s), (j_o, h_o) = b.shell_basis
+    j_in, h_in = b.shell_basis.inner
 
     # unknowns [A, B, C, D, E]; the conductor column normalised at r_in
     ratio_j = km * jc.derivative / jc.value
@@ -241,15 +266,7 @@ def solve_exact(b: CylinderBenchmark) -> ModalSolution:
             0j,
             0j,
         ],
-        [0j, j_s.actual, h_s.actual, -j_s.actual, -h_s.actual],
-        [
-            0j,
-            -kp * j_s.actual_derivative,
-            -kp * h_s.actual_derivative,
-            kp * j_s.actual_derivative,
-            kp * h_s.actual_derivative,
-        ],
-        [0j, 0j, 0j, kp * j_o.actual_derivative, kp * h_o.actual_derivative],
+        *([0j, *row] for row in _shell_rows(b)),
     ]
     rhs = [0j, 0j, 0j, b.source_amplitude, 0j]
     x, cond = _solve_linear("exact", rows, rhs)
@@ -295,15 +312,12 @@ def _shell_residuals(sol: ModalSolution) -> dict[str, float]:
     """Source-jump, source-continuity and outer-wall residuals (shell side)."""
     b = sol.benchmark
     kp = b.k_plus
-    j_s, h_s = b.shell_basis.source
     bi, ci = sol.shell_inner
     do, eo = sol.shell_outer
-    u_in = bi * j_s.actual + ci * h_s.actual
-    u_out = do * j_s.actual + eo * h_s.actual
-    du_in = kp * (bi * j_s.actual_derivative + ci * h_s.actual_derivative)
-    du_out = kp * (do * j_s.actual_derivative + eo * h_s.actual_derivative)
+    u_in, du_in = _field(sol.shell_inner, b.shell_basis.source, kp)
+    u_out, du_out = _field(sol.shell_outer, b.shell_basis.source, kp)
+    _, du_outer = _field(sol.shell_outer, b.shell_basis.outer, kp)
     j_o, h_o = b.shell_basis.outer
-    du_outer = kp * (do * j_o.actual_derivative + eo * h_o.actual_derivative)
     outer_scale = abs(kp) * (
         abs(do) * abs(j_o.actual_derivative) + abs(eo) * abs(h_o.actual_derivative)
     )
@@ -330,7 +344,7 @@ def _solve_shell(
     when |gamma| > 1 so the Dirichlet limit stays well-conditioned.
     """
     kp = b.k_plus
-    (j_in, h_in), (j_s, h_s), (j_o, h_o) = b.shell_basis
+    j_in, h_in = b.shell_basis.inner
 
     du_j = kp * j_in.actual_derivative
     du_h = kp * h_in.actual_derivative
@@ -343,19 +357,8 @@ def _solve_shell(
     else:
         row0 = [du_j + robin_gamma * j_in.actual, du_h + robin_gamma * h_in.actual, 0j, 0j]
         rhs0 = 0j
-    rows = [
-        row0,
-        [j_s.actual, h_s.actual, -j_s.actual, -h_s.actual],
-        [
-            -kp * j_s.actual_derivative,
-            -kp * h_s.actual_derivative,
-            kp * j_s.actual_derivative,
-            kp * h_s.actual_derivative,
-        ],
-        [0j, 0j, kp * j_o.actual_derivative, kp * h_o.actual_derivative],
-    ]
     rhs = [rhs0, 0j, source, 0j]
-    x, cond = _solve_linear(kind, rows, rhs)
+    x, cond = _solve_linear(kind, [row0, *_shell_rows(b)], rhs)
 
     sol = ModalSolution(
         kind=kind,
@@ -492,8 +495,6 @@ class ShellError:
 # shell norms are integrated by quadrature instead.
 _LOMMEL_MIN_LOSS = 1e-3
 
-_Coefficients = tuple[complex, complex]
-
 
 def _shell_squares_lommel(
     b: CylinderBenchmark, inner: _Coefficients, outer: _Coefficients
@@ -511,9 +512,7 @@ def _shell_squares_lommel(
     k2 = kp * kp
 
     def flux(coeff: _Coefficients, r: float, pair: _Pair) -> complex:
-        jv, hv = pair
-        u = coeff[0] * jv.actual + coeff[1] * hv.actual
-        du = kp * (coeff[0] * jv.actual_derivative + coeff[1] * hv.actual_derivative)
+        u, du = _field(coeff, pair, kp)
         return r * du * u.conjugate()
 
     at_in, at_s, at_out = b.shell_basis

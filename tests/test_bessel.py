@@ -16,7 +16,6 @@ from magskin.bessel import (
     _forward_stable,
     _h1_eval,
     _h1_seeds_via_k,
-    _hankel_asymptotic,
     _hankel_pair,
     _j_series,
     _maybe_fold,
@@ -247,6 +246,25 @@ def test_y01_series_running_harmonic_sums_match_quadratic_reference(z):
     assert _y01_series(z) == _y01_series_quadratic(z)
 
 
+def _hankel_asymptotic(m: int, z: complex, kind: int) -> tuple[complex, complex]:
+    """Reference: the deleted single-kind expansion of H^(kind)_m, as (value, exponent)."""
+    sgn = 1.0 if kind == 1 else -1.0
+    mu = 4.0 * m * m
+    t = 1.0 + 0j
+    s = t
+    prev = abs(t)
+    for k in range(90):
+        t = t * ((mu - (2 * k + 1) ** 2) / (8.0 * (k + 1) * z)) * (1j * sgn)
+        if abs(t) >= prev:
+            break
+        s += t
+        prev = abs(t)
+        if prev < 1e-17 * abs(s):
+            break
+    pref = cmath.sqrt(2.0 / (math.pi * z)) * cmath.exp(-1j * sgn * (0.5 * m + 0.25) * math.pi)
+    return pref * s, 1j * sgn * z
+
+
 @pytest.mark.parametrize("arg", [-1.5, -0.6, -0.05, 0.0, 0.05, 0.6, 1.5])
 def test_hankel_pair_equals_two_single_kind_expansions(arg):
     for r in log_grid(12.0, 1500.0, 8):
@@ -306,7 +324,9 @@ def test_forward_route_against_mpmath(monkeypatch):
         forward = _forward_stable(m, z)
         sides[forward] += 1
         jv = bessel_j(m, z)
-        assert ((m, z) not in miller_calls) is forward
+        # below the real axis J is evaluated at conj z and reflected
+        upper = z.conjugate() if z.imag < 0 else z
+        assert ((m, upper) not in miller_calls) is forward
         with mp.workdps(30):
             f = mp.e ** (-mp.mpc(jv.exponent))
             val = complex(mp.besselj(m, z) * f)
@@ -344,8 +364,8 @@ def test_miller_raises_when_its_restarts_never_agree(monkeypatch):
     assert next(counter) == 9  # every restart ran
     # the message quotes the last two iterates, from passes 7 and 8
     target = 2j / (math.pi * z)
-    h0v, _ = _hankel_asymptotic(0, z, 1)
-    h1v, _ = _hankel_asymptotic(1, z, 1)
+    h0v, _ = _hankel_pair(0, z)[0]
+    h1v, _ = _hankel_pair(1, z)[0]
     cv = target / (0.5 * h0v - h1v)
     assert f"{(cv * 7, cv * 8)}" in str(info.value)
     assert f"{(cv * 8, cv * 9)}" in str(info.value)
@@ -412,4 +432,84 @@ def test_h2_by_reflection_equals_the_mirrored_code():
             jval, jder, h2val, h2der, exponent = _align(
                 (jv.value, jv.derivative, jv.exponent), _h2_eval_mirror(m, z)
             )
-            assert _h1_eval(m, z) == (2.0 * jval - h2val, 2.0 * jder - h2der, exponent), (m, z)
+            h1 = _maybe_fold(m, z, 2.0 * jval - h2val, 2.0 * jder - h2der, exponent)
+            assert bessel_h1(m, z) == h1, (m, z)
+
+
+def reflection_grid() -> list[tuple[int, complex]]:
+    """Points off the real axis, r from 0.05 to 1000, in conjugate pairs."""
+    pts = []
+    for r in (0.05, 0.7, 3.0, 8.0, 11.9, 12.1, 20.0, 60.0, 150.0, 300.0, 1000.0):
+        for arg in (1e-3, 0.2, 0.7, 1.2, math.pi / 2):
+            z = cmath.rect(r, arg)
+            z = complex(max(z.real, 0.0), z.imag)
+            pts += [(m, w) for m in (0, 1, 2, 7, 40, 120, 200) for w in (z, z.conjugate())]
+    return pts
+
+
+def test_integer_order_reflections_hold_to_the_last_bit():
+    """DLMF 10.11.9 for integer order: J(conj z) = conj J(z), Y(conj z) = conj Y(z),
+    H1(conj z) = conj H2(z), and so W{J,H1}(conj z) = -conj W{J,H1}(z).
+
+    J, Y and W agree in hex.  H2 is the mirrored reference above; against it
+    only signs of zeros differ in hex, so H1 compares as numbers.
+    """
+    for m, z in reflection_grid():
+        zc = z.conjugate()
+        for fn in (bessel_j, bessel_y):
+            at_zc, at_z = fn(m, zc), fn(m, z)
+            assert bits(at_zc.value, at_zc.derivative, at_zc.exponent) == bits(
+                at_z.value.conjugate(), at_z.derivative.conjugate(), at_z.exponent.conjugate()
+            ), (fn.__name__, m, z)
+        assert bits(wronskian_jh1(m, zc)) == bits(-wronskian_jh1(m, z).conjugate()), (m, z)
+        hv = bessel_h1(m, zc)
+        h2 = _bessel_h2_mirror(m, z)
+        assert (hv.value, hv.derivative, hv.exponent) == tuple(c.conjugate() for c in h2), (m, z)
+
+
+def test_helpers_see_only_the_closed_upper_half_plane(monkeypatch):
+    seen = {}
+
+    def spy(name, fn, z_of):
+        def recorded(*args):
+            seen.setdefault(name, []).append(z_of(*args))
+            return fn(*args)
+
+        monkeypatch.setattr(bessel, name, recorded)
+
+    spy("_hankel_pair", bessel._hankel_pair, lambda m, z: z)
+    spy("_miller_j", bessel._miller_j, lambda m, z: z)
+    spy("_h1_eval", bessel._h1_eval, lambda m, z: z)
+    spy("_k01_scaled", bessel._k01_scaled, lambda w: 1j * w)  # w = -iz
+    for m, z in reflection_grid():
+        if z.imag < 0:
+            for fn in (bessel_j, bessel_y, bessel_h1, wronskian_jh1):
+                fn(m, z)
+    assert sorted(seen) == ["_h1_eval", "_hankel_pair", "_k01_scaled", "_miller_j"]
+    for name, args in seen.items():
+        assert min(z.imag for z in args) >= 0, name
+
+
+def test_k01_trapezoid_raises_when_its_levels_never_agree(monkeypatch):
+    counter = itertools.count(1)
+
+    def drifting_level(w, h, T):
+        k = next(counter)
+        return complex(k), complex(k + 1)
+
+    monkeypatch.setattr(bessel, "_k01_level", drifting_level)
+    z = 3.0 + 6.0j  # inside SERIES_RADIUS, above the J + iY wedge
+    with pytest.raises(BesselDomainError, match=r"w = \(6-3j\).*6 levels") as info:
+        bessel_h1(0, z)
+    assert next(counter) == 7  # every level ran
+    assert f"{(5 + 0j, 6 + 0j)} and {(6 + 0j, 7 + 0j)}" in str(info.value)
+
+
+@pytest.mark.parametrize("z", [0.2 + 4.01j, 3 + 6j, 8 + 8.9j, 11.2j, 6 + 10j])
+def test_k01_seeds_against_mpmath(z):
+    k0, k1 = bessel._k01_scaled(-1j * z)
+    with mp.workdps(30):
+        w = -1j * mp.mpc(z)
+        ref0, ref1 = (complex(mp.besselk(nu, w) * mp.e**w) for nu in (0, 1))
+    assert abs(k0 - ref0) <= 5e-15 * abs(ref0)
+    assert abs(k1 - ref1) <= 5e-15 * abs(ref1)

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from magskin import cli
 from magskin.cli import _COMMANDS, _float_list, _int_list, build_parser, load_physical, main
 from magskin.geometry import Surface, TangentVector
 from magskin.modal import fit_convergence
@@ -263,3 +264,29 @@ def test_shared_flag_parser_parses_like_per_command_flags(command):
     argv = [command, "--config", "c.json", "--k", "2", "--modes", "0,3", "--eps", "0.1,0.01", "--jobs", "2"]
     assert build_parser().parse_args(argv) == _per_command_parser().parse_args(argv)
     assert build_parser().parse_args(argv[:3]) == _per_command_parser().parse_args(argv[:3])
+
+
+def test_main_builds_one_parser_per_process(cfg_path, monkeypatch, capsys):
+    built = []
+
+    def counted_build():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted_build)
+    cli._parser.cache_clear()
+    try:
+        assert run(["params", "--config", cfg_path], capsys)[0] == 0
+        assert run(["ibc-factors", "--config", cfg_path, "--k", "1"], capsys)[0] == 0
+        assert run(["skin-depth", "--config", cfg_path, "--format", "json"], capsys)[0] == 2
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_reused_parser_parses_each_argv_afresh(command):
+    parser = cli._parser()
+    full = [command, "--config", "c.json", "--k", "2", "--modes", "0,3", "--eps", "0.1,0.01", "--jobs", "2"]
+    for argv in (full, full[:3], full, full[:3]):
+        assert parser.parse_args(argv) == build_parser().parse_args(argv)
