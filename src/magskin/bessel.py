@@ -24,6 +24,11 @@ J_m(z) takes one of three routes:
 Y and H^(1) ascend from order-0/1 seeds by forward recurrence, since they are
 dominant as the order grows.
 
+Outside |z| <= 12 the order-0/1 seeds of all three uses -- J_0 and J_1 for
+the forward J route, H1_0 and H1_1 for the Miller normalisation and for H^(1)
+-- come from one call, ``_hankel_seeds``, which shares the sqrt(2/(pi z))
+prefactor and exp(2iz) among the four expansions (DLMF 10.17.5-6).
+
 Every internal helper works for Im z >= 0 only, where the solutions' k*r
 arguments lie.  The public functions reach the lower half plane by the
 integer-order reflections (DLMF 10.11.9): J_m(conj z) = conj J_m(z),
@@ -116,19 +121,17 @@ def _j_series(m: int, z: complex) -> tuple[complex, complex]:
     return s, E
 
 
-def _hankel_scaled(m: int, z: complex, sgn: float, s: complex) -> tuple[complex, complex]:
-    """(value, exponent) from the term sum s of the kind-1 (sgn = 1) or kind-2 (sgn = -1) expansion."""
-    pref = cmath.sqrt(2.0 / (math.pi * z)) * cmath.exp(-1j * sgn * (0.5 * m + 0.25) * math.pi)
-    return pref * s, 1j * sgn * z
+# exp(-+i*(m/2 + 1/4)*pi): the phases of the H^(1) and H^(2) expansions at orders m = 0, 1
+_PHASE_H1 = (cmath.exp(-0.25j * math.pi), cmath.exp(-0.75j * math.pi))
+_PHASE_H2 = (cmath.exp(0.25j * math.pi), cmath.exp(0.75j * math.pi))
 
 
-def _hankel_pair(m: int, z: complex) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-    """(value, exponent) of H^(1)_m = value*exp(+iz) and of H^(2)_m = value*exp(-iz).
+def _hankel_sums(m: int, z: complex) -> tuple[complex, complex]:
+    """Term sums of the large-argument expansions of H^(1)_m and H^(2)_m (DLMF 10.17.5-6).
 
-    Large-argument expansions, for |z| > SERIES_RADIUS and 4m^2 modest against
-    |z|.  The kind-2 terms are the kind-1 terms times (-1)**k exactly, so one
-    term sequence feeds both sums; each stops at its smallest term or at 1e-17
-    of its own size.
+    For |z| > SERIES_RADIUS and 4m^2 modest against |z|.  The kind-2 terms are
+    the kind-1 terms times (-1)**k exactly, so one term sequence feeds both
+    sums; each stops at its smallest term or at 1e-17 of its own size.
     """
     mu = 4.0 * m * m
     t = 1.0 + 0j
@@ -137,9 +140,10 @@ def _hankel_pair(m: int, z: complex) -> tuple[tuple[complex, complex], tuple[com
     open1 = open2 = True
     for k in range(90):
         t = t * ((mu - (2 * k + 1) ** 2) / (8.0 * (k + 1) * z)) * 1j
-        if abs(t) >= prev:
+        size = abs(t)
+        if size >= prev:
             break
-        prev = abs(t)
+        prev = size
         if open1:
             s1 += t
             open1 = not prev < 1e-17 * abs(s1)
@@ -148,13 +152,23 @@ def _hankel_pair(m: int, z: complex) -> tuple[tuple[complex, complex], tuple[com
             open2 = not prev < 1e-17 * abs(s2)
         if not (open1 or open2):
             break
-    return _hankel_scaled(m, z, 1.0, s1), _hankel_scaled(m, z, -1.0, s2)
+    return s1, s2
 
 
-def _j_from_hankel(m: int, z: complex) -> tuple[complex, complex]:
-    """J_m = (H1_m + H2_m)/2 on the exponent of H2_m, dominant for Im z >= 0."""
-    (h1v, e1), (h2v, e2) = _hankel_pair(m, z)
-    return 0.5 * (h2v + h1v * cmath.exp(e1 - e2)), e2
+def _hankel_seeds(z: complex) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+    """((H1_0, H1_1), (J_0, J_1)) from the order-0/1 Hankel expansions, Im z >= 0.
+
+    H^(1) is returned as the factor of exp(+iz) and J = (H^(1) + H^(2))/2 as
+    the factor of exp(-iz), on which it is dominant.  The sqrt(2/(pi z))
+    prefactor and exp(2iz) are shared by all four.
+    """
+    s10, s20 = _hankel_sums(0, z)
+    s11, s21 = _hankel_sums(1, z)
+    root = cmath.sqrt(2.0 / (math.pi * z))
+    h10, h11 = root * _PHASE_H1[0] * s10, root * _PHASE_H1[1] * s11
+    h20, h21 = root * _PHASE_H2[0] * s20, root * _PHASE_H2[1] * s21
+    rotate = cmath.exp(2j * z)
+    return (h10, h11), (0.5 * (h20 + h10 * rotate), 0.5 * (h21 + h11 * rotate))
 
 
 def _y01_series(z: complex) -> tuple[complex, complex]:
@@ -238,10 +252,9 @@ def _miller_pass(m: int, z: complex, start: int) -> tuple[complex, complex, comp
 
 def _miller_j(m: int, z: complex) -> tuple[complex, complex, complex]:
     """(J_m, J_{m+1}, exponent) for Im z >= 0 by backward recurrence, anchored on H1_0, H1_1."""
-    h0v, he = _hankel_pair(0, z)[0]
-    h1v, _ = _hankel_pair(1, z)[0]
+    (h0v, h1v), _ = _hankel_seeds(z)
     target = 2j / (math.pi * z)
-    jexp = -he
+    jexp = -1j * z
 
     start = max(m + 2, int(1.36 * abs(z)) + 2) + 20
     previous = last = None
@@ -315,10 +328,9 @@ def bessel_j(m: int, z: complex) -> BesselEval:
         return _maybe_fold(m, z, vm, deriv, em)
 
     if _forward_stable(m, z):
-        j0, jexp = _j_from_hankel(0, z)
-        j1, _ = _j_from_hankel(1, z)
+        _, (j0, j1) = _hankel_seeds(z)
         jm, jm1, extra = _ascend(j0, j1, z, m + 1)
-        jexp += extra
+        jexp = -1j * z + extra
     else:
         jm, jm1, jexp = _miller_j(m, z)
     deriv = (m / z) * jm - jm1
@@ -385,10 +397,9 @@ def _h1_eval(m: int, z: complex) -> tuple[complex, complex, complex]:
     """
     if abs(z) <= SERIES_RADIUS:
         h0, h1v = _h1_seeds_via_k(z)
-        e0 = 1j * z
     else:
-        h0, e0 = _hankel_pair(0, z)[0]
-        h1v, _ = _hankel_pair(1, z)[0]
+        (h0, h1v), _ = _hankel_seeds(z)
+    e0 = 1j * z
     if m == 0:
         return h0, -h1v, e0
     prev, cur, extra = _ascend(h0, h1v, z, m)

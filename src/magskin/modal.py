@@ -105,11 +105,11 @@ class CylinderBenchmark:
     def params(self) -> DerivedParams:
         return derive_params(self.cfg)
 
-    @property
+    @functools.cached_property
     def k_plus(self) -> complex:
         return self.params.kappa_plus * cmath.sqrt(self.params.alpha_plus)
 
-    @property
+    @functools.cached_property
     def k_minus(self) -> complex:
         dp = self.params
         return dp.kappa_plus * cmath.sqrt(dp.alpha_minus) / dp.eps_small

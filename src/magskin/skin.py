@@ -9,6 +9,7 @@ literature comparison formulas reduce to ell*(1 + H*ell) in this setting.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,7 +22,11 @@ from .profiles import layer_modulus_sq  # noqa: F401
 
 
 class SkinDepthError(RuntimeError):
-    """Raised when no e-folding crossing exists within the sampling horizon."""
+    """Raised when the e-folding crossing cannot be measured.
+
+    That is: it does not exist within the sampling horizon, a sample is not a
+    finite modulus, or the root solve does not converge.
+    """
 
 
 @dataclass(frozen=True)
@@ -68,64 +73,96 @@ def w0_plane_trace(dp: DerivedParams, amplitude: float = 1.0) -> DecayTrace:
     return layer_trace(plane, tr, dp)
 
 
+# The bracketed solve ends at a step below _ROOT_RTOL of max(scale, depth).
+# On the exact Bessel traces g carries the ~1e-14 relative error of the
+# sampled modulus, so the root is not resolved more finely than that anyway.
+# Bisection alone reaches that width from the scan's scale/50 bracket in 41
+# steps; _ROOT_MAX_STEPS bounds the solve.
+_ROOT_RTOL = 1e-14
+_ROOT_MAX_STEPS = 100
+
+
+def _sample(trace: DecayTrace, h: float) -> float:
+    """trace.sampler(h), which must be finite and nonnegative."""
+    s = trace.sampler(h)
+    if not (0.0 <= s < math.inf):
+        raise SkinDepthError(f"sampled modulus at depth {h!r} is {s!r}; need a finite value >= 0")
+    return s
+
+
 def skin_depth_numeric(trace: DecayTrace, scale: float) -> float:
     """Smallest depth where the sampled modulus reaches 1/e of its surface value.
 
     Scan with step scale/50 to bracket the first crossing (guards against
-    non-monotone moduli), bisect the bracket to 1e-6*scale, then polish with
-    three quadratic-fit steps on the log-modulus.
+    non-monotone moduli), then solve g(h) = log(s(h)/target) = 0 inside the
+    bracket by Illinois regula falsi (Dowell & Jarratt 1971), starting from
+    the two scan samples that bound it.  A step bisects instead where the
+    secant is unusable: after a zero sample (g = -inf), or when the secant
+    point falls outside the bracket.  The solve stops when g is at round-off
+    (at the first step for a single exponential) or when a step is below
+    _ROOT_RTOL * max(scale, depth), returning that step's point.
+
+    Raises SkinDepthError if the modulus never decays to 1/e within
+    ``trace.max_depth``, if a sample is negative or not finite, or if the
+    solve has not stopped after _ROOT_MAX_STEPS steps.
     """
     if not (scale > 0):
         raise ValueError("scale must be positive")
-    target = trace.sampler(0.0) / math.e
+    s0 = _sample(trace, 0.0)
+    target = s0 / math.e
     step = scale / 50.0
 
-    lo = 0.0
-    hi = None
+    lo, s_lo = 0.0, s0
+    hi = s_hi = None
     h = step
     while h <= trace.max_depth * (1.0 + 1e-12):
-        if trace.sampler(h) - target <= 0.0:
-            hi = h
+        s = _sample(trace, h)
+        if s - target <= 0.0:
+            hi, s_hi = h, s
             break
-        lo = h
+        lo, s_lo = h, s
         h += step
     if hi is None:
         raise SkinDepthError(
             f"modulus never decayed to 1/e of its surface value within max_depth={trace.max_depth!r}"
         )
 
-    tol = 1e-6 * scale
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if trace.sampler(mid) - target <= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    root = 0.5 * (lo + hi)
+    def g(s: float) -> float:
+        return math.log(s / target) if s > 0.0 else -math.inf
 
-    # quadratic polish on g(h) = log sampler(h) - log target; exact for a
-    # single exponential, so the plane case lands at machine precision
-    log_target = math.log(target)
-    d = max(hi - lo, tol)
-    for _ in range(3):
-        a, b, c = root - d, root, root + d
-        if a < 0.0:
-            a = 0.0
-        ga = math.log(trace.sampler(a)) - log_target
-        gb = math.log(trace.sampler(b)) - log_target
-        gc = math.log(trace.sampler(c)) - log_target
-        # Newton step from the interpolating parabola, slope taken at b
-        d1 = (gc - ga) / (c - a)
-        d2 = ((gc - gb) / (c - b) - (gb - ga) / (b - a)) / (c - a) * 2.0
-        slope = d1 + 0.5 * d2 * (2.0 * b - a - c)
-        if slope == 0.0:
-            break
-        new_root = b - gb / slope
-        if not (root - d <= new_root <= root + d):
-            new_root = min(max(new_root, root - d), root + d)
-        root = new_root
-        d /= 8.0
-    return root
+    # g(a) > 0 >= g(b).  The Illinois rule halves the stored g of the end that
+    # has stayed put for two steps in a row, so both ends close in on the root.
+    a, ga = lo, g(s_lo)
+    b, gb = hi, g(s_hi)
+    if gb == 0.0:
+        return b
+    tol = _ROOT_RTOL * max(scale, b)
+    x = previous = b
+    side = 0
+    for _ in range(_ROOT_MAX_STEPS):
+        x_new = b - gb * (b - a) / (gb - ga) if gb > -math.inf else math.nan
+        if not (a < x_new < b):
+            x_new = 0.5 * (a + b)
+        if abs(x_new - x) <= tol:
+            return x_new
+        previous, x = x, x_new
+        gx = g(_sample(trace, x))
+        if abs(gx) <= 4.0 * sys.float_info.epsilon:
+            return x
+        if gx > 0.0:
+            a, ga = x, gx
+            if side > 0:
+                gb *= 0.5
+            side = 1
+        else:
+            b, gb = x, gx
+            if side < 0:
+                ga *= 0.5
+            side = -1
+    raise SkinDepthError(
+        f"1/e crossing not resolved in {_ROOT_MAX_STEPS} steps: bracket [{a!r}, {b!r}], "
+        f"last two iterates {previous!r} and {x!r}"
+    )
 
 
 def skin_depth_asymptotic(dp: DerivedParams, mean_curv: float) -> float:

@@ -16,7 +16,8 @@ from magskin.bessel import (
     _forward_stable,
     _h1_eval,
     _h1_seeds_via_k,
-    _hankel_pair,
+    _hankel_seeds,
+    _hankel_sums,
     _j_series,
     _maybe_fold,
     _validate,
@@ -265,6 +266,18 @@ def _hankel_asymptotic(m: int, z: complex, kind: int) -> tuple[complex, complex]
     return pref * s, 1j * sgn * z
 
 
+def _hankel_scaled(m: int, z: complex, sgn: float, s: complex) -> tuple[complex, complex]:
+    """Reference: (value, exponent) of H^(1)_m (sgn = 1) or H^(2)_m (sgn = -1) from its term sum."""
+    pref = cmath.sqrt(2.0 / (math.pi * z)) * cmath.exp(-1j * sgn * (0.5 * m + 0.25) * math.pi)
+    return pref * s, 1j * sgn * z
+
+
+def _hankel_pair(m: int, z: complex) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+    """Reference: the former pair evaluation, each prefactor taken per order and kind."""
+    s1, s2 = _hankel_sums(m, z)
+    return _hankel_scaled(m, z, 1.0, s1), _hankel_scaled(m, z, -1.0, s2)
+
+
 @pytest.mark.parametrize("arg", [-1.5, -0.6, -0.05, 0.0, 0.05, 0.6, 1.5])
 def test_hankel_pair_equals_two_single_kind_expansions(arg):
     for r in log_grid(12.0, 1500.0, 8):
@@ -273,6 +286,21 @@ def test_hankel_pair_equals_two_single_kind_expansions(arg):
             (h1v, e1), (h2v, e2) = _hankel_pair(m, z)
             assert bits(h1v, e1) == bits(*_hankel_asymptotic(m, z, 1)), (m, z)
             assert bits(h2v, e2) == bits(*_hankel_asymptotic(m, z, 2)), (m, z)
+
+
+@pytest.mark.parametrize("arg", [0.0, 0.05, 0.6, 1.5, math.pi / 2])
+def test_hankel_seeds_equal_two_pair_evaluations(arg):
+    # the pair test's grid on the closed upper half plane, where the seeds are
+    # taken (exp(2iz) overflows far below it).  The shared prefactor, exp(2iz)
+    # and constant phases change no bit of H1_0, H1_1, or of J = (H1 + H2)/2
+    # on the exponent of H2.
+    for r in log_grid(12.0, 1500.0, 8):
+        z = cmath.rect(r, arg)
+        (h10, h11), (j0, j1) = _hankel_seeds(z)
+        for m, h1, j in ((0, h10, j0), (1, h11, j1)):
+            (h1v, e1), (h2v, e2) = _hankel_pair(m, z)
+            assert bits(h1, 1j * z) == bits(h1v, e1), (m, z)
+            assert bits(j, -1j * z) == bits(0.5 * (h2v + h1v * cmath.exp(e1 - e2)), e2), (m, z)
 
 
 @pytest.mark.parametrize(
@@ -364,8 +392,7 @@ def test_miller_raises_when_its_restarts_never_agree(monkeypatch):
     assert next(counter) == 9  # every restart ran
     # the message quotes the last two iterates, from passes 7 and 8
     target = 2j / (math.pi * z)
-    h0v, _ = _hankel_pair(0, z)[0]
-    h1v, _ = _hankel_pair(1, z)[0]
+    (h0v, h1v), _ = _hankel_seeds(z)
     cv = target / (0.5 * h0v - h1v)
     assert f"{(cv * 7, cv * 8)}" in str(info.value)
     assert f"{(cv * 8, cv * 9)}" in str(info.value)
@@ -477,7 +504,7 @@ def test_helpers_see_only_the_closed_upper_half_plane(monkeypatch):
 
         monkeypatch.setattr(bessel, name, recorded)
 
-    spy("_hankel_pair", bessel._hankel_pair, lambda m, z: z)
+    spy("_hankel_seeds", bessel._hankel_seeds, lambda z: z)
     spy("_miller_j", bessel._miller_j, lambda m, z: z)
     spy("_h1_eval", bessel._h1_eval, lambda m, z: z)
     spy("_k01_scaled", bessel._k01_scaled, lambda w: 1j * w)  # w = -iz
@@ -485,7 +512,7 @@ def test_helpers_see_only_the_closed_upper_half_plane(monkeypatch):
         if z.imag < 0:
             for fn in (bessel_j, bessel_y, bessel_h1, wronskian_jh1):
                 fn(m, z)
-    assert sorted(seen) == ["_h1_eval", "_hankel_pair", "_k01_scaled", "_miller_j"]
+    assert sorted(seen) == ["_h1_eval", "_hankel_seeds", "_k01_scaled", "_miller_j"]
     for name, args in seen.items():
         assert min(z.imag for z in args) >= 0, name
 
