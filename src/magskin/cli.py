@@ -50,12 +50,28 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _get(mapping, path: str, expect_type, predicate=None, what: str = "") -> object:
+_MISSING = object()
+
+
+def _lookup(mapping, path: str) -> object:
+    """The value at a dotted path, or _MISSING when any part of the path is absent."""
     node = mapping
     for part in path.split("."):
         if not isinstance(node, dict) or part not in node:
-            raise ConfigError(f"config field {path}: missing")
+            return _MISSING
         node = node[part]
+    return node
+
+
+def _get(
+    mapping, path: str, expect_type, predicate=None, what: str = "", default=_MISSING
+) -> object:
+    """The checked value at a dotted path; an absent field is an error unless a default is given."""
+    node = _lookup(mapping, path)
+    if node is _MISSING:
+        if default is _MISSING:
+            raise ConfigError(f"config field {path}: missing")
+        return default
     if expect_type is float and isinstance(node, int) and not isinstance(node, bool):
         node = float(node)
     if not isinstance(node, expect_type) or isinstance(node, bool):
@@ -93,11 +109,9 @@ def load_surface(doc: dict) -> Surface:
 
 
 def _complex_field(doc: dict, path: str, default: complex) -> complex:
-    node = doc
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            return default
-        node = node[part]
+    node = _lookup(doc, path)
+    if node is _MISSING:
+        return default
     if (
         not isinstance(node, list)
         or len(node) != 2
@@ -201,6 +215,12 @@ def _skin_depth_row(cfg: PhysicalConfig, surface: Surface, benchmark_doc: dict |
     if surface.kind.value == "cylinder":
         if benchmark_doc is not None and "benchmark" in benchmark_doc:
             bench = replace(load_benchmark(benchmark_doc, cfg), mode=0)
+            if bench.r_in != surface.radius:
+                # H and L_asymptotic come from the surface, L_numeric from the benchmark
+                raise ConfigError(
+                    f"config field benchmark.R_in: {bench.r_in!r} differs from "
+                    f"surface.radius {surface.radius!r}; the skin depth compares the two"
+                )
         else:
             r = surface.radius
             bench = CylinderBenchmark(r_in=r, r_out=2.0 * r, r_source=1.5 * r, mode=0, cfg=cfg)
@@ -237,19 +257,17 @@ def cmd_profile_table(doc: dict, args) -> str:
     cfg = load_physical(doc)
     surface = load_surface(doc)
     dp = derive_params(cfg)
-    table = doc.get("profile_table", {})
-    count = int(table.get("count", 101))
-    if count < 2:
-        raise ConfigError("config field profile_table.count: must be >= 2")
+    # a table that is not an object would make every field below read as absent
+    _get(doc, "profile_table", dict, default={})
+    count = _get(doc, "profile_table.count", int, lambda v: v >= 2, "must be >= 2", default=101)
     default_depth = 5.0 * dp.ell_phi
     if surface.kind.value != "plane":
         default_depth = min(default_depth, 0.45 * surface.radius)
-    max_depth = float(table.get("max_depth_m", default_depth))
-    if not (max_depth > 0):
-        raise ConfigError("config field profile_table.max_depth_m: must be > 0")
-    mode = table.get("mode", 0)
-    if not isinstance(mode, int) or isinstance(mode, bool):
-        raise ConfigError("config field profile_table.mode: must be an integer")
+    max_depth = _get(
+        doc, "profile_table.max_depth_m", float, lambda v: 0 < v < math.inf,
+        "must be finite and > 0", default=default_depth,
+    )
+    mode = _get(doc, "profile_table.mode", int, default=0)
 
     def tangent(path: str, default: complex) -> TangentVector:
         return TangentVector(

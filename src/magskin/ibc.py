@@ -101,18 +101,14 @@ class RobinCoefficient:
     gamma: complex
 
 
-# Sign of the cylinder reduction, pinned by requiring the order-1 reduced
-# model to converge to the exact transmission solution (see README for the
-# calibration record); the wrong sign visibly diverges.
-ROBIN_SIGN = +1.0
-
-
 def robin_coefficient(k: int, mode: int, s: Surface, cfg: PhysicalConfig) -> RobinCoefficient:
     """Reduce the order-k operator to the axial-field Robin coefficient.
 
     Only the cylinder reduction exists here; the axial direction has zero
     principal curvature, so the order-2 curvature term contributes the full
-    mean curvature 1/(2R).
+    mean curvature 1/(2R).  The order-k gamma is the eps-truncation of the
+    conductor's own wall coefficient (``CylinderBenchmark.conductor_gamma``):
+    the two differ by O(eps^(k+1)).
     """
     if s.kind is not SurfaceKind.CYLINDER:
         raise ValueError("the Robin reduction is implemented for the cylinder only")
@@ -120,5 +116,5 @@ def robin_coefficient(k: int, mode: int, s: Surface, cfg: PhysicalConfig) -> Rob
     if k == 0:
         return RobinCoefficient(mode=mode, gamma=0j)
     effective = op.scalar_part + op.curvature_part * mean_curvature(s)
-    gamma = ROBIN_SIGN * 1j * cfg.omega * cfg.mu_plus * effective
+    gamma = 1j * cfg.omega * cfg.mu_plus * effective
     return RobinCoefficient(mode=mode, gamma=gamma)

@@ -3,19 +3,22 @@
 Geometry: a conducting core r < R_in, a driven shell R_in < r < R_out with a
 surface-current ring at r = r_source, and a no-flux outer boundary.  The field
 is the axial electric component u(r)*exp(i*m*theta); per azimuthal mode the
-problem is a scalar Helmholtz equation with radial Bessel solutions, so every
-model variant is a small dense linear solve over basis coefficients (5x5 for
-the exact transmission problem, 4x4 for the impedance-reduced models and the
-expansion terms):
+problem is a scalar Helmholtz equation with radial Bessel solutions.
 
-* conductor: J_m(k_minus r) alone, the solution regular at the origin,
-  normalised by its interface value so only scaled Bessel ratios enter the
-  matrix;
-* shell: J_m(k_plus r) and H1_m(k_plus r) on each side of the source ring.
+Every model is one 4x4 solve over the shell's basis coefficients, J_m(k_plus r)
+and H1_m(k_plus r) on each side of the source ring.  The ring prescribes a jump
+of u', the outer boundary takes u' = 0, and the inner wall takes one condition,
+u'(r_in) + gamma*u(r_in) = datum.  The models differ only in gamma and the datum:
 
-Interface conditions are continuity of u and of u'/mu; the ring prescribes a
-jump of u'; the outer boundary takes u' = 0.  Every returned solution is
-checked against its defining conditions to 1e-10 relative.
+* exact: the conductor carries J_m(k_minus r) alone, the solution regular at
+  the origin, so continuity of u and u'/mu at r_in is the Robin condition with
+  the conductor's own coefficient gamma = -(mu_plus/mu_minus)*k_minus*J_m'/J_m,
+  and the conductor amplitude is u(r_in);
+* impedance models of order k: gamma from the order-k operator, datum 0;
+* expansion terms: gamma = 0, the datum from the lower terms' traces.
+
+Every returned solution is checked against its defining conditions to 1e-10
+relative.
 """
 
 from __future__ import annotations
@@ -126,8 +129,19 @@ class CylinderBenchmark:
 
     @functools.cached_property
     def conductor_ref(self) -> BesselEval:
-        """J_m(k_minus r_in): the conductor column's normalisation, evaluated once per instance."""
+        """J_m(k_minus r_in): the conductor field's normalisation, evaluated once per instance."""
         return bessel_j(abs(self.mode), self.k_minus * self.r_in)
+
+    @functools.cached_property
+    def conductor_gamma(self) -> complex:
+        """The conductor's wall coefficient: u' + gamma*u = 0 on the shell side of r_in.
+
+        The conductor field A*J_m(k_minus r)/J_m(k_minus r_in) has u'/u =
+        k_minus*J_m'/J_m at r_in; continuity of u and u'/mu carries that ratio
+        across the interface scaled by mu_plus/mu_minus.
+        """
+        ref = self.conductor_ref
+        return -(self.cfg.mu_plus / self.cfg.mu_minus) * self.k_minus * ref.derivative / ref.value
 
     def shell_pair(self, r: float) -> _Pair:
         """(J_m, H1_m) at k_plus*r; read from the shell basis at its three radii."""
@@ -157,7 +171,8 @@ class ModalSolution:
     """Per-mode radial solution; coefficients over the region bases.
 
     Shell: u = B*J_m(k_plus r) + C*H1_m(k_plus r) inside the source ring,
-    D, E outside it.  Conductor (when present): u = A*J_m(k_minus r)/J_m(k_minus R_in),
+    D, E outside it; every model solves for these four.  Conductor (exact
+    solution only): u = A*J_m(k_minus r)/J_m(k_minus R_in) with A = u(R_in),
     evaluated through scaled Bessel ratios so deep evaluation never overflows.
     """
 
@@ -224,15 +239,61 @@ def _solve_linear(kind: str, rows: list[list[complex]], rhs: list[complex]) -> t
     return x, cond
 
 
-def _shell_rows(b: CylinderBenchmark) -> list[list[complex]]:
-    """Shell rows over [B, C, D, E]: u continuous and u' jumping at r_source, u' = 0 at r_out.
+def _rel(num: float, scale: float) -> float:
+    return num / max(scale, 1e-300)
 
-    Their right-hand sides are 0, the ring source and 0.
+
+def _shell_residuals(
+    b: CylinderBenchmark, inner: _Coefficients, outer: _Coefficients, source: complex
+) -> dict[str, float]:
+    """Source-continuity, source-jump and outer-wall residuals of shell coefficients."""
+    kp = b.k_plus
+    bi, ci = inner
+    do, eo = outer
+    u_in, du_in = _field(inner, b.shell_basis.source, kp)
+    u_out, du_out = _field(outer, b.shell_basis.source, kp)
+    _, du_outer = _field(outer, b.shell_basis.outer, kp)
+    j_o, h_o = b.shell_basis.outer
+    outer_scale = abs(kp) * (
+        abs(do) * abs(j_o.actual_derivative) + abs(eo) * abs(h_o.actual_derivative)
+    )
+    jump_scale = max(abs(du_in), abs(du_out), abs(source), abs(kp) * (abs(bi) + abs(ci)))
+    return {
+        "source_u": _rel(abs(u_in - u_out), max(abs(u_in), abs(u_out))),
+        "source_jump": _rel(abs((du_out - du_in) - source), jump_scale),
+        "outer_flux": _rel(abs(du_outer), outer_scale),
+    }
+
+
+def _solve_shell(
+    kind: str,
+    order: int | None,
+    b: CylinderBenchmark,
+    gamma: complex,
+    datum: complex,
+    source: complex,
+) -> ModalSolution:
+    """Shell 4x4 solve over [B, C, D, E] with the wall condition u'(r_in) + gamma*u(r_in) = datum.
+
+    The other rows: u continuous and u' jumping by ``source`` at r_source,
+    u' = 0 at r_out.  When |gamma| > 1 the wall row and its datum are divided
+    by gamma, so the Dirichlet limit stays well-conditioned.
     """
     kp = b.k_plus
+    j_in, h_in = b.shell_basis.inner
     j_s, h_s = b.shell_basis.source
     j_o, h_o = b.shell_basis.outer
-    return [
+
+    du_j = kp * j_in.actual_derivative
+    du_h = kp * h_in.actual_derivative
+    if abs(gamma) > 1.0:
+        wall = [du_j / gamma + j_in.actual, du_h / gamma + h_in.actual, 0j, 0j]
+        wall_rhs = datum / gamma
+    else:
+        wall = [du_j + gamma * j_in.actual, du_h + gamma * h_in.actual, 0j, 0j]
+        wall_rhs = datum
+    rows = [
+        wall,
         [j_s.actual, h_s.actual, -j_s.actual, -h_s.actual],
         [
             -kp * j_s.actual_derivative,
@@ -242,145 +303,52 @@ def _shell_rows(b: CylinderBenchmark) -> list[list[complex]]:
         ],
         [0j, 0j, kp * j_o.actual_derivative, kp * h_o.actual_derivative],
     ]
+    x, cond = _solve_linear(kind, rows, [wall_rhs, 0j, source, 0j])
 
-
-def solve_exact(b: CylinderBenchmark) -> ModalSolution:
-    """Exact transmission solution: conductor + two-piece shell, 5x5 solve.
-
-    The conductor carries J_m alone (regular at the origin), so its one
-    unknown is the amplitude of the column normalised at r_in.
-    """
-    cfg = b.cfg
-    kp, km = b.k_plus, b.k_minus
-    jc = b.conductor_ref
-    j_in, h_in = b.shell_basis.inner
-
-    # unknowns [A, B, C, D, E]; the conductor column normalised at r_in
-    ratio_j = km * jc.derivative / jc.value
-    rows = [
-        [1.0 + 0j, -j_in.actual, -h_in.actual, 0j, 0j],
-        [
-            ratio_j / cfg.mu_minus,
-            -kp * j_in.actual_derivative / cfg.mu_plus,
-            -kp * h_in.actual_derivative / cfg.mu_plus,
-            0j,
-            0j,
-        ],
-        *([0j, *row] for row in _shell_rows(b)),
-    ]
-    rhs = [0j, 0j, 0j, b.source_amplitude, 0j]
-    x, cond = _solve_linear("exact", rows, rhs)
-
-    sol = ModalSolution(
-        kind="exact",
-        order=None,
-        benchmark=b,
-        shell_inner=(x[1], x[2]),
-        shell_outer=(x[3], x[4]),
-        conductor_amplitude=x[0],
-        condition_number=cond,
-        residuals={},
-        ring_source=b.source_amplitude,
+    inner, outer = (x[0], x[1]), (x[2], x[3])
+    res = _shell_residuals(b, inner, outer, source)
+    u_in, du_in = _field(inner, b.shell_basis.inner, kp)
+    # backward-error scale: sum of the magnitudes of the terms being combined
+    term_scale = abs(kp) * (abs(x[0] * j_in.actual_derivative) + abs(x[1] * h_in.actual_derivative))
+    value_scale = abs(x[0] * j_in.actual) + abs(x[1] * h_in.actual)
+    res["wall"] = _rel(
+        abs(du_in + gamma * u_in - datum), term_scale + abs(gamma) * value_scale + abs(datum)
     )
-    res = _transmission_residuals(sol)
-    sol = replace(sol, residuals=res)
+    sol = ModalSolution(
+        kind=kind,
+        order=order,
+        benchmark=b,
+        shell_inner=inner,
+        shell_outer=outer,
+        conductor_amplitude=None,
+        condition_number=cond,
+        residuals=res,
+        ring_source=source,
+    )
     _check_residuals(sol)
     return sol
 
 
-def _rel(num: float, scale: float) -> float:
-    return num / max(scale, 1e-300)
+def solve_exact(b: CylinderBenchmark) -> ModalSolution:
+    """Exact transmission solution: the shell solve with the conductor's own wall coefficient.
 
-
-def _transmission_residuals(sol: ModalSolution) -> dict[str, float]:
-    b = sol.benchmark
+    The conductor amplitude A is u(r_in).  Beside the shell residuals, the
+    interface residuals check continuity of u and u'/mu at r_in against the
+    conductor field A*J_m(k_minus r)/J_m(k_minus r_in) itself.
+    """
     cfg = b.cfg
+    sol = _solve_shell("exact", None, b, b.conductor_gamma, 0j, b.source_amplitude)
+    sol = replace(sol, conductor_amplitude=sol.u(b.r_in))
     u_minus, du_minus = sol._eval_conductor(b.r_in)
     u_plus, du_plus = sol._eval(b.r_in)
-    res = {
+    interface = {
         "interface_u": _rel(abs(u_minus - u_plus), max(abs(u_minus), abs(u_plus))),
         "interface_flux": _rel(
             abs(du_minus / cfg.mu_minus - du_plus / cfg.mu_plus),
             max(abs(du_minus) / cfg.mu_minus, abs(du_plus) / cfg.mu_plus),
         ),
     }
-    res.update(_shell_residuals(sol))
-    return res
-
-
-def _shell_residuals(sol: ModalSolution) -> dict[str, float]:
-    """Source-jump, source-continuity and outer-wall residuals (shell side)."""
-    b = sol.benchmark
-    kp = b.k_plus
-    bi, ci = sol.shell_inner
-    do, eo = sol.shell_outer
-    u_in, du_in = _field(sol.shell_inner, b.shell_basis.source, kp)
-    u_out, du_out = _field(sol.shell_outer, b.shell_basis.source, kp)
-    _, du_outer = _field(sol.shell_outer, b.shell_basis.outer, kp)
-    j_o, h_o = b.shell_basis.outer
-    outer_scale = abs(kp) * (
-        abs(do) * abs(j_o.actual_derivative) + abs(eo) * abs(h_o.actual_derivative)
-    )
-    jump_scale = max(abs(du_in), abs(du_out), abs(sol.ring_source), abs(kp) * (abs(bi) + abs(ci)))
-    return {
-        "source_u": _rel(abs(u_in - u_out), max(abs(u_in), abs(u_out))),
-        "source_jump": _rel(abs((du_out - du_in) - sol.ring_source), jump_scale),
-        "outer_flux": _rel(abs(du_outer), outer_scale),
-    }
-
-
-def _solve_shell(
-    kind: str,
-    order: int | None,
-    b: CylinderBenchmark,
-    robin_gamma: complex | None,
-    neumann_datum: complex,
-    source: complex,
-) -> ModalSolution:
-    """Shell-only 4x4 solve with either a Robin or an inhomogeneous-Neumann wall at r_in.
-
-    robin_gamma None means the Neumann condition u'(r_in) = neumann_datum;
-    otherwise u'(r_in) + gamma*u(r_in) = 0, rewritten as u'(r_in)/gamma + u = 0
-    when |gamma| > 1 so the Dirichlet limit stays well-conditioned.
-    """
-    kp = b.k_plus
-    j_in, h_in = b.shell_basis.inner
-
-    du_j = kp * j_in.actual_derivative
-    du_h = kp * h_in.actual_derivative
-    if robin_gamma is None:
-        row0 = [du_j, du_h, 0j, 0j]
-        rhs0 = neumann_datum
-    elif abs(robin_gamma) > 1.0:
-        row0 = [du_j / robin_gamma + j_in.actual, du_h / robin_gamma + h_in.actual, 0j, 0j]
-        rhs0 = 0j
-    else:
-        row0 = [du_j + robin_gamma * j_in.actual, du_h + robin_gamma * h_in.actual, 0j, 0j]
-        rhs0 = 0j
-    rhs = [rhs0, 0j, source, 0j]
-    x, cond = _solve_linear(kind, [row0, *_shell_rows(b)], rhs)
-
-    sol = ModalSolution(
-        kind=kind,
-        order=order,
-        benchmark=b,
-        shell_inner=(x[0], x[1]),
-        shell_outer=(x[2], x[3]),
-        conductor_amplitude=None,
-        condition_number=cond,
-        residuals={},
-        ring_source=source,
-    )
-    res = _shell_residuals(sol)
-    u_in, du_in = sol._eval(b.r_in)
-    # backward-error scale: sum of the magnitudes of the terms being combined
-    term_scale = abs(kp) * (abs(x[0] * j_in.actual_derivative) + abs(x[1] * h_in.actual_derivative))
-    if robin_gamma is None:
-        res["wall"] = _rel(abs(du_in - neumann_datum), term_scale + abs(neumann_datum))
-    else:
-        value_scale = abs(robin_gamma) * (abs(x[0] * j_in.actual) + abs(x[1] * h_in.actual))
-        res["wall"] = _rel(abs(du_in + robin_gamma * u_in), term_scale + value_scale)
-    sol = replace(sol, residuals=res)
+    sol = replace(sol, residuals={**interface, **sol.residuals})
     _check_residuals(sol)
     return sol
 
@@ -388,7 +356,7 @@ def _solve_shell(
 def solve_ibc(b: CylinderBenchmark, k: int) -> ModalSolution:
     """Impedance-reduced shell solve of order k in {0, 1, 2}."""
     gamma = robin_coefficient(k, b.mode, Surface.cylinder(b.r_in), b.cfg).gamma
-    return _solve_shell(f"ibc{k}", k, b, gamma if k > 0 else None, 0j, b.source_amplitude)
+    return _solve_shell(f"ibc{k}", k, b, gamma, 0j, b.source_amplitude)
 
 
 def solve_ibc_with_gamma(b: CylinderBenchmark, gamma: complex) -> ModalSolution:
@@ -407,13 +375,13 @@ def _expansion_terms(b: CylinderBenchmark, order: int) -> list[ModalSolution]:
         raise ValueError(f"expansion order must be 0, 1 or 2, got {order!r}")
     lam = b.params.lam
     curv = mean_curvature(Surface.cylinder(b.r_in))
-    terms = [_solve_shell("expansion", 0, b, None, 0j, b.source_amplitude)]
+    terms = [_solve_shell("expansion", 0, b, 0j, 0j, b.source_amplitude)]
     if order >= 1:
         u0 = terms[0].u(b.r_in)
-        terms.append(_solve_shell("expansion", 1, b, None, lam * u0, 0j))
+        terms.append(_solve_shell("expansion", 1, b, 0j, lam * u0, 0j))
     if order >= 2:
         u1 = terms[1].u(b.r_in)
-        terms.append(_solve_shell("expansion", 2, b, None, lam * u1 - curv * u0, 0j))
+        terms.append(_solve_shell("expansion", 2, b, 0j, lam * u1 - curv * u0, 0j))
     return terms
 
 
@@ -643,9 +611,8 @@ def conductor_l2_norm(sol: ModalSolution) -> float:
         raise SolverError(f"{sol.kind} solution has no conductor region")
     b = sol.benchmark
     km = b.k_minus
-    ref = b.conductor_ref
-    # u(r_in) is the amplitude itself; u'/u is k_minus*J_m'/J_m at the interface
-    log_der = km * ref.derivative / ref.value
+    # u(r_in) is the amplitude itself; u'/u is -(mu_minus/mu_plus)*gamma on the conductor side
+    log_der = -(b.cfg.mu_minus / b.cfg.mu_plus) * b.conductor_gamma
     flux = b.r_in * abs(sol.conductor_amplitude) ** 2 * log_der
     return math.sqrt(-flux.imag / (km * km).imag)
 

@@ -257,10 +257,8 @@ def apply_b(
     w_next, w_prev = w_pair
     datum = w_next.depth_derivative().tangential(y, 0.0)
     if w_prev is not None:
-        grad = _ZERO
-        g0 = w_prev.normal_coeffs[0].gradient()
-        grad = g0.value(y)  # only the Y3^0 coefficient survives at Y3 = 0
-        datum = datum - grad
+        # only the Y3^0 coefficient survives at Y3 = 0
+        datum = datum - w_prev.normal_coeffs[0].gradient().value(y)
     return datum
 
 

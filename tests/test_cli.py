@@ -208,6 +208,40 @@ def test_nonpositive_physics_rejected(tmp_path, capsys):
     assert "omega_rad_per_s" in err
 
 
+@pytest.mark.parametrize(
+    "table, field",
+    [
+        ([], "profile_table"),
+        ({"count": "abc"}, "profile_table.count"),
+        ({"count": 3.9}, "profile_table.count"),
+        ({"count": 1}, "profile_table.count"),
+        ({"max_depth_m": "x"}, "profile_table.max_depth_m"),
+        ({"max_depth_m": -1.0}, "profile_table.max_depth_m"),
+        ({"max_depth_m": math.inf}, "profile_table.max_depth_m"),
+        ({"mode": 1.5}, "profile_table.mode"),
+    ],
+)
+def test_profile_table_config_errors_name_the_field(tmp_path, capsys, table, field):
+    cfg = dict(BASE_CONFIG, profile_table=table)
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(["profile-table", "--config", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: config field {field}:")
+
+
+def test_skin_depth_rejects_a_benchmark_off_the_surface(tmp_path, capsys):
+    # L_numeric would be measured at R_in = 1 and L_asymptotic at radius 2
+    cfg = dict(BASE_CONFIG, surface={"kind": "cylinder", "radius": 2.0})
+    path = tmp_path / "mismatch.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(["skin-depth", "--config", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "benchmark.R_in" in err and "surface.radius" in err
+
+
 def test_format_mismatch_rejected(cfg_path, capsys):
     code, _, err = run(["skin-depth", "--config", cfg_path, "--format", "json"], capsys)
     assert code == 2

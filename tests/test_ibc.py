@@ -10,6 +10,7 @@ from magskin.ibc import (
     leontovich_limit_check,
     robin_coefficient,
 )
+from magskin.modal import default_benchmark
 from magskin.params import PhysicalConfig, derive_params
 
 from conftest import log_grid, loglog_slope
@@ -118,6 +119,23 @@ def test_robin_curvature_gap_exact():
     g2 = robin_coefficient(2, 0, s, cfg).gamma
     expected = dp.eps_small**2 / (2.0 * 0.5)
     assert abs(abs(g2 - g1) - expected) <= 1e-12 * expected
+
+
+@pytest.mark.parametrize("mode", [0, 1, 2])
+def test_robin_coefficients_truncate_the_exact_wall_coefficient(mode):
+    # |gamma_exact - gamma_k| ~ C_k eps^(k+1); measured slopes 0.999 / 2.000 / 3.001 at mode 0
+    eps_list = log_grid(1e-4, 3e-2, 9)
+    gaps = {k: [] for k in (0, 1, 2)}
+    for eps in eps_list:
+        b = default_benchmark(mode=mode, eps=eps)
+        for k in gaps:
+            gamma_k = robin_coefficient(k, mode, Surface.cylinder(b.r_in), b.cfg).gamma
+            gaps[k].append((eps, abs(b.conductor_gamma - gamma_k)))
+    for k, points in gaps.items():
+        assert abs(loglog_slope(points) - (k + 1)) <= 0.02, (mode, k)
+    # the order-1 gap is the curvature term, eps^2 * H with H = 1/(2 r_in)
+    eps, gap = gaps[1][0]
+    assert abs(gap / eps**2 - 0.5 / b.r_in) <= 1e-3
 
 
 def test_robin_rejects_other_surfaces():

@@ -38,7 +38,7 @@ from magskin.modal import (
 from magskin.profiles import HarmonicTangentField, TraceData, apply_b, make_w0, make_w1
 from magskin.skin import DecayTrace, skin_depth_numeric
 
-from conftest import log_grid, loglog_slope
+from conftest import bits, log_grid, loglog_slope
 
 EPS_SWEEP = [10.0**e for e in (-3.0, -2.5, -2.0, -1.5, -1.0)]
 
@@ -48,6 +48,24 @@ def test_exact_solution_conditions_all_default_modes():
         sol = solve_exact(default_benchmark(mode=mode, eps=0.05))
         assert max(sol.residuals.values()) <= 1e-10
         assert math.isfinite(sol.condition_number)
+
+
+def test_exact_solve_is_the_shell_solve_with_the_conductor_wall_coefficient():
+    b = default_benchmark(mode=3, eps=0.02)
+    sol = solve_exact(b)
+    shell = modal._solve_shell("exact", None, b, b.conductor_gamma, 0j, b.source_amplitude)
+    assert bits(*sol.shell_inner, *sol.shell_outer) == bits(*shell.shell_inner, *shell.shell_outer)
+    assert sol.conductor_amplitude == shell.u(b.r_in)
+    assert list(sol.residuals) == [
+        "interface_u", "interface_flux", "source_u", "source_jump", "outer_flux", "wall",
+    ]
+    assert {k: sol.residuals[k] for k in shell.residuals} == shell.residuals
+    # continuity of u and u'/mu at r_in against the conductor field itself
+    u_minus, du_minus = sol._eval_conductor(b.r_in)
+    assert abs(du_minus / b.cfg.mu_minus - sol.u_prime(b.r_in) / b.cfg.mu_plus) <= 1e-12 * abs(
+        du_minus / b.cfg.mu_minus
+    )
+    assert abs(u_minus - sol.u(b.r_in)) <= 1e-15 * abs(u_minus)
 
 
 def test_exact_solution_conditions_random_benchmark():
