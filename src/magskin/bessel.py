@@ -27,7 +27,9 @@ dominant as the order grows.
 Outside |z| <= 12 the order-0/1 seeds of all three uses -- J_0 and J_1 for
 the forward J route, H1_0 and H1_1 for the Miller normalisation and for H^(1)
 -- come from one call, ``_hankel_seeds``, which shares the sqrt(2/(pi z))
-prefactor and exp(2iz) among the four expansions (DLMF 10.17.5-6).
+prefactor and exp(2iz) among the four expansions (DLMF 10.17.5-6).  Its
+terms come from one loop per order over a table of real term ratios times one
+i/z; the H^(2) sum reuses each H^(1) term with alternating sign.
 
 Every internal helper works for Im z >= 0 only, where the solutions' k*r
 arguments lie.  The public functions reach the lower half plane by the
@@ -124,46 +126,43 @@ def _j_series(m: int, z: complex) -> tuple[complex, complex]:
 # exp(-+i*(m/2 + 1/4)*pi): the phases of the H^(1) and H^(2) expansions at orders m = 0, 1
 _PHASE_H1 = (cmath.exp(-0.25j * math.pi), cmath.exp(-0.75j * math.pi))
 _PHASE_H2 = (cmath.exp(0.25j * math.pi), cmath.exp(0.75j * math.pi))
-
-
-def _hankel_sums(m: int, z: complex) -> tuple[complex, complex]:
-    """Term sums of the large-argument expansions of H^(1)_m and H^(2)_m (DLMF 10.17.5-6).
-
-    For |z| > SERIES_RADIUS and 4m^2 modest against |z|.  The kind-2 terms are
-    the kind-1 terms times (-1)**k exactly, so one term sequence feeds both
-    sums; each stops at its smallest term or at 1e-17 of its own size.
-    """
-    mu = 4.0 * m * m
-    t = 1.0 + 0j
-    s1 = s2 = t
-    prev = abs(t)
-    open1 = open2 = True
-    for k in range(90):
-        t = t * ((mu - (2 * k + 1) ** 2) / (8.0 * (k + 1) * z)) * 1j
-        size = abs(t)
-        if size >= prev:
-            break
-        prev = size
-        if open1:
-            s1 += t
-            open1 = not prev < 1e-17 * abs(s1)
-        if open2:
-            s2 = s2 + t if k % 2 else s2 - t
-            open2 = not prev < 1e-17 * abs(s2)
-        if not (open1 or open2):
-            break
-    return s1, s2
+# (4m^2 - (2k+1)^2)/(8(k+1)) for m = 0, 1: the H^(1) term k+1 is term k times
+# this ratio and i/z (DLMF 10.17.1, 10.17.5)
+_HANKEL_RATIOS = tuple(
+    tuple((4.0 * m * m - (2 * k + 1) ** 2) / (8.0 * (k + 1)) for k in range(90)) for m in (0, 1)
+)
 
 
 def _hankel_seeds(z: complex) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
     """((H1_0, H1_1), (J_0, J_1)) from the order-0/1 Hankel expansions, Im z >= 0.
 
     H^(1) is returned as the factor of exp(+iz) and J = (H^(1) + H^(2))/2 as
-    the factor of exp(-iz), on which it is dominant.  The sqrt(2/(pi z))
-    prefactor and exp(2iz) are shared by all four.
+    the factor of exp(-iz), on which it is dominant.  Per order one loop over
+    ``_HANKEL_RATIOS`` builds the terms; the H^(2) sum takes the same terms
+    with alternating signs (DLMF 10.17.6).  An order stops at its first term
+    that does not decrease, its smallest, or below 1e-17, since each sum is
+    1 + O(1/|z|).  The sqrt(2/(pi z)) prefactor and exp(2iz) are shared by
+    all four.
     """
-    s10, s20 = _hankel_sums(0, z)
-    s11, s21 = _hankel_sums(1, z)
+    w = 1j / z
+    sums = []
+    for ratios in _HANKEL_RATIOS:
+        t = s1 = s2 = 1.0 + 0j
+        prev, odd = 1.0, True
+        for r in ratios:
+            t = t * r * w
+            size = abs(t)
+            if not 1e-17 <= size < prev:
+                break
+            prev = size
+            s1 += t
+            if odd:
+                s2 -= t
+            else:
+                s2 += t
+            odd = not odd
+        sums.append((s1, s2))
+    (s10, s20), (s11, s21) = sums
     root = cmath.sqrt(2.0 / (math.pi * z))
     h10, h11 = root * _PHASE_H1[0] * s10, root * _PHASE_H1[1] * s11
     h20, h21 = root * _PHASE_H2[0] * s20, root * _PHASE_H2[1] * s21

@@ -327,12 +327,12 @@ def cmd_ibc_factors(doc: dict, args) -> str:
 
 
 def _sweep_point(job: tuple) -> tuple[int, float, float, float]:
-    family, order, bench0, mode, eps = job
-    bench = replace(bench0, mode=mode).with_eps(eps)
+    family, order, bench_mode, eps = job
+    bench = bench_mode.with_eps(eps)
     exact = solve_exact(bench)
     model = solve_ibc(bench, order) if family == "ibc" else truncated_expansion(bench, order)
     err = shell_l2_error(exact, model)
-    return mode, eps, err.error_e, err.error_h
+    return bench.mode, eps, err.error_e, err.error_h
 
 
 def _run_error_sweep(doc: dict, args, family: str) -> str:
@@ -343,7 +343,11 @@ def _run_error_sweep(doc: dict, args, family: str) -> str:
     if not eps_values:
         raise ConfigError("flag --eps: need at least one value")
     order = args.k if args.k is not None else 1
-    jobs = [(family, order, bench0, mode, eps) for mode in modes for eps in sorted(eps_values)]
+    jobs = []
+    for mode in modes:
+        bench = replace(bench0, mode=mode)
+        bench.shell_basis  # evaluated once per mode; with_eps hands it to each eps point
+        jobs += [(family, order, bench, eps) for eps in sorted(eps_values)]
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_sweep_point, jobs))

@@ -128,11 +128,16 @@ class ShiftedInverseMetric:
 
 def inverse_metric_diagonal(s: Surface, h: float) -> tuple[float, float]:
     """Diagonal 1/(1 - kappa_a*h)^2 of the exact inverse metric at depth h, 0 <= h < tubular radius."""
-    if not (0.0 <= h < s.tubular_radius):
-        raise ValueError(
-            f"depth h={h!r} outside the tubular neighborhood [0, {s.tubular_radius!r})"
-        )
-    k1, k2 = s.principal_curvatures
+    return curvature_metric_diagonal(s.principal_curvatures, s.tubular_radius, h)
+
+
+def curvature_metric_diagonal(
+    curvatures: tuple[float, float], tubular_radius: float, h: float
+) -> tuple[float, float]:
+    """``inverse_metric_diagonal`` from a surface's principal curvatures and tubular radius."""
+    if not (0.0 <= h < tubular_radius):
+        raise ValueError(f"depth h={h!r} outside the tubular neighborhood [0, {tubular_radius!r})")
+    k1, k2 = curvatures
     return 1.0 / (1.0 - k1 * h) ** 2, 1.0 / (1.0 - k2 * h) ** 2
 
 

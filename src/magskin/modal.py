@@ -155,10 +155,17 @@ class CylinderBenchmark:
         return _eval_pair(abs(self.mode), self.k_plus * r)
 
     def with_eps(self, eps: float) -> "CylinderBenchmark":
-        """Same benchmark with mu_minus = mu_plus/eps^2; everything else fixed."""
+        """Same benchmark with mu_minus = mu_plus/eps^2; everything else fixed.
+
+        k_plus does not depend on mu_minus, so a shell basis this instance has
+        already evaluated serves the copy too; none is evaluated for it.
+        """
         if not (0.0 < eps):
             raise ValueError("eps must be positive")
-        return replace(self, cfg=self.cfg.with_mu_minus(self.cfg.mu_plus / eps**2))
+        other = replace(self, cfg=self.cfg.with_mu_minus(self.cfg.mu_plus / eps**2))
+        if "shell_basis" in vars(self):
+            vars(other)["shell_basis"] = self.shell_basis
+        return other
 
 
 def default_benchmark(mode: int = 0, eps: float = 0.1) -> CylinderBenchmark:
@@ -686,6 +693,7 @@ def convergence_study(
     eps_sorted = sorted(float(e) for e in eps_list)
     if eps_sorted[0] <= 0 or eps_sorted[-1] >= 1:
         raise ValueError("eps values must lie in (0, 1)")
+    b0.shell_basis  # evaluated once, handed to every eps point by with_eps
     points = []
     for eps in eps_sorted:
         bench = b0.with_eps(eps)

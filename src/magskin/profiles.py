@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .geometry import (
     Surface,
     SurfaceKind,
     TangentVector,
+    curvature_metric_diagonal,
     hermitian_inner,
-    inverse_metric_diagonal,
     mean_curvature,
     mean_minus_curvature_apply,
 )
@@ -284,10 +284,11 @@ def _unit_power(c: complex) -> complex:
 class LayerField:
     """The two-term layer field W0 + eps*W1 at one surface point.
 
-    The harmonic coefficients are evaluated once, at construction; a sample at
-    depth y3 then costs one exponential.  The arithmetic is the one of
-    assembling ``make_w0``/``make_w1`` per sample, in the same order, so the
-    results agree bit for bit.
+    The harmonic coefficients and the surface's principal curvatures and
+    tubular radius are read once, at construction; a sample at depth y3 then
+    costs one exponential.  The arithmetic is the one of assembling
+    ``make_w0``/``make_w1`` per sample, in the same order, so the results
+    agree bit for bit.
     """
 
     surface: Surface
@@ -297,6 +298,12 @@ class LayerField:
     e1: TangentVector  # W1 tangential, Y3**0
     curvature: TangentVector  # W1 tangential, Y3**1: (H - C)e0
     normal: complex  # W1 normal, Y3**0: div(e0)/lam
+    principal_curvatures: tuple[float, float] = field(init=False, repr=False)
+    tubular_radius: float = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "principal_curvatures", self.surface.principal_curvatures)
+        object.__setattr__(self, "tubular_radius", self.surface.tubular_radius)
 
     @staticmethod
     def at(
@@ -339,7 +346,7 @@ class LayerField:
     def modulus_sq(self, y3: float) -> float:
         """Squared modulus at depth y3: exact shifted metric tangentially, plus |normal|^2."""
         t1, t2, norm = self._parts(y3)
-        a11, a22 = inverse_metric_diagonal(self.surface, y3)
+        a11, a22 = curvature_metric_diagonal(self.principal_curvatures, self.tubular_radius, y3)
         return float(a11 * abs(t1) ** 2 + a22 * abs(t2) ** 2) + abs(norm) ** 2
 
 

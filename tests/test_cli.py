@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from magskin import cli
+from magskin import cli, modal
 from magskin.cli import _COMMANDS, _float_list, _int_list, build_parser, load_physical, main
 from magskin.geometry import Surface, TangentVector
 from magskin.modal import fit_convergence
@@ -176,6 +176,27 @@ def test_parallel_sweep_matches_serial(cfg_path, tmp_path):
     assert main([*args, "--out", str(serial)]) == 0
     assert main([*args, "--jobs", "2", "--out", str(parallel)]) == 0
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ibc-sweep", "--k", "2", "--modes", "0,3", "--eps", "0.1,0.01,0.001"],
+        ["expansion-error", "--k", "2", "--modes", "0,3", "--eps", "0.1,0.01,0.001"],
+        ["convergence", "--study", "ibc", "--modes", "0,3", "--eps", EPS5],
+    ],
+)
+def test_sweeps_evaluate_one_shell_basis_per_mode(argv, cfg_path, monkeypatch, capsys):
+    pairs = []
+
+    def counted(m, z):
+        pairs.append(m)
+        return eval_pair(m, z)
+
+    eval_pair = modal._eval_pair
+    monkeypatch.setattr(modal, "_eval_pair", counted)
+    assert run([*argv, "--config", cfg_path], capsys)[0] == 0
+    assert pairs == [0, 0, 0, 3, 3, 3]  # (J_m, H1_m) at r_in, r_source, r_out per mode
 
 
 def test_empty_sweep_is_usage_error(tmp_path, capsys):

@@ -641,18 +641,23 @@ def test_truncated_expansion_reports_the_worst_residual_of_its_terms():
 
 
 def test_shell_basis_belongs_to_one_benchmark_instance():
+    # with_eps changes mu_minus only, which k_plus does not depend on: it hands
+    # an evaluated basis to the copy, and evaluates none for it
+    assert "shell_basis" not in vars(default_benchmark(mode=1, eps=0.1).with_eps(0.01))
     b = default_benchmark(mode=1, eps=0.1)
     basis, ref = b.shell_basis, b.conductor_ref
-    for other in (b.with_eps(0.01), dataclasses.replace(b, mode=4)):
-        assert "shell_basis" not in vars(other) and "conductor_ref" not in vars(other)
+    same_eps, other_mode = b.with_eps(0.01), dataclasses.replace(b, mode=4)
+    assert same_eps.k_plus == b.k_plus and same_eps.shell_basis is basis
+    assert "shell_basis" not in vars(other_mode)
+    assert other_mode.shell_basis is not basis and other_mode.shell_basis != basis
+    for other in (same_eps, other_mode):
+        assert "conductor_ref" not in vars(other)
         m, kp = abs(other.mode), other.k_plus
-        assert other.shell_basis is not basis
         for r, (jv, hv) in zip((other.r_in, other.r_source, other.r_out), other.shell_basis):
             assert jv == bessel_j(m, kp * r)
             assert hv == bessel_h1(m, kp * r)
         assert other.conductor_ref == bessel_j(m, other.k_minus * other.r_in)
         assert other.conductor_ref != ref
-    assert dataclasses.replace(b, mode=4).shell_basis != basis
 
 
 @pytest.mark.parametrize("solver", ["exact", "ibc1", "expansion2"])
