@@ -1,16 +1,14 @@
 """Batch front-end: JSON configs in, deterministic CSV/JSON artifacts out.
 
 Commands: params, skin-depth, profile-table, ibc-factors, ibc-sweep,
-expansion-error, convergence.  Sweeps can fan out over processes with --jobs;
-results are keyed and sorted before writing, so output bytes do not depend on
-scheduling.  All floats are written with 17 significant digits, which
-round-trips doubles exactly.
+expansion-error, convergence.  Sweeps run serially, one row per (mode, eps) in
+ascending order of each; --jobs is accepted for old scripts and ignored.  All
+floats are written with 17 significant digits, which round-trips doubles exactly.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import functools
 import io
@@ -326,15 +324,6 @@ def cmd_ibc_factors(doc: dict, args) -> str:
     return _json_dump([_ibc_factor_payload(cfg, k) for k in (0, 1, 2)])
 
 
-def _sweep_point(job: tuple) -> tuple[int, float, float, float]:
-    family, order, bench_mode, eps = job
-    bench = bench_mode.with_eps(eps)
-    exact = solve_exact(bench)
-    model = solve_ibc(bench, order) if family == "ibc" else truncated_expansion(bench, order)
-    err = shell_l2_error(exact, model)
-    return bench.mode, eps, err.error_e, err.error_h
-
-
 def _run_error_sweep(doc: dict, args, family: str) -> str:
     cfg = load_physical(doc)
     bench0 = load_benchmark(doc, cfg)
@@ -342,27 +331,26 @@ def _run_error_sweep(doc: dict, args, family: str) -> str:
     eps_values = args.eps
     if not eps_values:
         raise ConfigError("flag --eps: need at least one value")
+    for flag, values in (("--modes", modes), ("--eps", eps_values)):
+        if len(set(values)) != len(values):
+            raise ConfigError(f"flag {flag}: values must be distinct, got {values}")
     order = args.k if args.k is not None else 1
-    jobs = []
-    for mode in modes:
-        bench = replace(bench0, mode=mode)
-        bench.shell_basis  # evaluated once per mode; with_eps hands it to each eps point
-        jobs += [(family, order, bench, eps) for eps in sorted(eps_values)]
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_sweep_point, jobs))
-    else:
-        results = [_sweep_point(job) for job in jobs]
-    results.sort(key=lambda t: (t[0], t[1]))
     rows = []
-    prev: tuple[int, float, float] | None = None
-    for mode, eps, err_e, err_h in results:
-        total = err_e + err_h
-        local = ""
-        if prev is not None and prev[0] == mode:
-            local = _fmt(math.log(total / prev[2]) / math.log(eps / prev[1]))
-        rows.append([str(mode), _fmt(eps), _fmt(1.0 / eps**2), _fmt(err_e), _fmt(err_h), local])
-        prev = (mode, eps, total)
+    for mode in sorted(modes):
+        bench_mode = replace(bench0, mode=mode)
+        bench_mode.shell_basis  # evaluated once per mode; with_eps hands it to each eps point
+        prev: tuple[float, float] | None = None
+        for eps in sorted(eps_values):
+            bench = bench_mode.with_eps(eps)
+            exact = solve_exact(bench)
+            model = solve_ibc(bench, order) if family == "ibc" else truncated_expansion(bench, order)
+            err = shell_l2_error(exact, model)
+            total = err.error_e + err.error_h
+            local = ""
+            if prev is not None:
+                local = _fmt(math.log(total / prev[1]) / math.log(eps / prev[0]))
+            rows.append([str(mode), *map(_fmt, (eps, 1.0 / eps**2, err.error_e, err.error_h)), local])
+            prev = (eps, total)
     header = ["mode", "eps", "mu_r", "error_E", "error_H", "local_slope"]
     return _csv_text(header, rows)
 
@@ -441,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="impedance/truncation order")
     common.add_argument("--modes", type=_int_list, default=None, help="comma-separated azimuthal modes")
     common.add_argument("--eps", type=_float_list, default=None, help="comma-separated eps values")
-    common.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps")
+    common.add_argument("--jobs", type=int, default=1, help="ignored; sweeps run serially")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name, parents=[common])

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -168,14 +169,61 @@ def test_expansion_error_command(cfg_path, capsys):
     assert len(rows) == 3 and rows[0][0] == "mode"
 
 
-def test_parallel_sweep_matches_serial(cfg_path, tmp_path):
+def test_jobs_flag_is_ignored(cfg_path, tmp_path):
     args = ["ibc-sweep", "--config", cfg_path, "--k", "1", "--modes", "0,1",
             "--eps", "0.1,0.01"]
-    serial = tmp_path / "serial.csv"
-    parallel = tmp_path / "parallel.csv"
-    assert main([*args, "--out", str(serial)]) == 0
-    assert main([*args, "--jobs", "2", "--out", str(parallel)]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
+    plain = tmp_path / "plain.csv"
+    assert main([*args, "--out", str(plain)]) == 0
+    for jobs in ("2", "0"):
+        flagged = tmp_path / f"jobs{jobs}.csv"
+        assert main([*args, "--jobs", jobs, "--out", str(flagged)]) == 0
+        assert flagged.read_bytes() == plain.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["ibc-sweep", "expansion-error"])
+def test_sweep_rows_come_in_mode_then_eps_order(command, cfg_path, capsys):
+    eps_arg = "0.01,0.1,0.001,0.031622776601683794"
+    code, out, _ = run(
+        [command, "--config", cfg_path, "--k", "2", "--modes", "3,0,-2", "--eps", eps_arg], capsys
+    )
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    bench0 = cli.load_benchmark(BASE_CONFIG, load_physical(BASE_CONFIG))
+    eps_sorted = sorted(_float_list(eps_arg))
+    want = [(mode, eps) for mode in (-2, 0, 3) for eps in eps_sorted]
+    assert [(int(r[0]), float(r[1])) for r in rows] == want
+    prev = None
+    for row, (mode, eps) in zip(rows, want):
+        b = replace(bench0, mode=mode).with_eps(eps)
+        exact = modal.solve_exact(b)
+        if command == "ibc-sweep":
+            model = modal.solve_ibc(b, 2)
+        else:
+            model = modal.truncated_expansion(b, 2)
+        err = modal.shell_l2_error(exact, model)
+        assert row[3:5] == [cli._fmt(err.error_e), cli._fmt(err.error_h)]
+        total = err.error_e + err.error_h
+        if eps == eps_sorted[0]:
+            assert row[5] == ""
+        else:
+            slope = math.log(total / prev[1]) / math.log(eps / prev[0])
+            assert row[5] == cli._fmt(slope)
+        prev = (eps, total)
+
+
+@pytest.mark.parametrize("command", ["ibc-sweep", "expansion-error"])
+@pytest.mark.parametrize(
+    "flag, modes, eps",
+    [("--eps", "0", "0.1,0.1"), ("--modes", "0,0", "0.1,0.01"), ("--modes", "1,0,1", "0.1")],
+)
+def test_repeated_sweep_values_are_a_usage_error(command, flag, modes, eps, cfg_path, capsys):
+    # a repeated eps made the local slope divide by log(1) = 0
+    code, out, err = run(
+        [command, "--config", cfg_path, "--modes", modes, "--eps", eps], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: flag {flag}: values must be distinct")
 
 
 @pytest.mark.parametrize(
@@ -291,7 +339,7 @@ def _per_command_parser() -> argparse.ArgumentParser:
                        help="impedance/truncation order")
         p.add_argument("--modes", type=_int_list, default=None, help="comma-separated azimuthal modes")
         p.add_argument("--eps", type=_float_list, default=None, help="comma-separated eps values")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps")
+        p.add_argument("--jobs", type=int, default=1, help="ignored; sweeps run serially")
         if name == "convergence":
             p.add_argument("--study", choices=("ibc", "expansion"), default="ibc")
     return parser

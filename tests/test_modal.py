@@ -556,6 +556,24 @@ def test_source_jump_residual_sees_a_relative_source_error(mode):
         assert sol.residuals["source_jump"] <= 1e-15
 
 
+@pytest.mark.parametrize("mode, eps", [(0, 1e-6), (50, 3e-5), (100, 1e-5)])
+def test_interface_flux_residual_holds_at_small_eps(mode, eps):
+    # relative to the net flux, round-off in B*J_m + C*H1_m read ~1.2e-10 here and raised
+    sol = solve_exact(default_benchmark(mode=mode).with_eps(eps))
+    assert sol.residuals["interface_flux"] <= 1e-14
+
+
+@pytest.mark.parametrize("mode", [0, 3, 10, 30, 60])
+def test_interface_flux_residual_sees_a_relative_flux_error(mode):
+    # scaling by the terms must not hide a real mismatch in the conductor-side flux
+    b = default_benchmark(mode=mode, eps=0.1)
+    sol = solve_exact(b)
+    u_minus, du_minus = sol._eval_conductor(b.r_in)
+    res = modal._interface_residuals(b, sol.shell_inner, u_minus, du_minus * (1 + 1e-6))
+    assert res["interface_flux"] > modal.RESIDUAL_TOL
+    assert sol.residuals["interface_flux"] <= 1e-15
+
+
 def test_with_eps_sweeps_only_mu_minus():
     b = default_benchmark(mode=0, eps=0.1)
     b2 = b.with_eps(0.01)
