@@ -324,16 +324,23 @@ def cmd_ibc_factors(doc: dict, args) -> str:
     return _json_dump([_ibc_factor_payload(cfg, k) for k in (0, 1, 2)])
 
 
+def _sweep_values(args, config_mode: int) -> tuple[list[int], list[float]]:
+    """The sweep's modes (the config's mode by default) and eps values, checked before any solve."""
+    modes = args.modes if args.modes is not None else [config_mode]
+    for flag, values in (("--modes", modes), ("--eps", args.eps)):
+        if len(set(values)) != len(values):
+            raise ConfigError(f"flag {flag}: values must be distinct, got {values}")
+    if not all(math.isfinite(e) and e > 0 for e in args.eps):
+        raise ConfigError(f"flag --eps: values must be finite and positive, got {args.eps}")
+    return modes, args.eps
+
+
 def _run_error_sweep(doc: dict, args, family: str) -> str:
     cfg = load_physical(doc)
     bench0 = load_benchmark(doc, cfg)
-    modes = args.modes if args.modes is not None else [bench0.mode]
-    eps_values = args.eps
-    if not eps_values:
+    if not args.eps:
         raise ConfigError("flag --eps: need at least one value")
-    for flag, values in (("--modes", modes), ("--eps", eps_values)):
-        if len(set(values)) != len(values):
-            raise ConfigError(f"flag {flag}: values must be distinct, got {values}")
+    modes, eps_values = _sweep_values(args, bench0.mode)
     order = args.k if args.k is not None else 1
     rows = []
     for mode in sorted(modes):
@@ -345,7 +352,7 @@ def _run_error_sweep(doc: dict, args, family: str) -> str:
             exact = solve_exact(bench)
             model = solve_ibc(bench, order) if family == "ibc" else truncated_expansion(bench, order)
             err = shell_l2_error(exact, model)
-            total = err.error_e + err.error_h
+            total = err.total
             local = ""
             if prev is not None:
                 local = _fmt(math.log(total / prev[1]) / math.log(eps / prev[0]))
@@ -377,14 +384,14 @@ def _fit_payload(fit: ConvergenceFit) -> dict:
 def cmd_convergence(doc: dict, args) -> str:
     cfg = load_physical(doc)
     bench0 = load_benchmark(doc, cfg)
-    modes = args.modes if args.modes is not None else [bench0.mode]
     if not args.eps:
         raise ConfigError("flag --eps: need at least five values for a rate fit")
+    modes, eps_values = _sweep_values(args, bench0.mode)
     order = args.k if args.k is not None else 1
     fits = {}
     for mode in modes:
         bench = replace(bench0, mode=mode)
-        fits[str(mode)] = _fit_payload(convergence_study(bench, args.study, order, args.eps))
+        fits[str(mode)] = _fit_payload(convergence_study(bench, args.study, order, eps_values))
     payload = {"study": args.study, "order": order, "fits": fits}
     return _json_dump(payload)
 

@@ -211,7 +211,7 @@ def test_sweep_rows_come_in_mode_then_eps_order(command, cfg_path, capsys):
         prev = (eps, total)
 
 
-@pytest.mark.parametrize("command", ["ibc-sweep", "expansion-error"])
+@pytest.mark.parametrize("command", ["ibc-sweep", "expansion-error", "convergence"])
 @pytest.mark.parametrize(
     "flag, modes, eps",
     [("--eps", "0", "0.1,0.1"), ("--modes", "0,0", "0.1,0.01"), ("--modes", "1,0,1", "0.1")],
@@ -224,6 +224,18 @@ def test_repeated_sweep_values_are_a_usage_error(command, flag, modes, eps, cfg_
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: flag {flag}: values must be distinct")
+
+
+@pytest.mark.parametrize("command", ["ibc-sweep", "expansion-error", "convergence"])
+@pytest.mark.parametrize("bad", ["-0.1", "0", "nan", "inf"])
+def test_non_positive_eps_is_a_usage_error(command, bad, cfg_path, capsys):
+    # checked before any solve, so with_eps never raises its bare "eps must be positive" (exit 1)
+    code, out, err = run(
+        [command, "--config", cfg_path, f"--eps={bad},0.1,0.01,0.001,0.0001"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: flag --eps: values must be finite and positive")
 
 
 @pytest.mark.parametrize(

@@ -279,17 +279,9 @@ def test_require_decreasing_errors_diagnostic():
         require_decreasing_errors(bad, "demo")
 
 
-def _basis_points(b: CylinderBenchmark):
-    kp = b.k_plus
-    return [
-        (jv.actual, kp * jv.actual_derivative, hv.actual, kp * hv.actual_derivative)
-        for jv, hv in b.shell_basis
-    ]
-
-
 def test_near_singular_system_warns():
     b = default_benchmark(mode=2, eps=0.1)
-    wall, ring, outer = _basis_points(b)
+    wall, ring, outer = b.shell_basis
     # gamma = -N'/N at r_in makes N, which already meets u' = 0 at r_out, meet the wall too
     n = (outer[3], -outer[1])
     gamma = -(n[0] * wall[1] + n[1] * wall[3]) / (n[0] * wall[0] + n[1] * wall[2])
@@ -315,7 +307,7 @@ def test_model_differences_match_the_wall_defect_error(mode, eps):
     # (gamma_k - gamma_exact)*u_exact(r_in), so it is t*N; subtraction must resolve it
     # where it is 1e-23 of the shell norm (mode 100, eps 1e-3), far below the fields' round-off
     b = default_benchmark(mode=mode, eps=eps)
-    wall, _, outer = _basis_points(b)
+    wall, _, outer = b.shell_basis
     n = (outer[3], -outer[1])
     n_wall, dn_wall = (n[0] * wall[0] + n[1] * wall[2], n[0] * wall[1] + n[1] * wall[3])
     exact = solve_exact(b)
@@ -537,21 +529,34 @@ def test_a_nan_residual_fails_the_shell_check(monkeypatch, call):
 
 @pytest.mark.parametrize("call", [2, 3, 4])
 def test_a_nan_residual_fails_the_plane_check(monkeypatch, call):
-    # residual order: interface_u, interface_flux, source_jump, outer_flux
+    # residual order: source_u, source_jump, outer_flux, wall, as in the shell check
     pb = PlaneBenchmark(thickness=1.0, x_source=0.4, cfg=default_config(eps=0.01))
     _nan_on_call(monkeypatch, call)
     with pytest.raises(SolverError, match="nan"):
         solve_plane_exact(pb)
 
 
-@pytest.mark.parametrize("mode", [0, 3, 10, 30, 60])
-def test_source_jump_residual_sees_a_relative_source_error(mode):
-    # the jump's scale is the size of the terms it combines, not of bare coefficients
-    b = default_benchmark(mode=mode, eps=0.01)
-    for sol in (solve_exact(b), solve_ibc(b, 1)):
-        source = b.source_amplitude * (1 + 1e-6)
-        coeffs = (sol.shell_inner, sol.shell_outer)
-        res = modal._shell_residuals(_basis_points(b), *coeffs, 0j, 0j, source)
+@pytest.mark.parametrize("mode", [0, 3, 10, 30, 60, "plane"])
+def test_source_jump_residual_sees_a_relative_source_error(mode, monkeypatch):
+    # the jump's scale is the size of the terms it combines, not of bare coefficients;
+    # each check is repeated on the points and coefficients its solve passed in
+    checks, shell_residuals = [], modal._shell_residuals
+
+    def recorded(*args):
+        checks.append(args)
+        return shell_residuals(*args)
+
+    monkeypatch.setattr(modal, "_shell_residuals", recorded)
+    if mode == "plane":
+        pb = PlaneBenchmark(thickness=1.0, x_source=0.4, cfg=default_config(eps=0.01))
+        sols = [solve_plane_exact(pb)]
+        assert list(sols[0].residuals) == ["source_u", "source_jump", "outer_flux", "wall"]
+    else:
+        b = default_benchmark(mode=mode, eps=0.01)
+        sols = [solve_exact(b), solve_ibc(b, 1)]
+    assert len(checks) == len(sols)
+    for sol, (points, inner, outer, gamma, datum, source) in zip(sols, checks):
+        res = shell_residuals(points, inner, outer, gamma, datum, source * (1 + 1e-6))
         assert res["source_jump"] > modal.RESIDUAL_TOL
         assert sol.residuals["source_jump"] <= 1e-15
 
@@ -671,9 +676,9 @@ def test_shell_basis_belongs_to_one_benchmark_instance():
     for other in (same_eps, other_mode):
         assert "conductor_ref" not in vars(other)
         m, kp = abs(other.mode), other.k_plus
-        for r, (jv, hv) in zip((other.r_in, other.r_source, other.r_out), other.shell_basis):
-            assert jv == bessel_j(m, kp * r)
-            assert hv == bessel_h1(m, kp * r)
+        for r, point in zip((other.r_in, other.r_source, other.r_out), other.shell_basis):
+            jv, hv = bessel_j(m, kp * r), bessel_h1(m, kp * r)
+            assert point == (jv.actual, kp * jv.actual_derivative, hv.actual, kp * hv.actual_derivative)
         assert other.conductor_ref == bessel_j(m, other.k_minus * other.r_in)
         assert other.conductor_ref != ref
 
@@ -694,7 +699,7 @@ def test_point_values_at_basis_radii_match_fresh_bessel_calls(solver):
     ):
         jv, hv = bessel_j(m, kp * r), bessel_h1(m, kp * r)
         assert sol.u(r) == c0 * jv.actual + c1 * hv.actual
-        assert sol.u_prime(r) == kp * (c0 * jv.actual_derivative + c1 * hv.actual_derivative)
+        assert sol.u_prime(r) == c0 * (kp * jv.actual_derivative) + c1 * (kp * hv.actual_derivative)
     if solver == "exact":
         km = b.k_minus
         jv = bessel_j(m, km * b.r_in)
@@ -708,7 +713,9 @@ def _solve_exact_6x6(b: CylinderBenchmark) -> modal.ModalSolution:
     m, cfg = abs(b.mode), b.cfg
     kp, km = b.k_plus, b.k_minus
     jc, hc = b.conductor_ref, bessel_h1(m, km * b.r_in)
-    (j_in, h_in), (j_s, h_s), (j_o, h_o) = b.shell_basis
+    (j_in, h_in), (j_s, h_s), (j_o, h_o) = (
+        (bessel_j(m, kp * r), bessel_h1(m, kp * r)) for r in (b.r_in, b.r_source, b.r_out)
+    )
     ratio_j = km * jc.derivative / jc.value
     ratio_h = km * hc.derivative / hc.value
     rows = [
