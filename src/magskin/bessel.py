@@ -5,7 +5,10 @@ integer orders 0 <= m <= 200 and arguments with |arg z| <= pi/2.
 
 J_m(z) takes one of three routes:
 
-* |z| <= 12 (SERIES_RADIUS): ascending series at the target order;
+* |z| <= 12 (SERIES_RADIUS): the ascending series (DLMF 10.2.2), one loop
+  carrying orders m and m+1, so J_m' = (m/z) J_m - J_{m+1} needs no second
+  series; J_{m+1} is aligned on J_m's exponent by the exact factor
+  (z/2)/(m+1);
 * |z| > 12 below the turning point -- 2m <= |z|, estimated error
   amplification m^2*|Im z|/|z|^2 <= 4, and |z| >= 20 unless m = 0: J_0 and
   J_1 from the Hankel large-argument expansions (oscillatory exponential
@@ -22,7 +25,11 @@ J_m(z) takes one of three routes:
   agree.
 
 Y and H^(1) ascend from order-0/1 seeds by forward recurrence, since they are
-dominant as the order grows.
+dominant as the order grows.  In the series wedge |z| <= 12, |Im z| <= 4 the
+Y_0/Y_1 seeds come from their ascending series (DLMF 10.8.2), whose one loop
+also builds J_0 and J_1 from the same terms, and H^(1)_m is assembled there
+directly as J_m + iY_m from the two series loops and the recurrence: three
+loops per evaluation, with no call of the public J or Y.
 
 Outside |z| <= 12 the order-0/1 seeds of all three uses -- J_0 and J_1 for
 the forward J route, H1_0 and H1_1 for the Miller normalisation and for H^(1)
@@ -109,18 +116,32 @@ def _validate(m: int, z: complex, singular: bool) -> complex:
     return z
 
 
-def _j_series(m: int, z: complex) -> tuple[complex, complex]:
-    """Ascending series; returns (s, E) with J_m(z) = s * exp(E)."""
+def _j_series(m: int, z: complex) -> tuple[complex, complex, complex]:
+    """Ascending series of orders m and m+1 in one loop (DLMF 10.2.2).
+
+    Returns (s_m, s_{m+1}, E) with J_m(z) = s_m * exp(E) and
+    J_{m+1}(z) = s_{m+1} * (z/2)/(m+1) * exp(E): each sum starts at 1, and
+    the exact factor (z/2)/(m+1) aligns order m+1 on order m's exponent.
+    """
     E = m * cmath.log(0.5 * z) - math.lgamma(m + 1) if m else 0j
     w = -0.25 * z * z
-    term = 1.0 + 0j
-    s = term
+    t0 = t1 = 1.0 + 0j
+    s0 = s1 = t0
     for k in range(1, 400):
-        term *= w / (k * (m + k))
-        s += term
-        if abs(term) < 1e-18 * abs(s):
+        t0 *= w / (k * (m + k))
+        t1 *= w / (k * (m + 1 + k))
+        s0 += t0
+        s1 += t1
+        size = abs(t0)  # |t1| <= |t0|
+        if size < 1e-18 * abs(s0) and size < 1e-18 * abs(s1):
             break
-    return s, E
+    return s0, s1, E
+
+
+def _j_ascending(m: int, z: complex) -> tuple[complex, complex, complex]:
+    """(value, derivative, exponent) of J_m from one ``_j_series`` loop, |z| <= SERIES_RADIUS."""
+    s0, s1, E = _j_series(m, z)
+    return s0, (m / z) * s0 - (0.5 * z / (m + 1)) * s1, E
 
 
 # exp(-+i*(m/2 + 1/4)*pi): the phases of the H^(1) and H^(2) expansions at orders m = 0, 1
@@ -171,40 +192,42 @@ def _hankel_seeds(z: complex) -> tuple[tuple[complex, complex], tuple[complex, c
 
 
 def _y01_series(z: complex) -> tuple[complex, complex]:
-    """Series evaluation of (Y_0, Y_1) for |z| <= SERIES_RADIUS.
+    """Series evaluation of (Y_0, Y_1) for |z| <= SERIES_RADIUS (DLMF 10.8.2).
 
-    The harmonic numbers H_k = 1 + 1/2 + ... + 1/k are carried as running sums.
+    One loop builds J_0 and J_1 with the Y sums, which share their terms:
+    t0 = (-z^2/4)^k/(k!)^2 sums to J_0 and enters Y_0, and
+    t1 = (-z^2/4)^k/(k!(k+1)!) sums to J_1/(z/2) and enters Y_1.  The
+    harmonic numbers H_k = 1 + 1/2 + ... + 1/k are carried as running sums.
     """
-    j0 = _j_series(0, z)[0]
-    s1, e1 = _j_series(1, z)
-    j1 = s1 * cmath.exp(e1)
-    lg = cmath.log(0.5 * z) + _EULER_GAMMA
-
-    w = 0.25 * z * z
-    term = 1.0 + 0j
+    w = -0.25 * z * z
+    t0 = t1 = j0 = j1 = acc1 = 1.0 + 0j
     acc0 = 0j
-    h_k = 0.0
-    for k in range(1, 400):
-        term *= w / (k * k)
-        h_k += 1.0 / k
-        contrib = ((-1) ** (k + 1)) * h_k * term
-        acc0 += contrib
-        if abs(term) * (math.log(k + 1) + 1.0) < 1e-18 * max(1.0, abs(acc0)):
-            break
-    y0 = (2.0 / math.pi) * (lg * j0 + acc0)
-
-    term = 1.0 + 0j
     h_k, h_k1 = 0.0, 1.0
-    acc1 = (h_k + h_k1) * term
     for k in range(1, 400):
-        term *= -w / (k * (k + 1))
+        t0 *= w / (k * k)
+        t1 *= w / (k * (k + 1))
         h_k, h_k1 = h_k1, h_k1 + 1.0 / (k + 1)
-        contrib = (h_k + h_k1) * term
-        acc1 += contrib
-        if abs(contrib) < 1e-18 * max(1.0, abs(acc1)):
+        j0 += t0
+        j1 += t1
+        acc0 -= h_k * t0
+        acc1 += (h_k + h_k1) * t1
+        # h_k + h_k1 >= 1 bounds every sum's next term, and |t1| <= |t0|
+        size = abs(t0) * (h_k + h_k1)
+        if size < 1e-18 and size < 1e-18 * abs(j0) and size < 1e-18 * abs(j1):
             break
-    y1 = (2.0 / math.pi) * (lg * j1 - 1.0 / z) - (z / (2.0 * math.pi)) * acc1
+    lg = cmath.log(0.5 * z) + _EULER_GAMMA
+    y0 = (2.0 / math.pi) * (lg * j0 + acc0)
+    y1 = (2.0 / math.pi) * (lg * (0.5 * z * j1) - 1.0 / z) - (z / (2.0 * math.pi)) * acc1
     return y0, y1
+
+
+def _y_ascending(m: int, z: complex) -> tuple[complex, complex, complex]:
+    """(value, derivative, exponent) of Y_m from the series seeds, in the wedge only."""
+    y0, y1 = _y01_series(z)
+    if m == 0:
+        return y0, -y1, 0j
+    prev, cur, extra = _ascend(y0, y1, z, m)
+    return cur, prev - (m / z) * cur, complex(extra)
 
 
 def _ascend(c0: complex, c1: complex, z: complex, m: int) -> tuple[complex, complex, float]:
@@ -320,11 +343,7 @@ def bessel_j(m: int, z: complex) -> BesselEval:
         return BesselEval(m, z, val, der, 0j)
 
     if abs(z) <= SERIES_RADIUS:
-        vm, em = _j_series(m, z)
-        vm1, em1 = _j_series(m + 1, z)
-        vm1_aligned = vm1 * cmath.exp(em1 - em)
-        deriv = (m / z) * vm - vm1_aligned
-        return _maybe_fold(m, z, vm, deriv, em)
+        return _maybe_fold(m, z, *_j_ascending(m, z))
 
     if _forward_stable(m, z):
         _, (j0, j1) = _hankel_seeds(z)
@@ -416,12 +435,7 @@ def bessel_y(m: int, z: complex) -> BesselEval:
     if z.imag < 0:
         return _reflect(bessel_y(m, z.conjugate()))
     if abs(z) <= SERIES_RADIUS and z.imag <= _WEDGE_IM:
-        y0, y1 = _y01_series(z)
-        if m == 0:
-            return _maybe_fold(0, z, y0, -y1, 0j)
-        prev, cur, extra = _ascend(y0, y1, z, m)
-        deriv = prev - (m / z) * cur
-        return _maybe_fold(m, z, cur, deriv, complex(extra))
+        return _maybe_fold(m, z, *_y_ascending(m, z))
     jv = bessel_j(m, z)
     hval, hder, hexp = _h1_eval(m, z)
     jval, jder, hval, hder, exponent = _align((jv.value, jv.derivative, jv.exponent), (hval, hder, hexp))
@@ -445,12 +459,17 @@ def bessel_h1(m: int, z: complex) -> BesselEval:
     """Hankel function of the first kind H^(1)_m(z) and its derivative."""
     z = _validate(m, z, singular=True)
     if abs(z) <= SERIES_RADIUS and abs(z.imag) <= _WEDGE_IM:
-        jv = bessel_j(m, z)
-        yv = bessel_y(m, z)
-        f = cmath.exp(jv.exponent - yv.exponent)
-        value = jv.value * f + 1j * yv.value
-        deriv = jv.derivative * f + 1j * yv.derivative
-        return _maybe_fold(m, z, value, deriv, yv.exponent)
+        # J + iY from the series at z, or conj(J - iY) at conj z below the real axis
+        upper = z.imag >= 0
+        zu = z if upper else z.conjugate()
+        jval, jder, jexp = _j_ascending(m, zu)
+        yval, yder, exponent = _y_ascending(m, zu)
+        f = cmath.exp(jexp - exponent)
+        iy = 1j if upper else -1j
+        value, deriv = jval * f + iy * yval, jder * f + iy * yder
+        if not upper:
+            value, deriv, exponent = value.conjugate(), deriv.conjugate(), exponent.conjugate()
+        return _maybe_fold(m, z, value, deriv, exponent)
     if z.imag >= 0:
         return _maybe_fold(m, z, *_h1_eval(m, z))
     # H1 = 2J - H2, with J_m(z) = conj J_m(conj z) and H2_m(z) = conj H1_m(conj z)

@@ -387,6 +387,10 @@ def cmd_convergence(doc: dict, args) -> str:
     if not args.eps:
         raise ConfigError("flag --eps: need at least five values for a rate fit")
     modes, eps_values = _sweep_values(args, bench0.mode)
+    if len(eps_values) < 5:
+        raise ConfigError(f"flag --eps: need at least five values for a rate fit, got {eps_values}")
+    if max(eps_values) >= 1.0:
+        raise ConfigError(f"flag --eps: values must lie in (0, 1), got {eps_values}")
     order = args.k if args.k is not None else 1
     fits = {}
     for mode in modes:

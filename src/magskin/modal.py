@@ -639,7 +639,12 @@ class ConvergenceFit:
 
 
 def fit_convergence(points: list[tuple[float, float]]) -> ConvergenceFit:
-    """Fit log(error) = slope*log(x) + intercept; needs >= 4 points over >= 2 decades."""
+    """Fit log(error) = slope*log(x) + intercept; needs >= 4 points over >= 2 decades.
+
+    The least-squares line in closed form: with the means of lx = log(x) and
+    ly = log(error), slope = Sxy/Sxx and intercept = mean(ly) - slope*mean(lx),
+    where Sxx and Sxy are the centred sums of squares and products.
+    """
     if len(points) < 4:
         raise ValueError(f"need at least 4 points for a rate fit, got {len(points)}")
     xs = [p[0] for p in points]
@@ -648,22 +653,25 @@ def fit_convergence(points: list[tuple[float, float]]) -> ConvergenceFit:
         raise ValueError("rate fits need strictly positive abscissae and errors")
     if max(xs) / min(xs) < 99.9:
         raise ValueError("rate fit abscissae must span at least two decades")
-    lx = np.log(xs)
-    ly = np.log(ys)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    pred = slope * lx + intercept
-    ss_res = float(np.sum((ly - pred) ** 2))
-    ss_tot = float(np.sum((ly - np.mean(ly)) ** 2))
+    if len(set(xs)) != len(xs):
+        raise ValueError("rate fit abscissae must be distinct")
+    lx = [math.log(x) for x in xs]
+    ly = [math.log(y) for y in ys]
+    mean_x = sum(lx) / len(lx)
+    mean_y = sum(ly) / len(ly)
+    sxx = sum((a - mean_x) ** 2 for a in lx)
+    sxy = sum((a - mean_x) * (b - mean_y) for a, b in zip(lx, ly))
+    slope = sxy / sxx
+    intercept = mean_y - slope * mean_x
+    ss_res = sum((b - (slope * a + intercept)) ** 2 for a, b in zip(lx, ly))
+    ss_tot = sum((b - mean_y) ** 2 for b in ly)
     r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    order = np.argsort(lx)
-    local = tuple(
-        float((ly[order[i + 1]] - ly[order[i]]) / (lx[order[i + 1]] - lx[order[i]]))
-        for i in range(len(points) - 1)
-    )
+    ordered = sorted(zip(lx, ly))
+    local = tuple((b1 - b0) / (a1 - a0) for (a0, b0), (a1, b1) in zip(ordered, ordered[1:]))
     return ConvergenceFit(
         points=tuple(sorted(points)),
-        slope=float(slope),
-        intercept=float(intercept),
+        slope=slope,
+        intercept=intercept,
         r_squared=r_squared,
         local_slopes=local,
     )

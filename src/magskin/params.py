@@ -10,8 +10,28 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
 from dataclasses import dataclass, fields, replace
+
+
+def _caller_stacklevel() -> int:
+    """``warnings.warn`` stacklevel that names the code which asked for a config.
+
+    Walks out from the function calling this one past every frame of
+    ``dataclasses`` (``replace``) and of magskin other than the command line,
+    so a warning raised while a config is built points at the caller of
+    ``PhysicalConfig(...)``, ``with_mu_minus`` or ``CylinderBenchmark.with_eps``,
+    or at the CLI command.  (``skip_file_prefixes`` does this from Python 3.12
+    on only.)
+    """
+    frame, level = sys._getframe(1), 1
+    while frame.f_back is not None:
+        module = frame.f_globals.get("__name__", "")
+        if module != "dataclasses" and not (module.startswith("magskin.") and module != "magskin.cli"):
+            break
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 @dataclass(frozen=True)
@@ -42,7 +62,7 @@ class PhysicalConfig:
             warnings.warn(
                 "mu_minus < mu_plus: relative permeability below 1, outside the "
                 "asymptotic regime the model is built for",
-                stacklevel=3,
+                stacklevel=_caller_stacklevel(),
             )
 
     def with_mu_minus(self, mu_minus: float) -> "PhysicalConfig":

@@ -211,13 +211,28 @@ def test_overflow_free_to_thousand():
         assert abs(wronskian_jh1(2, z) - target) <= 1e-10 * abs(target)
 
 
+def _j_series_two_loop(m: int, z: complex) -> tuple[complex, complex]:
+    """Reference: the former single-order ascending series, (s, E) with J_m = s*exp(E)."""
+    E = m * cmath.log(0.5 * z) - math.lgamma(m + 1) if m else 0j
+    w = -0.25 * z * z
+    term = 1.0 + 0j
+    s = term
+    for k in range(1, 400):
+        term *= w / (k * (m + k))
+        s += term
+        if abs(term) < 1e-18 * abs(s):
+            break
+    return s, E
+
+
 def _y01_series_quadratic(z: complex) -> tuple[complex, complex]:
-    """Reference: the Y_0/Y_1 series with each harmonic number summed afresh (O(k^2))."""
+    """Reference: the former Y_0/Y_1 series, with J_0 and J_1 from their own
+    series loops and each harmonic number summed afresh (O(k^2))."""
     def harmonic(n: int) -> float:
         return sum(1.0 / k for k in range(1, n + 1))
 
-    j0 = _j_series(0, z)[0]
-    s1, e1 = _j_series(1, z)
+    j0 = _j_series_two_loop(0, z)[0]
+    s1, e1 = _j_series_two_loop(1, z)
     j1 = s1 * cmath.exp(e1)
     lg = cmath.log(0.5 * z) + _EULER_GAMMA
     w = 0.25 * z * z
@@ -243,7 +258,88 @@ def _y01_series_quadratic(z: complex) -> tuple[complex, complex]:
 
 @pytest.mark.parametrize("z", [0.01 + 0j, 0.5 + 0.2j, 1 + 0j, 3 - 4j, 7.1 + 2j, 8 + 3.9j, 11.9 + 0j])
 def test_y01_series_running_harmonic_sums_match_quadratic_reference(z):
-    assert _y01_series(z) == _y01_series_quadratic(z)
+    # one loop shares the J and Y terms; J_1 is aligned by z/2 instead of
+    # exp(log(z/2)), so the two agree to rounding (worst 4.3e-16, at 3 - 4j)
+    for mine, ref in zip(_y01_series(z), _y01_series_quadratic(z)):
+        assert abs(mine - ref) <= 1e-15 * abs(ref), z
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 7, 40, 120, 200])
+@pytest.mark.parametrize("z", [0.01 + 0j, 0.5 + 0.2j, 3 - 4j, 8 + 3.9j, 11.9 + 0j])
+def test_j_series_carries_order_m_plus_one_in_the_same_loop(m, z):
+    s0, s1, E = _j_series(m, z)
+    ref0, ref_e = _j_series_two_loop(m, z)
+    ref1, ref_e1 = _j_series_two_loop(m + 1, z)
+    assert bits(E) == bits(ref_e)
+    assert abs(s0 - ref0) <= 1e-16 * abs(ref0)
+    assert abs(s1 - ref1) <= 1e-16 * abs(ref1)
+    # exp(E_{m+1} - E_m) = (z/2)/(m+1), up to the rounding of the former
+    # alignment: a difference of two exponents of size up to ~860 at m = 200
+    factor = cmath.exp(ref_e1 - ref_e)
+    assert abs(0.5 * z / (m + 1) - factor) <= 1e-12 * abs(factor)
+
+
+# Worst relative error against mpmath on WEDGE_GRID x WEDGE_ORDERS, as the
+# former evaluation measured it (two J series per order; H1 as J + iY from
+# the public J and Y), rounded up at the third digit: the one-loop series and
+# the direct H1 branch may not get worse.  Every worst sits on the rim
+# |z| ~ 12, where the ascending series cancels: J at J_0(11.9) (7.2881e-12)
+# and J' at J_1'(11.9) (8.8639e-12, now 8.8643e-12: the exact z/2 alignment
+# meets the same rounded series terms near a zero of J_1'), both near zeros;
+# Y (4.4124e-11) and H1, H1' (1.1637e-10) at 11.53 -+ 2.94i.  J'/J at
+# orders >= 30 was 8.0e-16 through the lgamma alignment; it must now stay
+# below 1e-15.
+WEDGE_WORST = {"J": 7.29e-12, "J'": 8.87e-12, "Y": 4.42e-11, "H1": 1.17e-10, "H1'": 1.17e-10}
+WEDGE_ORDERS = (0, 1, 2, 5, 10, 30, 60, 100, 150, 200)
+WEDGE_GRID = [
+    w
+    for z in (
+        0.05 + 0j, 1.0 + 0j, 1.5 + 0.01j, 2.2 + 0.8j, 0.6j, 4.0j, 5.0 + 1.3j, 8.0 + 4.0j, 11.9 + 0j,
+        11.53 + 2.94j,
+    )
+    for w in ((z, z.conjugate()) if z.imag else (z,))
+]
+
+
+def test_series_wedge_against_mpmath():
+    worst = dict.fromkeys(WEDGE_WORST, 0.0)
+    worst_ratio = 0.0
+    with mp.workdps(40):
+        for z in WEDGE_GRID:
+            zm = mp.mpc(z)
+            for m in WEDGE_ORDERS:
+                j, dj = mp.besselj(m, zm), mp.besselj(m, zm, derivative=1)
+                y, dy = mp.bessely(m, zm), mp.bessely(m, zm, derivative=1)
+                jv, yv, hv = bessel_j(m, z), bessel_y(m, z), bessel_h1(m, z)
+
+                def rel(mine, ref, exponent):
+                    ref = ref * mp.exp(-mp.mpc(exponent))
+                    return float(abs(mp.mpc(mine) - ref) / abs(ref))
+
+                for name, err in (
+                    ("J", rel(jv.value, j, jv.exponent)),
+                    ("J'", rel(jv.derivative, dj, jv.exponent)),
+                    ("Y", rel(yv.value, y, yv.exponent)),
+                    ("H1", rel(hv.value, j + 1j * y, hv.exponent)),
+                    ("H1'", rel(hv.derivative, dj + 1j * dy, hv.exponent)),
+                ):
+                    worst[name] = max(worst[name], err)
+                if m >= 30:
+                    worst_ratio = max(worst_ratio, rel(jv.derivative / jv.value, dj / j, 0j))
+    for name, bound in WEDGE_WORST.items():
+        assert worst[name] <= bound, (name, worst[name])
+    assert worst_ratio <= 1e-15
+
+
+def test_h1_wedge_calls_no_public_bessel_function(monkeypatch):
+    def public(*args):
+        raise AssertionError(f"public Bessel function called with {args}")
+
+    monkeypatch.setattr(bessel, "bessel_j", public)
+    monkeypatch.setattr(bessel, "bessel_y", public)
+    for m in (0, 1, 30, 200):
+        for z in (1.5 + 0.01j, 1.5 - 0.01j, 11.9 + 0j, 8.0 - 4.0j):
+            assert cmath.isfinite(bessel_h1(m, z).value)
 
 
 def _hankel_asymptotic(m: int, z: complex, kind: int) -> tuple[complex, complex]:

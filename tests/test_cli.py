@@ -238,6 +238,33 @@ def test_non_positive_eps_is_a_usage_error(command, bad, cfg_path, capsys):
     assert err.startswith("error: flag --eps: values must be finite and positive")
 
 
+def test_permeability_warning_names_the_cli(cfg_path, capsys):
+    with pytest.warns(UserWarning, match="^mu_minus < mu_plus") as record:
+        code, _, _ = run(["ibc-sweep", "--config", cfg_path, "--eps", "1.5,0.1"], capsys)
+    assert code == 0
+    assert len(record) == 1
+    assert record[0].filename == cli.__file__
+
+
+@pytest.mark.parametrize(
+    "eps, message",
+    [
+        ("0.1,0.01,0.001,0.0001,1.5", "values must lie in (0, 1)"),
+        ("0.1,0.01,0.001,0.0001,1", "values must lie in (0, 1)"),
+        ("0.1,0.01,0.001", "need at least five values for a rate fit"),
+    ],
+)
+def test_convergence_eps_outside_a_rate_fit_is_a_usage_error(eps, message, cfg_path, monkeypatch, capsys):
+    def no_study(*args):
+        raise AssertionError("convergence_study ran")
+
+    monkeypatch.setattr(cli, "convergence_study", no_study)
+    code, out, err = run(["convergence", "--config", cfg_path, "--eps", eps], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: flag --eps: {message}")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -271,6 +271,36 @@ def test_fit_convergence_guards():
         fit_convergence([(0.1, 1.0), (0.01, -0.1), (0.001, 0.01), (0.0001, 0.001)])
 
 
+def _polyfit_reference(points):
+    """Reference: the former numpy fit, np.polyfit on the logs and r^2 from its line."""
+    lx, ly = np.log([p[0] for p in points]), np.log([p[1] for p in points])
+    slope, intercept = np.polyfit(lx, ly, 1)
+    ss_res = float(np.sum((ly - (slope * lx + intercept)) ** 2))
+    ss_tot = float(np.sum((ly - np.mean(ly)) ** 2))
+    return float(slope), float(intercept), 1.0 - ss_res / ss_tot
+
+
+def test_fit_convergence_closed_form_matches_polyfit(rng):
+    for _ in range(200):
+        # two decades, as the guard asks, and 2 to 7 points inside them
+        xs = [1e-1, 1e-3] + [10 ** rng.uniform(-3, -1) for _ in range(rng.randint(2, 7))]
+        rate, scale = rng.uniform(0.5, 3.5), 10 ** rng.uniform(-4, 1)
+        points = [(x, scale * x**rate * math.exp(rng.gauss(0.0, 0.3))) for x in xs]
+        fit = fit_convergence(points)
+        for mine, ref in zip((fit.slope, fit.intercept, fit.r_squared), _polyfit_reference(points)):
+            assert abs(mine - ref) <= 1e-12 * max(1.0, abs(ref)), points
+        ordered = sorted(points)
+        assert fit.local_slopes == tuple(
+            (math.log(y1) - math.log(y0)) / (math.log(x1) - math.log(x0))
+            for (x0, y0), (x1, y1) in zip(ordered, ordered[1:])
+        )
+
+
+def test_fit_convergence_rejects_repeated_abscissae():
+    with pytest.raises(ValueError, match="distinct"):
+        fit_convergence([(0.1, 1.0), (0.01, 0.1), (0.01, 0.05), (0.001, 0.01)])
+
+
 def test_require_decreasing_errors_diagnostic():
     good = [(1e-3, 1e-4), (1e-2, 1e-3), (1e-1, 1e-2)]
     require_decreasing_errors(good, "demo")

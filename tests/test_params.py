@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from magskin.modal import default_benchmark, default_config
 from magskin.params import PhysicalConfig, derive_params, leontovich_factor, phi
 
 from conftest import log_grid, loglog_slope
@@ -32,6 +33,24 @@ def test_equal_permeabilities_are_the_identity_case():
 def test_warns_when_mu_ratio_below_one():
     with pytest.warns(UserWarning, match="outside the asymptotic regime"):
         unit_config(mu_minus=0.5)
+
+
+def test_permeability_warning_names_the_caller():
+    # the generated __init__, dataclasses.replace and the modal constructors
+    # are passed over: each warning points at the line of this file that asked
+    base = unit_config()
+    builders = (
+        lambda: PhysicalConfig(1.0, 1.0, 1.0, 0.5, 0.01, 1.0),
+        lambda: base.with_mu_minus(0.5),
+        lambda: default_config(eps=1.5),
+        lambda: default_benchmark(mode=1).with_eps(1.5),
+    )
+    for build in builders:
+        with pytest.warns(UserWarning, match="^mu_minus < mu_plus: relative permeability below 1") as record:
+            build()
+        assert len(record) == 1
+        assert record[0].category is UserWarning
+        assert record[0].filename == __file__
 
 
 def test_classical_skin_depth_at_50hz_iron():
