@@ -1,7 +1,9 @@
 """Complex-argument cylinder functions J_m, Y_m, H^(1)_m with derivatives.
 
 Self-contained implementation (no external special-function dependency) for
-integer orders 0 <= m <= 200 and arguments with |arg z| <= pi/2.
+integer orders 0 <= m <= 200 and arguments with |arg z| <= pi/2 and z = 0 or
+|z| >= 1e-300 (MIN_ARGUMENT; below it the derivatives (m/z) J_m and
+Y_0' = -Y_1 ~ 2/(pi z) overflow).
 
 J_m(z) takes one of three routes:
 
@@ -22,7 +24,9 @@ J_m(z) takes one of three routes:
   normalised through the cross-product with the Hankel seeds (the exact
   analogue of Wronskian normalisation, immune to the exponential growth of J
   and Y at large |Im z|); it raises BesselDomainError if 8 restarts do not
-  agree.
+  agree.  The restarts share one table of coefficients 2k/z, built once per
+  call and extended when a restart raises the start order; each pass
+  descends in two legs, start to m and m to 0, with no per-step order test.
 
 Y and H^(1) ascend from order-0/1 seeds by forward recurrence, since they are
 dominant as the order grows.  In the series wedge |z| <= 12, |Im z| <= 4 the
@@ -48,6 +52,11 @@ Values whose natural size is exponential are returned in scaled form
 ``value * exp(exponent)`` with the complex ``exponent`` recorded, so ratios
 and cross-products of scaled evaluations are exact.  Scaling kicks in
 automatically when |Im z| > 30 or when the order regime would over/underflow.
+The recurrences check the size of their pair once per block of steps, as
+long as the per-step growth bound 2k/|z| + 1 allows below overflow, and
+rescale a pair grown past 2**830 by the exact 2**-830, so where a check falls
+changes no bit.  Y_m and H^(1)_m raise BesselDomainError where one step could
+overflow, 2m/|z| + 1 > 2**190.
 """
 
 from __future__ import annotations
@@ -59,14 +68,22 @@ from dataclasses import dataclass
 SERIES_RADIUS = 12.0
 SCALE_IM_THRESHOLD = 30.0
 MAX_ORDER = 200
+MIN_ARGUMENT = 1e-300
 
 _EULER_GAMMA = 0.5772156649015328606
 # forward-recurrence J route: bound on m^2*|Im z|/|z|^2, and the radius from
 # which the order-0/1 Hankel seeds are accurate enough to ascend from
 _FORWARD_MAX_AMPLIFICATION = 4.0
 _FORWARD_MIN_RADIUS = 20.0
-_RESCALE = 1e250
-_LOG_RESCALE = math.log(_RESCALE)
+# Recurrences keep their pair at most _RESCALE in each component at every
+# check, and rescale it by the exact power of two 1/_RESCALE; between checks
+# it may grow by _HEADROOM, since sqrt(2) * 2**830 * 2**190 < 2**1024.
+_RESCALE_BITS = 830
+_RESCALE = 2.0**_RESCALE_BITS
+_UNSCALE = 2.0**-_RESCALE_BITS
+_LOG_RESCALE = _RESCALE_BITS * math.log(2.0)
+_HEADROOM = 2.0**190
+_LOG_HEADROOM = math.log(_HEADROOM)
 
 
 class BesselDomainError(ValueError):
@@ -113,6 +130,8 @@ def _validate(m: int, z: complex, singular: bool) -> complex:
         return z
     if z.real < 0.0:
         raise BesselDomainError(f"argument must satisfy |arg z| <= pi/2, got {z!r}")
+    if abs(z) < MIN_ARGUMENT:
+        raise BesselDomainError(f"argument must be 0 or at least {MIN_ARGUMENT} in modulus, got {z!r}")
     return z
 
 
@@ -230,58 +249,98 @@ def _y_ascending(m: int, z: complex) -> tuple[complex, complex, complex]:
     return cur, prev - (m / z) * cur, complex(extra)
 
 
+def _block_length(bound: float) -> int:
+    """Steps between checks for a recurrence whose pair grows by at most ``bound`` per step."""
+    return int(_LOG_HEADROOM / math.log(bound))
+
+
 def _ascend(c0: complex, c1: complex, z: complex, m: int) -> tuple[complex, complex, float]:
-    """Forward recurrence from orders (0, 1) to (m-1, m); returns extra real log scale."""
-    extra = 0.0
+    """Forward recurrence from orders (0, 1) to (m-1, m); returns extra real log scale.
+
+    A step grows the pair by at most 2m/|z| + 1, which also bounds the
+    caller's derivative f_{m-1} - (m/z) f_m, so the pair is checked once per
+    block of ``_block_length`` steps.  Orders <= 2 take at most one step from
+    seeds of size O(1/|z|) and skip the check.  Raises BesselDomainError
+    where a single step could outgrow the headroom.
+    """
+    bound = 2.0 * m / abs(z) + 1.0
+    if bound > _HEADROOM:
+        raise BesselDomainError(
+            f"order {m} at z = {z!r}: one recurrence step could grow by 2m/|z| + 1 > 2**190"
+        )
     prev, cur = c0, c1
-    for k in range(1, m):
-        prev, cur = cur, (2.0 * k / z) * cur - prev
-        mag = max(abs(prev.real), abs(prev.imag), abs(cur.real), abs(cur.imag))
-        if mag > _RESCALE:
-            prev /= _RESCALE
-            cur /= _RESCALE
+    if m <= 2:
+        if m == 2:
+            prev, cur = cur, (2.0 / z) * cur - prev
+        return prev, cur, 0.0
+    n = _block_length(bound)
+    extra = 0.0
+    for lo in range(1, m, n):
+        for k in range(lo, min(lo + n, m)):
+            prev, cur = cur, (2.0 * k / z) * cur - prev
+        if max(abs(prev.real), abs(prev.imag), abs(cur.real), abs(cur.imag)) > _RESCALE:
+            prev *= _UNSCALE
+            cur *= _UNSCALE
             extra += _LOG_RESCALE
     return prev, cur, extra
 
 
-def _miller_pass(m: int, z: complex, start: int) -> tuple[complex, complex, complex, complex]:
-    """Raw downward recurrence from ``start``; returns (f0, f1, fm, fm1) on one scale."""
-    f_next = 0j
-    f = 1e-30 + 0j
-    fm = fm1 = None
+def _descend(
+    coef: list[complex], f: complex, f_next: complex, hi: int, lo: int, n: int
+) -> tuple[complex, complex, int]:
+    """Steps k = hi, ..., lo + 1 of f_{k-1} = coef[k] f_k - f_{k+1} from (f_hi, f_{hi+1}).
+
+    Returns (f_lo, f_{lo+1}, rescales); the pair is checked once per block of
+    n steps and multiplied by 1/_RESCALE at each of the ``rescales`` checks it fails.
+    """
     rescales = 0
-    marks = [0, 0]
-    for k in range(start, 0, -1):
-        f_prev = (2.0 * k / z) * f - f_next
-        f_next, f = f, f_prev
-        # f is now the raw value at order k-1, f_next at order k
-        if k - 1 == m + 1:
-            fm1, marks[1] = f, rescales
-        if k - 1 == m:
-            fm, marks[0] = f, rescales
-        mag = max(abs(f.real), abs(f.imag))
-        if mag > _RESCALE:
-            f /= _RESCALE
-            f_next /= _RESCALE
+    for top in range(hi, lo, -n):
+        for c in coef[top : max(top - n, lo) : -1]:
+            f, f_next = c * f - f_next, f
+        if max(abs(f.real), abs(f.imag), abs(f_next.real), abs(f_next.imag)) > _RESCALE:
+            f *= _UNSCALE
+            f_next *= _UNSCALE
             rescales += 1
-    f0, f1 = f, f_next
-    if fm is None:  # start <= m cannot happen by construction
+    return f, f_next, rescales
+
+
+def _unscale(c: complex, rescales: int) -> complex:
+    """c / _RESCALE**rescales, exactly unless it underflows."""
+    shift = -_RESCALE_BITS * rescales
+    return complex(math.ldexp(c.real, shift), math.ldexp(c.imag, shift))
+
+
+def _miller_pass(m: int, coef: list[complex], start: int) -> tuple[complex, complex, complex, complex]:
+    """Raw downward recurrence from ``start``; returns (f0, f1, fm, fm1) on one scale.
+
+    ``coef[k]`` is 2k/z for k <= start.  The descent runs in two legs, start
+    to m and m to 0, so (f_m, f_{m+1}) are read off between them.
+    """
+    if start < m + 2:  # cannot happen by construction
         raise AssertionError("miller start index below target order")
-    fm = fm * _RESCALE ** -(rescales - marks[0])
-    fm1 = fm1 * _RESCALE ** -(rescales - marks[1])
+    n = _block_length(abs(coef[start]) + 1.0)  # |z| > SERIES_RADIUS keeps this >= 30
+    fm, fm1, _ = _descend(coef, 1e-30 + 0j, 0j, start, m, n)
+    f0, f1, below = _descend(coef, fm, fm1, m, 0, n)
+    if below:
+        fm, fm1 = _unscale(fm, below), _unscale(fm1, below)
     return f0, f1, fm, fm1
 
 
 def _miller_j(m: int, z: complex) -> tuple[complex, complex, complex]:
-    """(J_m, J_{m+1}, exponent) for Im z >= 0 by backward recurrence, anchored on H1_0, H1_1."""
+    """(J_m, J_{m+1}, exponent) for Im z >= 0 by backward recurrence, anchored on H1_0, H1_1.
+
+    The coefficient table 2k/z is built once and extended as restarts raise ``start``.
+    """
     (h0v, h1v), _ = _hankel_seeds(z)
     target = 2j / (math.pi * z)
     jexp = -1j * z
 
     start = max(m + 2, int(1.36 * abs(z)) + 2) + 20
+    coef: list[complex] = []
     previous = last = None
     for _ in range(8):
-        f0, f1, fm, fm1 = _miller_pass(m, z, start)
+        coef += [2.0 * k / z for k in range(len(coef), start + 1)]
+        f0, f1, fm, fm1 = _miller_pass(m, coef, start)
         denom = f1 * h0v - f0 * h1v
         cv = target / denom
         jm, jm1 = cv * fm, cv * fm1

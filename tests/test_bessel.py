@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import re
 
 import mpmath as mp
 import pytest
@@ -19,6 +20,7 @@ from magskin.bessel import (
     _hankel_seeds,
     _j_series,
     _maybe_fold,
+    _miller_pass,
     _validate,
     _y01_series,
     bessel_h1,
@@ -539,7 +541,7 @@ def test_conductor_argument_at_high_contrast_skips_miller(monkeypatch):
 def test_miller_raises_when_its_restarts_never_agree(monkeypatch):
     counter = itertools.count(1)
 
-    def restless_pass(m, z, start):
+    def restless_pass(m, coef, start):
         k = next(counter)
         return 1.0 + 0j, 0.5 + 0j, complex(k), complex(k + 1)
 
@@ -555,6 +557,213 @@ def test_miller_raises_when_its_restarts_never_agree(monkeypatch):
     cv = target / (0.5 * h0v - h1v)
     assert f"{(cv * 7, cv * 8)}" in str(info.value)
     assert f"{(cv * 8, cv * 9)}" in str(info.value)
+
+
+_PARENT_RESCALE = 1e250
+
+
+def _ascend_per_step(c0: complex, c1: complex, z: complex, m: int) -> tuple[complex, complex, int]:
+    """Reference: the former forward recurrence, checked and rescaled by 1e250 on every step.
+
+    Returns (f_{m-1}, f_m, rescales); the values are those times 1e250**rescales.
+    """
+    rescales = 0
+    prev, cur = c0, c1
+    for k in range(1, m):
+        prev, cur = cur, (2.0 * k / z) * cur - prev
+        mag = max(abs(prev.real), abs(prev.imag), abs(cur.real), abs(cur.imag))
+        if mag > _PARENT_RESCALE:
+            prev /= _PARENT_RESCALE
+            cur /= _PARENT_RESCALE
+            rescales += 1
+    return prev, cur, rescales
+
+
+def _miller_pass_per_step(m: int, z: complex, start: int) -> tuple[tuple[complex, ...], list[int], int]:
+    """Reference: the former downward recurrence, with order tests and a check on every step.
+
+    Returns ((f0, f1, fm, fm1), owed, rescales): the tuple times
+    1e250**-owed, term by term, is the former pass.  The factor is left to
+    the caller because 1e250**-2 underflows to 0.
+    """
+    f_next = 0j
+    f = 1e-30 + 0j
+    fm = fm1 = None
+    rescales = 0
+    marks = [0, 0]
+    for k in range(start, 0, -1):
+        f_prev = (2.0 * k / z) * f - f_next
+        f_next, f = f, f_prev
+        if k - 1 == m + 1:
+            fm1, marks[1] = f, rescales
+        if k - 1 == m:
+            fm, marks[0] = f, rescales
+        if max(abs(f.real), abs(f.imag)) > _PARENT_RESCALE:
+            f /= _PARENT_RESCALE
+            f_next /= _PARENT_RESCALE
+            rescales += 1
+    return (f, f_next, fm, fm1), [0, 0, rescales - marks[0], rescales - marks[1]], rescales
+
+
+RECURRENCE_ORDERS = (0, 1, 2, 5, 30, 60, 100, 150, 200)
+RECURRENCE_GRID = [
+    w
+    for r in log_grid(0.05, 1189.0, 25)
+    for arg in (0.0, 0.3, math.pi / 4, 1.2, math.pi / 2)
+    for z in (cmath.rect(r, arg),)
+    for w in ((z, z.conjugate()) if arg else (z,))
+]
+
+
+def _upper_seeds(z: complex) -> list[tuple[complex, complex]]:
+    """The order-0/1 seed pairs the library ascends from at z, Im z >= 0."""
+    if abs(z) > SERIES_RADIUS:
+        h, j = _hankel_seeds(z)
+        return [h, j]
+    seeds = [_y01_series(z)]
+    if z.imag > _WEDGE_IM:
+        seeds.append(_h1_seeds_via_k(z))
+    return seeds
+
+
+def _seeds(z: complex) -> list[tuple[complex, complex]]:
+    if z.imag >= 0:
+        return _upper_seeds(z)
+    return [(c0.conjugate(), c1.conjugate()) for c0, c1 in _upper_seeds(z.conjugate())]
+
+
+def test_forward_ascent_equals_the_per_step_recurrence():
+    """One check per block reproduces the per-step recurrence bit for bit
+    wherever that never rescaled.  Elsewhere its division by 1e250 rounded,
+    and the two round differently on every later step: folded by their
+    rescale counts they agree within 4e-15 (worst 2.7e-15, at Y_201(0.62i)),
+    where each is ~2e-14 from mpmath (Y_200(0.67 + 0.67i))."""
+    rescaled = 0
+    with mp.workprec(200):
+        for z in RECURRENCE_GRID:
+            for c0, c1 in _seeds(z):
+                for m in (n + d for n in RECURRENCE_ORDERS for d in (0, 1)):
+                    prev, cur, count = _ascend_per_step(c0, c1, z, m)
+                    new = _ascend(c0, c1, z, m)
+                    if count == 0:
+                        assert bits(*new) == bits(prev, cur, 0.0), (m, z)
+                        continue
+                    rescaled += 1
+                    shift = round(new[2] / bessel._LOG_RESCALE)
+                    assert new[2] == sum([bessel._LOG_RESCALE] * shift), (m, z)
+                    for mine, ref in zip(new[:2], (prev, cur)):
+                        ref = mp.mpc(ref) * mp.mpf(_PARENT_RESCALE) ** count
+                        mine = mp.mpc(mine) * mp.mpf(2) ** (830 * shift)
+                        assert abs(mine - ref) <= 4e-15 * abs(ref), (m, z)
+    assert rescaled >= 500
+
+
+def test_miller_pass_equals_the_per_step_recurrence():
+    """The two-leg descent over the shared coefficient table reproduces the
+    per-step pass bit for bit wherever that never rescaled.  Elsewhere, at
+    |z| > SERIES_RADIUS where bessel_j runs it, its tuple is the former one
+    times a common factor within 2e-15 (worst 1.04e-15, in f_201 at
+    1189 exp(i pi/4)), as the former divisions by 1e250 rounded.
+    Below SERIES_RADIUS the true fm can fall out of range of the pass's
+    scale, so only bit equality is checked there."""
+    rescaled = 0
+    with mp.workprec(200):
+        for z in RECURRENCE_GRID:
+            for m in RECURRENCE_ORDERS:
+                start = max(m + 2, int(1.36 * abs(z)) + 2) + 20
+                coef = [2.0 * k / z for k in range(start + 1)]
+                new = _miller_pass(m, coef, start)
+                ref, owed, rescales = _miller_pass_per_step(m, z, start)
+                if rescales == 0:
+                    assert bits(*new) == bits(*ref), (m, z)
+                    continue
+                if abs(z) <= SERIES_RADIUS:
+                    continue
+                rescaled += 1
+                ref = [mp.mpc(v) * mp.mpf(_PARENT_RESCALE) ** -d for v, d in zip(ref, owed)]
+                mine = [mp.mpc(v) for v in new]
+                i = 0 if abs(ref[0]) >= abs(ref[1]) else 1
+                factor = mine[i] / ref[i]
+                for a, b in zip(mine, ref):
+                    assert abs(a - factor * b) <= 2e-15 * abs(factor * b), (m, z)
+    assert rescaled >= 50
+
+
+def _ldexp(c: complex, e: int) -> complex:
+    return complex(math.ldexp(c.real, e), math.ldexp(c.imag, e))
+
+
+def _rescale_runs(z: complex, m: int) -> tuple[tuple[complex, complex, float], tuple[complex, ...]]:
+    """Forward ascent of Y_m from its series seeds, and one Miller pass, at z."""
+    start = max(m + 2, int(1.36 * abs(z)) + 2) + 20
+    coef = [2.0 * k / z for k in range(start + 1)]
+    return _ascend(*_y01_series(z), z, m), _miller_pass(m, coef, start)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_where_a_rescale_happens_changes_no_bit(monkeypatch, block):
+    """Rescaling by the exact 2**-830 commutes with the recurrence, so a check
+    on every step or every few steps changes the rescale count and nothing else."""
+    points = [(0.05 + 0j, 200), (0.3 + 0.2j, 150), (840.75 + 840.75j, 200), (300 - 700j, 60), (1189j, 5)]
+    default = [_rescale_runs(z, m) for z, m in points]
+    monkeypatch.setattr(bessel, "_block_length", lambda bound: block)
+    counts = set()
+    for (z, m), ((prev, cur, extra), pass_values) in zip(points, default):
+        (prev2, cur2, extra2), pass_values2 = _rescale_runs(z, m)
+        shift = round((extra2 - extra) / bessel._LOG_RESCALE)
+        assert bits(_ldexp(prev2, 830 * shift), _ldexp(cur2, 830 * shift)) == bits(prev, cur), (z, m)
+        shift = round(math.log2(abs(pass_values[0]) / abs(pass_values2[0])) / 830)
+        assert bits(*(_ldexp(c, 830 * shift) for c in pass_values2)) == bits(*pass_values), (z, m)
+        counts.add(round(extra / bessel._LOG_RESCALE))
+    assert max(counts) >= 2
+
+
+def test_tiny_arguments_raise_instead_of_overflowing():
+    """Below |z| = 2m * 2**-190 one recurrence step could grow a value past
+    the largest float, so Y_m and H1_m raise there, naming order and argument;
+    J_m takes no step there.  Below MIN_ARGUMENT = 1e-300 every kind raises,
+    since the derivatives (m/z) J_m and Y_0' = -Y_1 ~ 2/(pi z) overflow.
+    Nothing returns a non-finite number."""
+    for fn, m, z in [
+        (bessel_h1, 5, 1e-200), (bessel_y, 5, 1e-200),
+        (bessel_h1, 60, 1e-100 + 1e-101j), (bessel_y, 60, 1e-100 + 1e-101j),
+        (bessel_h1, 200, 1e-100 + 1e-101j), (bessel_y, 200, 1e-100 + 1e-101j),
+    ]:
+        with pytest.raises(BesselDomainError, match=rf"order {m} at z = {re.escape(repr(complex(z)))}"):
+            fn(m, z)
+    for z in (9.9e-301, 1e-305j, 1e-309 + 1e-309j, 5e-324):
+        for fn in (bessel_j, bessel_y, bessel_h1, wronskian_jh1):
+            with pytest.raises(BesselDomainError, match=r"at least 1e-300 in modulus"):
+                fn(0, z)
+    raised = 0
+    for r in log_grid(1e-300, 1e-40, 27):
+        for arg in (-math.pi / 2, -0.7, 0.0, 0.7, math.pi / 2):
+            z = cmath.rect(r, arg)
+            z = complex(max(z.real, 0.0), z.imag)
+            for m in (0, 1, 2, 3, 5, 30, 60, 100, 150, 200):
+                for fn in (bessel_j, bessel_y, bessel_h1):
+                    where = (fn.__name__, m, z)
+                    try:
+                        ev = fn(m, z)
+                    except BesselDomainError:
+                        assert fn is not bessel_j and 2.0 * m / abs(z) + 1.0 > 2.0**190, where
+                        raised += 1
+                        continue
+                    assert all(map(cmath.isfinite, (ev.value, ev.derivative, ev.exponent))), where
+    assert raised >= 500
+
+
+def test_largest_block_growth_against_mpmath():
+    # H1_200(0.05): the ascent grows by ~8001 per step, 14 steps per block
+    # (8001**14 ~ 2**182 of the 2**190 headroom), ~1600 nats in all
+    z = 0.05 + 0j
+    assert bessel._block_length(2.0 * 200 / abs(z) + 1.0) == 14
+    hv = bessel_h1(200, z)
+    assert hv.is_scaled
+    with mp.workdps(40):
+        diff = mp.log(mp.mpc(hv.value)) + mp.mpc(hv.exponent) - mp.log(mp.hankel1(200, z))
+    phase = (float(diff.imag) + math.pi) % (2 * math.pi) - math.pi
+    assert abs(complex(float(diff.real), phase)) <= 1e-13
 
 
 def _h2_eval_mirror(m: int, z: complex) -> tuple[complex, complex, complex]:
