@@ -14,8 +14,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 
 class SurfaceKind(enum.Enum):
     PLANE = "plane"
@@ -115,15 +113,16 @@ def mean_minus_curvature_apply(s: Surface, v: TangentVector) -> TangentVector:
 
 @dataclass(frozen=True)
 class ShiftedInverseMetric:
-    """Inverse metric of the parallel surface at depth h, in the principal frame.
+    """Inverse metric of the parallel surface at depth h, as its principal-frame diagonal.
 
-    ``exact`` inverts the closed-form shifted metric diag((1-kappa_a*h)^2);
-    ``first_order`` is its linearisation identity + 2*diag(kappa)*h.  Their
-    difference is O(h^2).
+    The shifted metric diag((1-kappa_a*h)^2) is diagonal in the principal frame,
+    so each field is the pair (a11, a22).  ``exact`` is its inverse,
+    ``inverse_metric_diagonal(s, h)``; ``first_order`` is the linearisation
+    (1 + 2*kappa_1*h, 1 + 2*kappa_2*h).  Their difference is O(h^2).
     """
 
-    exact: np.ndarray
-    first_order: np.ndarray
+    exact: tuple[float, float]
+    first_order: tuple[float, float]
 
 
 def inverse_metric_diagonal(s: Surface, h: float) -> tuple[float, float]:
@@ -143,10 +142,11 @@ def curvature_metric_diagonal(
 
 def shifted_inverse_metric(s: Surface, h: float) -> ShiftedInverseMetric:
     """Inverse metric at depth h into the conductor, 0 <= h < tubular radius."""
-    exact = np.diag(inverse_metric_diagonal(s, h))
     k1, k2 = s.principal_curvatures
-    first_order = np.diag([1.0 + 2.0 * k1 * h, 1.0 + 2.0 * k2 * h])
-    return ShiftedInverseMetric(exact=exact, first_order=first_order)
+    return ShiftedInverseMetric(
+        exact=inverse_metric_diagonal(s, h),
+        first_order=(1.0 + 2.0 * k1 * h, 1.0 + 2.0 * k2 * h),
+    )
 
 
 def metric_modulus_sq(s: Surface, v: TangentVector, h: float = 0.0) -> float:

@@ -31,8 +31,6 @@ import warnings
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-import numpy as np
-
 from .bessel import BesselEval, bessel_h1, bessel_j
 from .geometry import Surface, mean_curvature
 from .ibc import robin_coefficient
@@ -199,7 +197,6 @@ class ModalSolution:
     conductor_amplitude: complex | None
     condition_number: float
     residuals: dict[str, float]
-    ring_source: complex = 1.0 + 0j
 
     @property
     def mode_abs(self) -> int:
@@ -225,7 +222,7 @@ class ModalSolution:
 
     def _eval(self, r: float) -> tuple[complex, complex]:
         b = self.benchmark
-        if r < 0 or r > b.r_out * (1 + 1e-12):
+        if not (0 <= r <= b.r_out * (1 + 1e-12)):
             raise ValueError(f"radius {r!r} outside [0, r_out]")
         if r < b.r_in:
             return self._eval_conductor(r)
@@ -330,7 +327,6 @@ def _solve_shell(
         conductor_amplitude=None,
         condition_number=kappa,
         residuals=res,
-        ring_source=source,
     )
 
 
@@ -429,22 +425,31 @@ def truncated_expansion(b: CylinderBenchmark, order: int) -> ModalSolution:
         conductor_amplitude=None,
         condition_number=max(t.condition_number for t in terms),
         residuals={k: max(t.residuals[k] for t in terms) for k in terms[0].residuals},
-        ring_source=terms[0].ring_source,
     )
 
 
-@functools.lru_cache(maxsize=8)
-def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
+# Panel-doubled quadrature stops when two refinements agree to this relative tolerance.
+_QUADRATURE_RTOL = 1e-12
 
 
-def _panel_integral(fn, a: float, b: float, order: int) -> float:
-    x, w = _gl_rule(order)
-    r = 0.5 * (b - a) * x + 0.5 * (a + b)
-    return 0.5 * (b - a) * float(np.dot(w, fn(r)))
+@functools.cache
+def _gl_rule() -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Nodes and weights of the 48-point Gauss-Legendre rule on [-1, 1]."""
+    # The only numpy use in magskin: imported here, so that only the low-loss
+    # quadrature fallback (which no default configuration reaches) loads it.
+    import numpy as np
+
+    x, w = np.polynomial.legendre.leggauss(48)
+    return tuple(x.tolist()), tuple(w.tolist())
 
 
-def _composite_integral(fn, a: float, b: float, rtol: float = 1e-12, max_panels: int = 64) -> float:
+def _panel_integral(fn, a: float, b: float) -> float:
+    x, w = _gl_rule()
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    return half * math.fsum(wi * fn(half * xi + mid) for xi, wi in zip(x, w))
+
+
+def _composite_integral(fn, a: float, b: float, max_panels: int = 64) -> float:
     """Panel-doubling composite Gauss rule until two refinements agree.
 
     Raises SolverError when ``max_panels`` panels are reached without agreement.
@@ -452,14 +457,15 @@ def _composite_integral(fn, a: float, b: float, rtol: float = 1e-12, max_panels:
     prev = None
     panels = 1
     while True:
-        edges = np.linspace(a, b, panels + 1)
-        val = sum(_panel_integral(fn, edges[i], edges[i + 1], 48) for i in range(panels))
-        if prev is not None and abs(val - prev) <= rtol * max(abs(val), 1e-300):
+        step = (b - a) / panels
+        edges = [a + i * step for i in range(panels)] + [b]
+        val = sum(_panel_integral(fn, edges[i], edges[i + 1]) for i in range(panels))
+        if prev is not None and abs(val - prev) <= _QUADRATURE_RTOL * max(abs(val), 1e-300):
             return val
         if panels >= max_panels:
             raise SolverError(
-                f"quadrature on [{a}, {b}] did not reach rtol {rtol:.1e} in {panels} panels: "
-                f"last estimates {prev} and {val}"
+                f"quadrature on [{a}, {b}] did not reach rtol {_QUADRATURE_RTOL:.1e} in {panels} "
+                f"panels: last estimates {prev} and {val}"
             )
         prev = val
         panels *= 2
@@ -522,16 +528,13 @@ def _shell_squares_quadrature(
     kp = b.k_plus
 
     def piece(coeff: _Coefficients, lo: float, hi: float) -> tuple[float, float]:
-        def field(r_arr):
-            return np.array([_combine(coeff, _shell_point(m, kp, r)) for r in r_arr]).T
+        def e_density(r: float) -> float:
+            u, _ = _combine(coeff, _shell_point(m, kp, r))
+            return abs(u) ** 2 * r
 
-        def e_density(r_arr):
-            u, _ = field(r_arr)
-            return np.abs(u) ** 2 * r_arr
-
-        def h_density(r_arr):
-            u, du = field(r_arr)
-            return (np.abs(du) ** 2 + (m / r_arr) ** 2 * np.abs(u) ** 2) * r_arr
+        def h_density(r: float) -> float:
+            u, du = _combine(coeff, _shell_point(m, kp, r))
+            return (abs(du) ** 2 + (m / r) ** 2 * abs(u) ** 2) * r
 
         return (
             _composite_integral(e_density, lo, hi),
@@ -744,12 +747,19 @@ class PlaneSolution:
     residuals: dict[str, float]
 
     def u(self, x: float) -> complex:
+        b = self.benchmark
+        if not (-math.inf < x <= b.thickness * (1 + 1e-12)):
+            raise ValueError(f"coordinate x={x!r} not finite or beyond the thickness {b.thickness!r}")
         if x <= 0:
             return self.conductor_amplitude * cmath.exp(-1j * self.k_minus * x)
-        coeff = self.shell_inner if x <= self.benchmark.x_source else self.shell_outer
-        return coeff[0] * cmath.exp(1j * self.k_plus * x) + coeff[1] * cmath.exp(
-            -1j * self.k_plus * x
-        )
+        coeff = self.shell_inner if x <= b.x_source else self.shell_outer
+        return _combine(coeff, _exp_point(self.k_plus, x))[0]
+
+
+def _exp_point(k: complex, x: float) -> _Point:
+    """(exp(ikx), ik*exp(ikx), exp(-ikx), -ik*exp(-ikx)): the plane's shell basis at x."""
+    ep, em = cmath.exp(1j * k * x), cmath.exp(-1j * k * x)
+    return ep, 1j * k * ep, em, -1j * k * em
 
 
 def solve_plane_exact(b: PlaneBenchmark) -> PlaneSolution:
@@ -763,11 +773,7 @@ def solve_plane_exact(b: PlaneBenchmark) -> PlaneSolution:
     kp = dp.kappa_plus * cmath.sqrt(dp.alpha_plus)
     km = dp.kappa_plus * cmath.sqrt(dp.alpha_minus) / dp.eps_small
 
-    def exp_point(x: float) -> _Point:
-        ep, em = cmath.exp(1j * kp * x), cmath.exp(-1j * kp * x)
-        return ep, 1j * kp * ep, em, -1j * kp * em
-
-    points = tuple(exp_point(x) for x in (0.0, b.x_source, b.thickness))
+    points = tuple(_exp_point(kp, x) for x in (0.0, b.x_source, b.thickness))
     gamma = 1j * (b.cfg.mu_plus / b.cfg.mu_minus) * km
     inner, outer, _ = _shell_green("plane", *points, kp, gamma, 0j, b.source_amplitude)
     res = _shell_residuals(points, inner, outer, gamma, 0j, b.source_amplitude)

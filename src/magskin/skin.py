@@ -34,15 +34,15 @@ class DecayTrace:
     """Modulus-vs-depth sampler at a fixed surface point.
 
     ``sampler(h)`` returns the field modulus at depth h >= 0 [m];
-    ``max_depth`` bounds the search.
+    ``max_depth`` bounds the search and must be finite and positive.
     """
 
     sampler: Callable[[float], float]
     max_depth: float
 
     def __post_init__(self) -> None:
-        if not (self.max_depth > 0):
-            raise ValueError("max_depth must be positive")
+        if not (0 < self.max_depth < math.inf):
+            raise ValueError(f"max_depth must be finite and positive, got {self.max_depth!r}")
         if not (self.sampler(0.0) > 0):
             raise ValueError("sampler(0) must be positive (nonzero surface trace)")
 
@@ -106,8 +106,8 @@ def skin_depth_numeric(trace: DecayTrace, scale: float) -> float:
     ``trace.max_depth``, if a sample is negative or not finite, or if the
     solve has not stopped after _ROOT_MAX_STEPS steps.
     """
-    if not (scale > 0):
-        raise ValueError("scale must be positive")
+    if not (0 < scale < math.inf):
+        raise ValueError(f"scale must be finite and positive, got {scale!r}")
     s0 = _sample(trace, 0.0)
     target = s0 / math.e
     step = scale / 50.0

@@ -3,10 +3,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 
 import pytest
 
+import magskin
 from magskin import cli, modal
 from magskin.cli import _COMMANDS, _float_list, _int_list, build_parser, load_physical, main
 from magskin.geometry import Surface, TangentVector
@@ -432,3 +437,45 @@ def test_reused_parser_parses_each_argv_afresh(command):
     full = [command, "--config", "c.json", "--k", "2", "--modes", "0,3", "--eps", "0.1,0.01", "--jobs", "2"]
     for argv in (full, full[:3], full, full[:3]):
         assert parser.parse_args(argv) == build_parser().parse_args(argv)
+
+
+# The README's example config, σ+ = 1e-2.
+README_CONFIG = {
+    **BASE_CONFIG,
+    "benchmark": {**BASE_CONFIG["benchmark"], "source_amplitude": [1.0, 0.0]},
+    "sweep": {"variable": "mu_r", "values": [100.0, 10000.0, 1000000.0]},
+}
+
+_NUMPY_GUARD = textwrap.dedent(
+    """
+    import sys
+    from dataclasses import replace
+
+    import magskin, magskin.cli
+    from magskin import modal
+
+    cfg, out, eps = sys.argv[1:]
+    sweep = ["--k", "2", "--modes", "0,1,2", "--eps", eps]
+    for command in magskin.cli._COMMANDS:
+        flags = sweep if command in ("ibc-sweep", "expansion-error", "convergence") else []
+        assert magskin.cli.main([command, "--config", cfg, "--out", out, *flags]) == 0, command
+        assert "numpy" not in sys.modules, f"{command} imported numpy"
+    b = modal.default_benchmark(mode=1, eps=0.1)
+    low_loss = replace(b, cfg=replace(b.cfg, sigma_plus=1e-6))
+    modal.shell_l2_error(modal.solve_exact(low_loss), modal.solve_ibc(low_loss, 1))
+    assert "numpy" in sys.modules, "the low-loss quadrature did not import numpy"
+    """
+)
+
+
+def test_no_command_imports_numpy(tmp_path):
+    # numpy is imported only by the low-loss shell-norm quadrature (σ+ below about 1e-3)
+    cfg = tmp_path / "readme.json"
+    cfg.write_text(json.dumps(README_CONFIG))
+    src = os.path.dirname(os.path.dirname(magskin.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", _NUMPY_GUARD, str(cfg), str(tmp_path / "out"), EPS5],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

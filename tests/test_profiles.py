@@ -308,10 +308,10 @@ def assembled_layer_fields(tr, lam, eps, y, y3):
 
 
 def assembled_modulus_sq(s, tr, lam, eps, y, y3):
-    """Reference: the assembled fields under the numpy shifted inverse metric."""
+    """Reference: the assembled fields under the shifted inverse metric's diagonal."""
     tang, norm = assembled_layer_fields(tr, lam, eps, y, y3)
     a = shifted_inverse_metric(s, y3).exact
-    return float(a[0, 0] * abs(tang.c1) ** 2 + a[1, 1] * abs(tang.c2) ** 2) + abs(norm) ** 2
+    return a[0] * abs(tang.c1) ** 2 + a[1] * abs(tang.c2) ** 2 + abs(norm) ** 2
 
 
 def _rand_complex(rng):

@@ -46,6 +46,21 @@ def test_sampler_must_be_positive_at_surface():
         DecayTrace(sampler=lambda h: 0.0, max_depth=1.0)
 
 
+@pytest.mark.parametrize("max_depth", [math.inf, math.nan, 0.0, -1.0])
+def test_max_depth_must_be_finite_and_positive(max_depth):
+    # an infinite max_depth let a sampler that never decays scan forever
+    with pytest.raises(ValueError, match="max_depth must be finite and positive"):
+        DecayTrace(sampler=lambda h: 1.0, max_depth=max_depth)
+
+
+@pytest.mark.parametrize("scale", [math.inf, math.nan, 0.0, -0.1])
+def test_scale_must_be_finite_and_positive(scale):
+    # scale=inf used to raise SkinDepthError, "never decayed to 1/e"
+    trace = DecayTrace(sampler=lambda h: math.exp(-h), max_depth=10.0)
+    with pytest.raises(ValueError, match="scale must be finite and positive"):
+        skin_depth_numeric(trace, scale)
+
+
 def test_rescaling_sampler_leaves_root_unchanged():
     d = 0.2
     base = DecayTrace(sampler=lambda h: math.exp(-h / d) * (1 + 0.2 * h), max_depth=10 * d)
