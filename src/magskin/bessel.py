@@ -35,12 +35,18 @@ also builds J_0 and J_1 from the same terms, and H^(1)_m is assembled there
 directly as J_m + iY_m from the two series loops and the recurrence: three
 loops per evaluation, with no call of the public J or Y.
 
-Outside |z| <= 12 the order-0/1 seeds of all three uses -- J_0 and J_1 for
-the forward J route, H1_0 and H1_1 for the Miller normalisation and for H^(1)
--- come from one call, ``_hankel_seeds``, which shares the sqrt(2/(pi z))
-prefactor and exp(2iz) among the four expansions (DLMF 10.17.5-6).  Its
-terms come from one loop per order over a table of real term ratios times one
-i/z; the H^(2) sum reuses each H^(1) term with alternating sign.
+Outside |z| <= 12 the order-0/1 seeds of all three uses come from the
+Hankel expansions (DLMF 10.17.5-6), and each caller gets only the sums it
+reads.  The Miller normalisation and H^(1) read H1_0 and H1_1, which
+``_h1_seeds`` takes from the H^(1) sums alone, with no H^(2) sum and no
+exp(2iz).  The forward J route reads J_0 and J_1, which ``_j_seeds`` takes
+as J = (H^(2) + H^(1) exp(2iz))/2, the factor of exp(-iz): both sums come
+from one loop per order, the H^(2) sum reusing each H^(1) term with
+alternating sign.  Both run the one term loop ``_hankel_sums`` over a table
+of real term ratios times one i/z.  For Im z >= 20 the H^(1) term is below
+exp(-40) ~ 4e-18 of |J|, a tenth of half an ulp, but the J seeds still add
+it: near the imaginary axis it can move the last bit of a component of J
+far smaller than |J|.
 
 Every internal helper works for Im z >= 0 only, where the solutions' k*r
 arguments lie.  The public functions reach the lower half plane by the
@@ -63,7 +69,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 SERIES_RADIUS = 12.0
 SCALE_IM_THRESHOLD = 30.0
@@ -90,13 +96,16 @@ class BesselDomainError(ValueError):
     """Raised for arguments/orders outside the supported domain."""
 
 
-@dataclass(frozen=True)
-class BesselEval:
+class BesselEval(NamedTuple):
     """One cylinder-function evaluation, possibly exponentially scaled.
 
     The true function value is ``value * exp(exponent)`` and the true
     derivative is ``derivative * exp(exponent)``; ``exponent == 0`` means the
     evaluation is unscaled.
+
+    An immutable named tuple (order, argument, value, derivative, exponent):
+    it unpacks, indexes and compares like that plain tuple, and it is cheap
+    to build, once per evaluation.
     """
 
     order: int
@@ -173,16 +182,14 @@ _HANKEL_RATIOS = tuple(
 )
 
 
-def _hankel_seeds(z: complex) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-    """((H1_0, H1_1), (J_0, J_1)) from the order-0/1 Hankel expansions, Im z >= 0.
+def _hankel_sums(z: complex, h2: bool) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+    """Per order 0 and 1 the term sums (s1, s2) of the H^(1) and, with ``h2``, H^(2) expansions.
 
-    H^(1) is returned as the factor of exp(+iz) and J = (H^(1) + H^(2))/2 as
-    the factor of exp(-iz), on which it is dominant.  Per order one loop over
-    ``_HANKEL_RATIOS`` builds the terms; the H^(2) sum takes the same terms
-    with alternating signs (DLMF 10.17.6).  An order stops at its first term
-    that does not decrease, its smallest, or below 1e-17, since each sum is
-    1 + O(1/|z|).  The sqrt(2/(pi z)) prefactor and exp(2iz) are shared by
-    all four.
+    Term k+1 is term k times ``_HANKEL_RATIOS`` and i/z; s1 sums the terms
+    (DLMF 10.17.5), and with ``h2`` s2 sums them with alternating signs
+    (10.17.6); without it s2 is 1 and no alternating sum is taken.  An order
+    stops at its first term that does not decrease, its smallest, or below
+    1e-17, since each sum is 1 + O(1/|z|).
     """
     w = 1j / z
     sums = []
@@ -196,18 +203,39 @@ def _hankel_seeds(z: complex) -> tuple[tuple[complex, complex], tuple[complex, c
                 break
             prev = size
             s1 += t
-            if odd:
-                s2 -= t
-            else:
-                s2 += t
-            odd = not odd
+            if h2:
+                if odd:
+                    s2 -= t
+                else:
+                    s2 += t
+                odd = not odd
         sums.append((s1, s2))
-    (s10, s20), (s11, s21) = sums
+    return sums[0], sums[1]
+
+
+def _h1_seeds(z: complex) -> tuple[complex, complex]:
+    """(H1_0, H1_1) as the factors of exp(+iz), Im z >= 0, from the H^(1) sums alone.
+
+    The Miller normalisation and H^(1) read these; no H^(2) sum and no
+    exp(2iz) is taken.
+    """
+    (s10, _), (s11, _) = _hankel_sums(z, h2=False)
+    root = cmath.sqrt(2.0 / (math.pi * z))
+    return root * _PHASE_H1[0] * s10, root * _PHASE_H1[1] * s11
+
+
+def _j_seeds(z: complex) -> tuple[complex, complex]:
+    """(J_0, J_1) as the factors of exp(-iz), Im z >= 0, on which J is dominant.
+
+    J = (H^(2) + H^(1) exp(2iz))/2 from both sums of one loop per order,
+    sharing the sqrt(2/(pi z)) prefactor; the forward J route reads these.
+    """
+    (s10, s20), (s11, s21) = _hankel_sums(z, h2=True)
     root = cmath.sqrt(2.0 / (math.pi * z))
     h10, h11 = root * _PHASE_H1[0] * s10, root * _PHASE_H1[1] * s11
     h20, h21 = root * _PHASE_H2[0] * s20, root * _PHASE_H2[1] * s21
     rotate = cmath.exp(2j * z)
-    return (h10, h11), (0.5 * (h20 + h10 * rotate), 0.5 * (h21 + h11 * rotate))
+    return 0.5 * (h20 + h10 * rotate), 0.5 * (h21 + h11 * rotate)
 
 
 def _y01_series(z: complex) -> tuple[complex, complex]:
@@ -331,7 +359,7 @@ def _miller_j(m: int, z: complex) -> tuple[complex, complex, complex]:
 
     The coefficient table 2k/z is built once and extended as restarts raise ``start``.
     """
-    (h0v, h1v), _ = _hankel_seeds(z)
+    h0v, h1v = _h1_seeds(z)
     target = 2j / (math.pi * z)
     jexp = -1j * z
 
@@ -405,8 +433,8 @@ def bessel_j(m: int, z: complex) -> BesselEval:
         return _maybe_fold(m, z, *_j_ascending(m, z))
 
     if _forward_stable(m, z):
-        _, (j0, j1) = _hankel_seeds(z)
-        jm, jm1, extra = _ascend(j0, j1, z, m + 1)
+        j0, j1 = _j_seeds(z)
+        jm, jm1, extra = (j0, j1, 0.0) if m == 0 else _ascend(j0, j1, z, m + 1)
         jexp = -1j * z + extra
     else:
         jm, jm1, jexp = _miller_j(m, z)
@@ -475,7 +503,7 @@ def _h1_eval(m: int, z: complex) -> tuple[complex, complex, complex]:
     if abs(z) <= SERIES_RADIUS:
         h0, h1v = _h1_seeds_via_k(z)
     else:
-        (h0, h1v), _ = _hankel_seeds(z)
+        h0, h1v = _h1_seeds(z)
     e0 = 1j * z
     if m == 0:
         return h0, -h1v, e0

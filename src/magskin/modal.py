@@ -203,7 +203,13 @@ class ModalSolution:
         return abs(self.benchmark.mode)
 
     def u(self, r: float) -> complex:
-        return self._eval(r)[0]
+        """u at r; in the conductor the value of ``_eval(r)`` alone, without its derivative."""
+        b = self.benchmark
+        if self.conductor_amplitude is None or not 0 <= r < b.r_in:
+            return self._eval(r)[0]
+        ref = b.conductor_ref
+        jv = bessel_j(self.mode_abs, b.k_minus * r)
+        return self.conductor_amplitude * jv.value / ref.value * cmath.exp(jv.exponent - ref.exponent)
 
     def u_prime(self, r: float) -> complex:
         return self._eval(r)[1]
@@ -443,31 +449,39 @@ def _gl_rule() -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(x.tolist()), tuple(w.tolist())
 
 
-def _panel_integral(fn, a: float, b: float) -> float:
+def _panel_integrals(fn, a: float, b: float) -> list[float]:
+    """The 48-point Gauss rule on [a, b] for each density fn(r) returns, one fn call per node."""
     x, w = _gl_rule()
     half, mid = 0.5 * (b - a), 0.5 * (a + b)
-    return half * math.fsum(wi * fn(half * xi + mid) for xi, wi in zip(x, w))
+    values = [fn(half * xi + mid) for xi in x]
+    return [half * math.fsum(wi * v[i] for wi, v in zip(w, values)) for i in range(len(values[0]))]
 
 
-def _composite_integral(fn, a: float, b: float, max_panels: int = 64) -> float:
-    """Panel-doubling composite Gauss rule until two refinements agree.
+def _composite_integral(fn, a: float, b: float, max_panels: int = 64) -> list[float]:
+    """Panel-doubling composite Gauss rule for the densities fn(r) returns, until two refinements agree.
 
-    Raises SolverError when ``max_panels`` panels are reached without agreement.
+    fn(r) returns a tuple of densities, integrated together: every level calls
+    fn once per node, and the panels double until each density's last two
+    estimates agree.  Raises SolverError when ``max_panels`` panels are
+    reached without agreement.
     """
     prev = None
     panels = 1
     while True:
         step = (b - a) / panels
         edges = [a + i * step for i in range(panels)] + [b]
-        val = sum(_panel_integral(fn, edges[i], edges[i + 1]) for i in range(panels))
-        if prev is not None and abs(val - prev) <= _QUADRATURE_RTOL * max(abs(val), 1e-300):
-            return val
+        parts = [_panel_integrals(fn, edges[i], edges[i + 1]) for i in range(panels)]
+        vals = [sum(col) for col in zip(*parts)]
+        if prev is not None and all(
+            abs(val - old) <= _QUADRATURE_RTOL * max(abs(val), 1e-300) for val, old in zip(vals, prev)
+        ):
+            return vals
         if panels >= max_panels:
             raise SolverError(
                 f"quadrature on [{a}, {b}] did not reach rtol {_QUADRATURE_RTOL:.1e} in {panels} "
-                f"panels: last estimates {prev} and {val}"
+                f"panels: last estimates {prev} and {vals}"
             )
-        prev = val
+        prev = vals
         panels *= 2
 
 
@@ -527,19 +541,13 @@ def _shell_squares_quadrature(
     m = abs(b.mode)
     kp = b.k_plus
 
-    def piece(coeff: _Coefficients, lo: float, hi: float) -> tuple[float, float]:
-        def e_density(r: float) -> float:
-            u, _ = _combine(coeff, _shell_point(m, kp, r))
-            return abs(u) ** 2 * r
-
-        def h_density(r: float) -> float:
+    def piece(coeff: _Coefficients, lo: float, hi: float) -> list[float]:
+        def densities(r: float) -> tuple[float, float]:
             u, du = _combine(coeff, _shell_point(m, kp, r))
-            return (abs(du) ** 2 + (m / r) ** 2 * abs(u) ** 2) * r
+            u_sq = abs(u) ** 2
+            return u_sq * r, (abs(du) ** 2 + (m / r) ** 2 * u_sq) * r
 
-        return (
-            _composite_integral(e_density, lo, hi),
-            _composite_integral(h_density, lo, hi),
-        )
+        return _composite_integral(densities, lo, hi)
 
     e_in, h_in = piece(inner, b.r_in, b.r_source)
     e_out, h_out = piece(outer, b.r_source, b.r_out)

@@ -80,11 +80,15 @@ def w0_plane_trace(dp: DerivedParams, amplitude: float = 1.0) -> DecayTrace:
 # steps; _ROOT_MAX_STEPS bounds the solve.
 _ROOT_RTOL = 1e-14
 _ROOT_MAX_STEPS = 100
+# A scan of more than this many steps to max_depth raises before any sample.
+# Every caller in magskin scans 500 (max_depth = 10*scale, step scale/50); the
+# cap also keeps h/step far below 2**53, so h += step always advances h.
+_MAX_SCAN_SAMPLES = 100_000
 
 
-def _sample(trace: DecayTrace, h: float) -> float:
-    """trace.sampler(h), which must be finite and nonnegative."""
-    s = trace.sampler(h)
+def _sample(sampler: Callable[[float], float], h: float) -> float:
+    """sampler(h), which must be finite and nonnegative."""
+    s = sampler(h)
     if not (0.0 <= s < math.inf):
         raise SkinDepthError(f"sampled modulus at depth {h!r} is {s!r}; need a finite value >= 0")
     return s
@@ -102,21 +106,32 @@ def skin_depth_numeric(trace: DecayTrace, scale: float) -> float:
     (at the first step for a single exponential) or when a step is below
     _ROOT_RTOL * max(scale, depth), returning that step's point.
 
-    Raises SkinDepthError if the modulus never decays to 1/e within
-    ``trace.max_depth``, if a sample is negative or not finite, or if the
-    solve has not stopped after _ROOT_MAX_STEPS steps.
+    Raises SkinDepthError before the first sample if the scan would take
+    more than _MAX_SCAN_SAMPLES samples to reach ``trace.max_depth``; after
+    it, if the modulus never decays to 1/e within ``trace.max_depth``, if a
+    sample is negative or not finite, or if the solve has not stopped after
+    _ROOT_MAX_STEPS steps.
     """
     if not (0 < scale < math.inf):
         raise ValueError(f"scale must be finite and positive, got {scale!r}")
-    s0 = _sample(trace, 0.0)
-    target = s0 / math.e
     step = scale / 50.0
+    # ceil(max_depth/step) > N exactly when max_depth/step > N, which also
+    # holds where the quotient overflows to inf
+    if trace.max_depth / step > _MAX_SCAN_SAMPLES:
+        raise SkinDepthError(
+            f"scan step {step!r} (scale/50) would take more than {_MAX_SCAN_SAMPLES} samples "
+            f"to reach max_depth={trace.max_depth!r}"
+        )
+    sampler = trace.sampler
+    s0 = _sample(sampler, 0.0)
+    target = s0 / math.e
 
     lo, s_lo = 0.0, s0
     hi = s_hi = None
     h = step
-    while h <= trace.max_depth * (1.0 + 1e-12):
-        s = _sample(trace, h)
+    horizon = trace.max_depth * (1.0 + 1e-12)
+    while h <= horizon:
+        s = _sample(sampler, h)
         if s - target <= 0.0:
             hi, s_hi = h, s
             break
@@ -146,7 +161,7 @@ def skin_depth_numeric(trace: DecayTrace, scale: float) -> float:
         if abs(x_new - x) <= tol:
             return x_new
         previous, x = x, x_new
-        gx = g(_sample(trace, x))
+        gx = g(_sample(sampler, x))
         if abs(gx) <= 4.0 * sys.float_info.epsilon:
             return x
         if gx > 0.0:

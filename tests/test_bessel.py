@@ -12,12 +12,14 @@ from magskin.bessel import (
     SERIES_RADIUS,
     _WEDGE_IM,
     BesselDomainError,
+    BesselEval,
     _align,
     _ascend,
     _forward_stable,
     _h1_eval,
+    _h1_seeds,
     _h1_seeds_via_k,
-    _hankel_seeds,
+    _j_seeds,
     _j_series,
     _maybe_fold,
     _miller_pass,
@@ -426,7 +428,7 @@ def test_hankel_seeds_equal_two_pair_evaluations(arg):
     # of H2 within SEED_RTOL of the reference loop's pair evaluation.
     for r in log_grid(12.0, 1500.0, 8):
         z = cmath.rect(r, arg)
-        (h10, h11), (j0, j1) = _hankel_seeds(z)
+        (h10, h11), (j0, j1) = _h1_seeds(z), _j_seeds(z)
         for m, h1, j in ((0, h10, j0), (1, h11, j1)):
             (h1v, e1), (h2v, e2) = _hankel_pair(m, z)
             assert bits(1j * z) == bits(e1) and close(h1, h1v), (m, z)
@@ -451,7 +453,7 @@ def test_hankel_seeds_on_the_ring_are_no_worse_than_the_reference_loop():
     worst = dict.fromkeys(SEED_RING_WORST, 0.0)
     with mp.workdps(40):
         for z in SEED_RING_GRID:
-            (h10, h11), (j0, j1) = _hankel_seeds(z)
+            (h10, h11), (j0, j1) = _h1_seeds(z), _j_seeds(z)
             zm = mp.mpc(z)
             for name, mine, ref in (
                 ("H1_0", h10, mp.hankel1(0, zm) * mp.exp(-1j * zm)),
@@ -462,6 +464,87 @@ def test_hankel_seeds_on_the_ring_are_no_worse_than_the_reference_loop():
                 worst[name] = max(worst[name], float(abs(mp.mpc(mine) - ref) / abs(ref)))
     for name, bound in SEED_RING_WORST.items():
         assert worst[name] <= bound, (name, worst[name])
+
+
+def _hankel_seeds_both(z: complex) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+    """Reference: the former seeds, ((H1_0, H1_1), (J_0, J_1)) from every sum and exp(2iz) at every z."""
+    w = 1j / z
+    sums = []
+    for ratios in bessel._HANKEL_RATIOS:
+        t = s1 = s2 = 1.0 + 0j
+        prev, odd = 1.0, True
+        for r in ratios:
+            t = t * r * w
+            size = abs(t)
+            if not 1e-17 <= size < prev:
+                break
+            prev = size
+            s1 += t
+            if odd:
+                s2 -= t
+            else:
+                s2 += t
+            odd = not odd
+        sums.append((s1, s2))
+    (s10, s20), (s11, s21) = sums
+    root = cmath.sqrt(2.0 / (math.pi * z))
+    h10, h11 = root * bessel._PHASE_H1[0] * s10, root * bessel._PHASE_H1[1] * s11
+    h20, h21 = root * bessel._PHASE_H2[0] * s20, root * bessel._PHASE_H2[1] * s21
+    rotate = cmath.exp(2j * z)
+    return (h10, h11), (0.5 * (h20 + h10 * rotate), 0.5 * (h21 + h11 * rotate))
+
+
+# Im z on both sides of 20, where the H^(1) term of the J seeds falls below
+# a tenth of half an ulp of |J|, and Re z from the imaginary axis (where a
+# component of J is tiny and that term can still move its bits) to far out on
+# the forward route
+SEED_SPLIT_GRID = [
+    w
+    for im in (19.5, 19.99, 20.0, 20.01, 20.3, 20.5, 21.0, 22.0, 25.0, 30.5, 60.0)
+    for re in (0.0, 0.05, 0.3, 1.0, 4.0, 20.0, 60.0, 200.0, 1000.0)
+    for w in (complex(re, im), complex(re, -im))
+]
+SEED_SPLIT_ORDERS = (0, 1, 2, 5, 30, 100, 200)
+
+
+def test_seeds_computing_only_the_read_sums_change_no_bit(monkeypatch):
+    """J, H1 and Y equal, in hex, their values from the former seeds, which
+    took all four sums and exp(2iz) at every z for every caller."""
+    calls = {"_h1_seeds": 0, "_j_seeds": 0}
+
+    def counted(name):
+        fn = getattr(bessel, name)
+
+        def seeds(z):
+            calls[name] += 1
+            return fn(z)
+
+        return seeds
+
+    def evaluate():
+        out = {}
+        for z in SEED_SPLIT_GRID:
+            for m in SEED_SPLIT_ORDERS:
+                for fn in (bessel_j, bessel_h1, bessel_y):
+                    try:
+                        ev = fn(m, z)
+                        out[fn.__name__, m, z] = bits(ev.value, ev.derivative, ev.exponent)
+                    except BesselDomainError as exc:
+                        out[fn.__name__, m, z] = str(exc)
+        return out
+
+    with monkeypatch.context() as patch:
+        for name in calls:
+            patch.setattr(bessel, name, counted(name))
+        new = evaluate()
+    assert min(calls.values()) > 100  # both seed kinds are taken on the grid
+    with monkeypatch.context() as patch:
+        patch.setattr(bessel, "_h1_seeds", lambda z: _hankel_seeds_both(z)[0])
+        patch.setattr(bessel, "_j_seeds", lambda z: _hankel_seeds_both(z)[1])
+        old = evaluate()
+    assert new.keys() == old.keys()
+    for key in new:
+        assert new[key] == old[key], key
 
 
 @pytest.mark.parametrize(
@@ -553,7 +636,7 @@ def test_miller_raises_when_its_restarts_never_agree(monkeypatch):
     assert next(counter) == 9  # every restart ran
     # the message quotes the last two iterates, from passes 7 and 8
     target = 2j / (math.pi * z)
-    (h0v, h1v), _ = _hankel_seeds(z)
+    h0v, h1v = _h1_seeds(z)
     cv = target / (0.5 * h0v - h1v)
     assert f"{(cv * 7, cv * 8)}" in str(info.value)
     assert f"{(cv * 8, cv * 9)}" in str(info.value)
@@ -618,8 +701,7 @@ RECURRENCE_GRID = [
 def _upper_seeds(z: complex) -> list[tuple[complex, complex]]:
     """The order-0/1 seed pairs the library ascends from at z, Im z >= 0."""
     if abs(z) > SERIES_RADIUS:
-        h, j = _hankel_seeds(z)
-        return [h, j]
+        return [_h1_seeds(z), _j_seeds(z)]
     seeds = [_y01_series(z)]
     if z.imag > _WEDGE_IM:
         seeds.append(_h1_seeds_via_k(z))
@@ -883,7 +965,8 @@ def test_helpers_see_only_the_closed_upper_half_plane(monkeypatch):
 
         monkeypatch.setattr(bessel, name, recorded)
 
-    spy("_hankel_seeds", bessel._hankel_seeds, lambda z: z)
+    spy("_h1_seeds", bessel._h1_seeds, lambda z: z)
+    spy("_j_seeds", bessel._j_seeds, lambda z: z)
     spy("_miller_j", bessel._miller_j, lambda m, z: z)
     spy("_h1_eval", bessel._h1_eval, lambda m, z: z)
     spy("_k01_scaled", bessel._k01_scaled, lambda w: 1j * w)  # w = -iz
@@ -891,7 +974,7 @@ def test_helpers_see_only_the_closed_upper_half_plane(monkeypatch):
         if z.imag < 0:
             for fn in (bessel_j, bessel_y, bessel_h1, wronskian_jh1):
                 fn(m, z)
-    assert sorted(seen) == ["_h1_eval", "_hankel_seeds", "_k01_scaled", "_miller_j"]
+    assert sorted(seen) == ["_h1_eval", "_h1_seeds", "_j_seeds", "_k01_scaled", "_miller_j"]
     for name, args in seen.items():
         assert min(z.imag for z in args) >= 0, name
 
@@ -919,3 +1002,21 @@ def test_k01_seeds_against_mpmath(z):
         ref0, ref1 = (complex(mp.besselk(nu, w) * mp.e**w) for nu in (0, 1))
     assert abs(k0 - ref0) <= 5e-15 * abs(ref0)
     assert abs(k1 - ref1) <= 5e-15 * abs(ref1)
+
+
+def test_bessel_eval_is_an_immutable_named_tuple():
+    # what callers may rely on: the named fields and properties, immutability,
+    # value equality and hashing, and the tuple (order, argument, value,
+    # derivative, exponent) it unpacks to and compares equal with
+    ev = bessel_j(3, 40.0 + 35.0j)
+    assert ev.is_scaled and ev.exponent != 0
+    order, argument, value, derivative, exponent = ev
+    assert (order, argument) == (3, 40.0 + 35.0j)
+    assert (value, derivative, exponent) == (ev.value, ev.derivative, ev.exponent)
+    assert ev == (order, argument, value, derivative, exponent) == bessel_j(3, 40.0 + 35.0j)
+    assert hash(ev) == hash(bessel_j(3, 40.0 + 35.0j))
+    assert BesselEval(0, 1j, 2j, 3j) == (0, 1j, 2j, 3j, 0j)  # exponent defaults to 0j
+    with pytest.raises(AttributeError):
+        ev.value = 0j
+    assert ev.actual == value * cmath.exp(exponent)
+    assert ev.actual_derivative == derivative * cmath.exp(exponent)

@@ -246,6 +246,20 @@ def test_point_evaluation_rejects_radii_outside_the_domain(r):
             evaluate(r)
 
 
+@pytest.mark.parametrize("mode,eps", [(0, 0.1), (2, 0.01), (5, 1e-3)])
+def test_conductor_value_is_the_value_of_the_full_evaluation(mode, eps):
+    # u in the conductor skips the derivative; at eps = 0.1 J and the
+    # normalisation J_m(k_minus r_in) are unscaled, at eps <= 0.01 scaled
+    b = default_benchmark(mode=mode, eps=eps)
+    sol = solve_exact(b)
+    for r in [0.0, 1e-3, 0.3] + [b.r_in * (1.0 - 2.0**-k) for k in (1, 3, 6, 12, 40)]:
+        assert bits(sol.u(r)) == bits(sol._eval(r)[0]), r
+    assert b.conductor_ref.is_scaled is (eps < 0.1)
+    ibc = solve_ibc(b, 1)
+    with pytest.raises(SolverError, match="no conductor region"):
+        ibc.u(0.5)
+
+
 def test_point_evaluation_accepts_the_domain_ends():
     b = default_benchmark(mode=1, eps=0.1)
     sol = solve_exact(b)
@@ -386,9 +400,9 @@ def test_model_differences_match_the_wall_defect_error(mode, eps):
 
 
 def test_composite_integral_against_closed_forms():
-    val = _composite_integral(lambda r: math.exp(-r), 0.0, 3.0)
+    (val,) = _composite_integral(lambda r: (math.exp(-r),), 0.0, 3.0)
     assert abs(val - (1.0 - math.exp(-3.0))) <= 1e-13
-    val = _composite_integral(lambda r: r**3, 0.0, 2.0)
+    (val,) = _composite_integral(lambda r: (r**3,), 0.0, 2.0)
     assert abs(val - 4.0) <= 1e-13
 
 
@@ -405,10 +419,10 @@ def test_quadrature_stable_under_refinement():
 
     def density(r):
         du = db * bessel_j(m, kp * r).actual + dc * bessel_h1(m, kp * r).actual
-        return abs(du) ** 2 * r
+        return (abs(du) ** 2 * r,)
 
-    coarse = _composite_integral(density, b.r_in, b.r_source, max_panels=4)
-    fine = _composite_integral(density, b.r_in, b.r_source, max_panels=64)
+    (coarse,) = _composite_integral(density, b.r_in, b.r_source, max_panels=4)
+    (fine,) = _composite_integral(density, b.r_in, b.r_source, max_panels=64)
     assert abs(coarse - fine) <= 1e-12 * fine
 
 
@@ -439,13 +453,14 @@ def test_scalar_quadrature_matches_the_numpy_panel_sum(mode):
             return (abs(du) ** 2 + (mode / r) ** 2 * abs(u) ** 2) * r
 
         want = _numpy_composite_integral(density, lo, hi)
-        assert abs(_composite_integral(density, lo, hi) - want) <= 1e-15 * want
+        (got,) = _composite_integral(lambda r: (density(r),), lo, hi)
+        assert abs(got - want) <= 1e-15 * want
 
 
 def test_composite_integral_raises_at_panel_cap():
     # sin^2(400 r) on [0, 10] integrates to 4.999...; two panels give 5.16
     with pytest.raises(SolverError, match="2 panels"):
-        _composite_integral(lambda r: math.sin(400.0 * r) ** 2, 0.0, 10.0, max_panels=2)
+        _composite_integral(lambda r: (math.sin(400.0 * r) ** 2,), 0.0, 10.0, max_panels=2)
 
 
 def test_overflowing_basis_surfaces_as_solver_error():
@@ -518,6 +533,34 @@ def test_low_loss_shell_error_falls_back_to_quadrature():
     assert shell_l2_error(exact, model) == ref
     # the closed form alone would differ here, so equality shows the quadrature ran
     assert _shell_error(b, *_shell_squares_lommel(*_shell_difference(exact, model))) != ref
+
+
+def test_low_loss_quadrature_evaluates_one_shell_point_per_node(monkeypatch):
+    # two pieces, each converged at 2 panels after 1: 2 * (1 + 2) * 48 nodes,
+    # one basis point each for both densities (576 points at 288 radii before)
+    b = _with_sigma_plus(default_benchmark(mode=1, eps=1e-2), 1e-6)
+    _, inner, outer = _shell_difference(solve_exact(b), solve_ibc(b, 1))
+    radii = []
+    point = modal._shell_point
+    monkeypatch.setattr(modal, "_shell_point", lambda m, k, r: radii.append(r) or point(m, k, r))
+    e_sq, h_sq = modal._shell_squares_quadrature(b, inner, outer)
+    assert len(radii) <= 288 and len(set(radii)) == len(radii)
+    monkeypatch.undo()
+
+    # against one quadrature run per density, within the stop tolerance
+    def alone(density) -> float:
+        total = 0.0
+        for coeff, lo, hi in ((inner, b.r_in, b.r_source), (outer, b.r_source, b.r_out)):
+
+            def one(r, coeff=coeff):
+                return (density(*modal._combine(coeff, point(1, b.k_plus, r)), r),)
+
+            total += _composite_integral(one, lo, hi)[0]
+        return total
+
+    ref_e = alone(lambda u, du, r: abs(u) ** 2 * r)
+    ref_h = alone(lambda u, du, r: (abs(du) ** 2 + (1 / r) ** 2 * abs(u) ** 2) * r)
+    assert abs(e_sq - ref_e) <= 1e-12 * ref_e and abs(h_sq - ref_h) <= 1e-12 * ref_h
 
 
 def test_conductor_norm_matches_graded_quadrature():

@@ -61,6 +61,27 @@ def test_scale_must_be_finite_and_positive(scale):
         skin_depth_numeric(trace, scale)
 
 
+@pytest.mark.parametrize("scale,step", [(1e-300, "2e-302"), (1e-12, "2e-14")])
+def test_scan_longer_than_the_cap_raises_before_sampling(scale, step):
+    # at 1e-300, h += step stopped advancing h once h >> step and the scan never
+    # ended; at 1e-12 it would have taken 5e13 samples
+    depths = []
+    trace = DecayTrace(sampler=lambda h: depths.append(h) or 1.0, max_depth=1.0)
+    depths.clear()
+    with pytest.raises(SkinDepthError, match=rf"step {step} .* more than 100000 samples .* max_depth=1\.0"):
+        skin_depth_numeric(trace, scale)
+    assert depths == []
+
+
+def test_scan_of_exactly_the_cap_runs():
+    # step 1.0 (scale 50): max_depth 1e5 takes the cap's 100000 samples, one more raises
+    trace = DecayTrace(sampler=lambda h: 1.0, max_depth=1e5)
+    with pytest.raises(SkinDepthError, match="never decayed"):
+        skin_depth_numeric(trace, 50.0)
+    with pytest.raises(SkinDepthError, match="more than 100000 samples"):
+        skin_depth_numeric(dataclasses.replace(trace, max_depth=1e5 + 1.0), 50.0)
+
+
 def test_rescaling_sampler_leaves_root_unchanged():
     d = 0.2
     base = DecayTrace(sampler=lambda h: math.exp(-h / d) * (1 + 0.2 * h), max_depth=10 * d)
