@@ -29,7 +29,7 @@ from .modal import (
     solve_ibc,
     truncated_expansion,
 )
-from .params import PhysicalConfig, derive_params, leontovich_factor
+from .params import PhysicalConfig, derive_params, leontovich_factor, mu_minus_for_eps
 from .profiles import HarmonicTangentField, LayerField, TraceData
 
 # bench/tracing.py wraps this name on magskin.cli as its "profiles" span
@@ -152,13 +152,17 @@ def load_sweep(doc: dict) -> tuple[str, list[float]] | None:
 
 
 def _apply_sweep(cfg: PhysicalConfig, variable: str, value: float) -> PhysicalConfig:
-    if variable == "mu_r":
-        return cfg.with_mu_minus(cfg.mu_plus * value)
-    if variable == "eps":
-        return cfg.with_mu_minus(cfg.mu_plus / value**2)
-    if variable == "sigma_minus":
-        return replace(cfg, sigma_minus=value)
-    return replace(cfg, omega=value)
+    """The config at one sweep value; a value that gives no valid config is a config error."""
+    try:
+        if variable == "mu_r":
+            return cfg.with_mu_minus(cfg.mu_plus * value)
+        if variable == "eps":
+            return cfg.with_mu_minus(mu_minus_for_eps(cfg.mu_plus, value))
+        if variable == "sigma_minus":
+            return replace(cfg, sigma_minus=value)
+        return replace(cfg, omega=value)
+    except ValueError as exc:
+        raise ConfigError(f"config field sweep.values: {exc}") from exc
 
 
 def _write_text(out_path: str | None, text: str) -> None:
@@ -324,14 +328,22 @@ def cmd_ibc_factors(doc: dict, args) -> str:
     return _json_dump([_ibc_factor_payload(cfg, k) for k in (0, 1, 2)])
 
 
-def _sweep_values(args, config_mode: int) -> tuple[list[int], list[float]]:
-    """The sweep's modes (the config's mode by default) and eps values, checked before any solve."""
-    modes = args.modes if args.modes is not None else [config_mode]
+def _sweep_values(args, bench0: CylinderBenchmark) -> tuple[list[int], list[float]]:
+    """The sweep's modes (the config's mode by default) and eps values, checked before any solve.
+
+    Each eps must give a finite positive mu_minus = mu_plus/eps^2 too.
+    """
+    modes = args.modes if args.modes is not None else [bench0.mode]
     for flag, values in (("--modes", modes), ("--eps", args.eps)):
         if len(set(values)) != len(values):
             raise ConfigError(f"flag {flag}: values must be distinct, got {values}")
     if not all(math.isfinite(e) and e > 0 for e in args.eps):
         raise ConfigError(f"flag --eps: values must be finite and positive, got {args.eps}")
+    for eps in args.eps:
+        try:
+            mu_minus_for_eps(bench0.cfg.mu_plus, eps)
+        except ValueError as exc:
+            raise ConfigError(f"flag --eps: {exc}") from exc
     return modes, args.eps
 
 
@@ -340,12 +352,12 @@ def _run_error_sweep(doc: dict, args, family: str) -> str:
     bench0 = load_benchmark(doc, cfg)
     if not args.eps:
         raise ConfigError("flag --eps: need at least one value")
-    modes, eps_values = _sweep_values(args, bench0.mode)
+    modes, eps_values = _sweep_values(args, bench0)
     order = args.k if args.k is not None else 1
     rows = []
     for mode in sorted(modes):
         bench_mode = replace(bench0, mode=mode)
-        bench_mode.shell_basis  # evaluated once per mode; with_eps hands it to each eps point
+        bench_mode.shell_closure  # derived once per mode, with its basis; with_eps hands both to each eps point
         prev: tuple[float, float] | None = None
         for eps in sorted(eps_values):
             bench = bench_mode.with_eps(eps)
@@ -386,7 +398,7 @@ def cmd_convergence(doc: dict, args) -> str:
     bench0 = load_benchmark(doc, cfg)
     if not args.eps:
         raise ConfigError("flag --eps: need at least five values for a rate fit")
-    modes, eps_values = _sweep_values(args, bench0.mode)
+    modes, eps_values = _sweep_values(args, bench0)
     if len(eps_values) < 5:
         raise ConfigError(f"flag --eps: need at least five values for a rate fit, got {eps_values}")
     if max(eps_values) >= 1.0:

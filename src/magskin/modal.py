@@ -34,7 +34,7 @@ from typing import NamedTuple
 from .bessel import BesselEval, bessel_h1, bessel_j
 from .geometry import Surface, mean_curvature
 from .ibc import robin_coefficient
-from .params import DerivedParams, PhysicalConfig, derive_params
+from .params import DerivedParams, PhysicalConfig, derive_params, mu_minus_for_eps
 
 RESIDUAL_TOL = 1e-10
 _COND_WARN = 1e12
@@ -49,12 +49,15 @@ class ConvergenceError(RuntimeError):
 
 
 def default_config(eps: float = 0.1) -> PhysicalConfig:
-    """Unit-frequency configuration with delta_minus = 1, delta_plus = 10."""
+    """Unit-frequency configuration with delta_minus = 1, delta_plus = 10.
+
+    Raises ValueError naming eps unless eps and mu_minus = 1/eps^2 are finite and positive.
+    """
     return PhysicalConfig(
         omega=1.0,
         eps0=1.0,
         mu_plus=1.0,
-        mu_minus=1.0 / eps**2,
+        mu_minus=mu_minus_for_eps(1.0, eps),
         sigma_plus=0.01,
         sigma_minus=1.0,
     )
@@ -69,9 +72,14 @@ def _eval_pair(m: int, z: complex) -> tuple[BesselEval, BesselEval]:
 
 
 def _shell_point(m: int, k: complex, r: float) -> _Point:
-    """(J_m, k*J_m', H1_m, k*H1_m') of k*r: the shell basis and its r-derivatives at r."""
+    """(J_m, k*J_m', H1_m, k*H1_m') of k*r: the shell basis and its r-derivatives at r.
+
+    An unscaled evaluation (exponent 0) is read as it is, not multiplied by exp(0).
+    """
     jv, hv = _eval_pair(m, k * r)
-    return jv.actual, k * jv.actual_derivative, hv.actual, k * hv.actual_derivative
+    f1, d1 = (jv.value, jv.derivative) if jv.exponent == 0 else (jv.actual, jv.actual_derivative)
+    f2, d2 = (hv.value, hv.derivative) if hv.exponent == 0 else (hv.actual, hv.actual_derivative)
+    return f1, k * d1, f2, k * d2
 
 
 def _combine(coeff: _Coefficients, at: _Point) -> tuple[complex, complex]:
@@ -86,6 +94,43 @@ class ShellBasis(NamedTuple):
     inner: _Point
     source: _Point
     outer: _Point
+
+
+class _ShellClosure(NamedTuple):
+    """What ``_shell_green`` derives from the shell basis alone, computed once per shell.
+
+    N = f2'(outer)*f1 - f1'(outer)*f2 and L = f2'(wall)*f1 - f1'(wall)*f2 as
+    coefficient pairs over (f1, f2); N and N' at the wall, N and L at the
+    ring, L at the wall, W = L*N' - L'*N at the ring and |k*N| + |N'| at the
+    wall.  Where the basis is not finite only ``points`` and ``finite`` are
+    set, and ``_shell_green`` raises on it.
+    """
+
+    points: tuple[_Point, _Point, _Point]
+    finite: bool
+    n: _Coefficients | None = None
+    el: _Coefficients | None = None
+    n_wall: complex | None = None
+    dn_wall: complex | None = None
+    n_ring: complex | None = None
+    l_ring: complex | None = None
+    l_wall: complex | None = None
+    w: complex | None = None
+    size: float | None = None
+
+
+def _shell_closure(k: complex, wall: _Point, ring: _Point, outer: _Point) -> _ShellClosure:
+    """The shell's Green's-function closure over the basis points at the wall, ring and outer wall."""
+    points = (wall, ring, outer)
+    if not all(cmath.isfinite(v) for v in (*wall, *ring, *outer)):
+        return _ShellClosure(points, False)
+    n, el = (outer[3], -outer[1]), (wall[3], -wall[1])
+    n_wall, dn_wall = _combine(n, wall)
+    n_ring, dn_ring = _combine(n, ring)
+    l_ring, dl_ring = _combine(el, ring)
+    w = l_ring * dn_ring - dl_ring * n_ring
+    size = abs(k * n_wall) + abs(dn_wall)
+    return _ShellClosure(points, True, n, el, n_wall, dn_wall, n_ring, l_ring, _combine(el, wall)[0], w, size)
 
 
 @dataclass(frozen=True)
@@ -131,6 +176,20 @@ class CylinderBenchmark:
         return ShellBasis(*(_shell_point(m, kp, r) for r in (self.r_in, self.r_source, self.r_out)))
 
     @functools.cached_property
+    def shell_closure(self) -> _ShellClosure:
+        """``_shell_green``'s closure over the shell basis, derived once per instance.
+
+        Every model solved on this benchmark reads it, so a solve costs only
+        the update that depends on the model's wall coefficient and datum.
+        """
+        return _shell_closure(self.k_plus, *self.shell_basis)
+
+    @functools.cached_property
+    def wall_surface(self) -> Surface:
+        """The interface r = r_in, the surface the impedance models are built on."""
+        return Surface.cylinder(self.r_in)
+
+    @functools.cached_property
     def conductor_ref(self) -> BesselEval:
         """J_m(k_minus r_in): the conductor field's normalisation, evaluated once per instance."""
         return bessel_j(abs(self.mode), self.k_minus * self.r_in)
@@ -159,15 +218,22 @@ class CylinderBenchmark:
     def with_eps(self, eps: float) -> "CylinderBenchmark":
         """Same benchmark with mu_minus = mu_plus/eps^2; everything else fixed.
 
-        k_plus does not depend on mu_minus, so a shell basis this instance has
-        already evaluated serves the copy too; none is evaluated for it.
+        k_plus does not depend on mu_minus, so the shell basis, shell closure
+        and wall surface this instance has already derived serve the copy too;
+        none of them is derived again for it.  Raises ValueError naming eps
+        unless eps and mu_plus/eps^2 are finite and positive.
         """
-        if not (0.0 < eps):
-            raise ValueError("eps must be positive")
-        other = replace(self, cfg=self.cfg.with_mu_minus(self.cfg.mu_plus / eps**2))
-        if "shell_basis" in vars(self):
-            vars(other)["shell_basis"] = self.shell_basis
+        cfg = self.cfg
+        other = replace(self, cfg=cfg.with_mu_minus(mu_minus_for_eps(cfg.mu_plus, eps)))
+        mine, theirs = vars(self), vars(other)
+        for name in _SHARED_ACROSS_EPS:
+            if name in mine:
+                theirs[name] = mine[name]
         return other
+
+
+# CylinderBenchmark's cached values that do not depend on mu_minus, handed on by with_eps
+_SHARED_ACROSS_EPS = ("shell_basis", "shell_closure", "wall_surface")
 
 
 def default_benchmark(mode: int = 0, eps: float = 0.1) -> CylinderBenchmark:
@@ -217,14 +283,7 @@ class ModalSolution:
     def _eval_conductor(self, r: float) -> tuple[complex, complex]:
         if self.conductor_amplitude is None:
             raise SolverError(f"{self.kind} solution has no conductor region")
-        b = self.benchmark
-        k = b.k_minus
-        ref = b.conductor_ref
-        jv = ref if r == b.r_in else bessel_j(self.mode_abs, k * r)
-        f = cmath.exp(jv.exponent - ref.exponent)
-        val = self.conductor_amplitude * jv.value / ref.value * f
-        der = self.conductor_amplitude * k * jv.derivative / ref.value * f
-        return val, der
+        return _conductor_point(self.benchmark, self.conductor_amplitude, r)
 
     def _eval(self, r: float) -> tuple[complex, complex]:
         b = self.benchmark
@@ -236,6 +295,17 @@ class ModalSolution:
         return _combine(coeff, b.shell_point(r))
 
 
+def _conductor_point(b: CylinderBenchmark, amplitude: complex, r: float) -> tuple[complex, complex]:
+    """u and u' at r of the conductor field amplitude*J_m(k_minus r)/J_m(k_minus r_in)."""
+    k = b.k_minus
+    ref = b.conductor_ref
+    jv = ref if r == b.r_in else bessel_j(abs(b.mode), k * r)
+    f = cmath.exp(jv.exponent - ref.exponent)
+    val = amplitude * jv.value / ref.value * f
+    der = amplitude * k * jv.derivative / ref.value * f
+    return val, der
+
+
 def _check_residuals(kind: str, residuals: dict[str, float]) -> None:
     # all(), not max(): a NaN residual fails every comparison, so max() can keep a smaller value
     if not all(v <= RESIDUAL_TOL for v in residuals.values()):
@@ -243,8 +313,7 @@ def _check_residuals(kind: str, residuals: dict[str, float]) -> None:
 
 
 def _shell_green(
-    kind: str, wall: _Point, ring: _Point, outer: _Point,
-    k: complex, gamma: complex, datum: complex, source: complex,
+    kind: str, closure: _ShellClosure, gamma: complex, datum: complex, source: complex,
 ) -> tuple[_Coefficients, _Coefficients, float]:
     """Inner and outer coefficients over (f1, f2) from the shell's Green's function, and kappa.
 
@@ -253,27 +322,25 @@ def _shell_green(
     L = f2'(wall)*f1 - f1'(wall)*f2 at the wall, so (DLMF 10.5) the Neumann-wall field is
     c*L inside the ring and c'*N outside: c = source*N/W, c' = source*L/W at the ring,
     W = L*N' - L'*N.  Adding t*N, t = (datum - gamma*c*L)/(N' + gamma*N) at the wall, meets
-    the wall condition.  The Neumann part is the same bits for every gamma, so two models
-    on one benchmark differ by t*N alone, free of its round-off.  kappa, the larger of
-    (|k*N| + |N'| + |g*N|)/|N' + g*N| at the wall over g = 0 and g = gamma, is the closures'
-    relative sensitivity, infinite where a source-free problem solves.
+    the wall condition.  N, L and W depend on the basis alone and come from ``closure``
+    (``_shell_closure``), so this is the per-model update.  The Neumann part is the same
+    bits for every gamma, so two models on one benchmark differ by t*N alone, free of its
+    round-off.  kappa, the larger of (|k*N| + |N'| + |g*N|)/|N' + g*N| at the wall over
+    g = 0 and g = gamma, is the closures' relative sensitivity, infinite where a
+    source-free problem solves.
     """
-    if not all(cmath.isfinite(v) for v in (*wall, *ring, *outer)):
+    points, finite, n, el, n_wall, dn_wall, n_ring, l_ring, l_wall, w, size = closure
+    if not finite:
+        wall, ring, outer = points
         raise SolverError(f"{kind} shell basis not finite: wall {wall}, ring {ring}, outer {outer}")
-    n, el = (outer[3], -outer[1]), (wall[3], -wall[1])
-    n_wall, dn_wall = _combine(n, wall)
-    n_ring, dn_ring = _combine(n, ring)
-    l_ring, dl_ring = _combine(el, ring)
-    w = l_ring * dn_ring - dl_ring * n_ring
     wall_n = dn_wall + gamma * n_wall
     if wall_n == 0 or w == 0:
         raise SolverError(f"{kind} solve is resonant: N' + gamma*N = {wall_n} at the wall, W = {w}")
-    size = abs(k * n_wall) + abs(dn_wall)
     kappa = max(size / abs(dn_wall), (size + abs(gamma * n_wall)) / abs(wall_n))
     if kappa > _COND_WARN:
         warnings.warn(f"{kind} solve near-singular: resonance number {kappa:.3e}", stacklevel=3)
     c, c_out = source * n_ring / w, source * l_ring / w
-    t = (datum - gamma * c * _combine(el, wall)[0]) / wall_n
+    t = (datum - gamma * c * l_wall) / wall_n
     inner = (c * el[0] + t * n[0], c * el[1] + t * n[1])
     return inner, ((c_out + t) * n[0], (c_out + t) * n[1]), kappa
 
@@ -292,17 +359,18 @@ def _shell_residuals(
     u_out, du_out = _combine(outer, ring)
     _, du_outer = _combine(outer, outer_wall)
     u_wall, du_wall = _combine(inner, wall)
-
-    def du_terms(coeff: _Coefficients, at: _Point) -> float:
-        return abs(coeff[0] * at[1]) + abs(coeff[1] * at[3])
-
-    jump_scale = du_terms(inner, ring) + du_terms(outer, ring) + abs(source)
+    # each scale sums the moduli of the terms it measures: coeff[0]*f1' and coeff[1]*f2' for u'
+    jump_scale = (
+        abs(inner[0] * ring[1]) + abs(inner[1] * ring[3])
+        + (abs(outer[0] * ring[1]) + abs(outer[1] * ring[3]))
+        + abs(source)
+    )
     u_terms = abs(inner[0] * wall[0]) + abs(inner[1] * wall[2])
-    wall_scale = du_terms(inner, wall) + abs(gamma) * u_terms + abs(datum)
+    wall_scale = abs(inner[0] * wall[1]) + abs(inner[1] * wall[3]) + abs(gamma) * u_terms + abs(datum)
     return {
         "source_u": _rel(abs(u_in - u_out), max(abs(u_in), abs(u_out))),
         "source_jump": _rel(abs((du_out - du_in) - source), jump_scale),
-        "outer_flux": _rel(abs(du_outer), du_terms(outer, outer_wall)),
+        "outer_flux": _rel(abs(du_outer), abs(outer[0] * outer_wall[1]) + abs(outer[1] * outer_wall[3])),
         "wall": _rel(abs(du_wall + gamma * u_wall - datum), wall_scale),
     }
 
@@ -314,23 +382,31 @@ def _solve_shell(
     gamma: complex,
     datum: complex,
     source: complex,
+    conductor: bool = False,
 ) -> ModalSolution:
     """Shell solve over [B, C, D, E] with the wall condition u'(r_in) + gamma*u(r_in) = datum.
 
     u is continuous and u' jumps by ``source`` at r_source, and u' = 0 at
-    r_out: ``_shell_green`` over f1 = J_m(k_plus r), f2 = H1_m(k_plus r).
+    r_out: ``_shell_green`` over f1 = J_m(k_plus r), f2 = H1_m(k_plus r), on
+    the benchmark's shell closure.  With ``conductor``, the solution carries
+    the conductor field of amplitude u(r_in), and the interface residuals
+    join the shell's, checked after them.
     """
-    points = b.shell_basis
-    inner, outer, kappa = _shell_green(kind, *points, b.k_plus, gamma, datum, source)
-    res = _shell_residuals(points, inner, outer, gamma, datum, source)
+    inner, outer, kappa = _shell_green(kind, b.shell_closure, gamma, datum, source)
+    res = _shell_residuals(b.shell_basis, inner, outer, gamma, datum, source)
     _check_residuals(kind, res)
+    amplitude = None
+    if conductor:
+        amplitude = _combine(inner, b.shell_basis.inner)[0]
+        res = {**_interface_residuals(b, inner, *_conductor_point(b, amplitude, b.r_in)), **res}
+        _check_residuals(kind, res)
     return ModalSolution(
         kind=kind,
         order=order,
         benchmark=b,
         shell_inner=inner,
         shell_outer=outer,
-        conductor_amplitude=None,
+        conductor_amplitude=amplitude,
         condition_number=kappa,
         residuals=res,
     )
@@ -366,17 +442,12 @@ def solve_exact(b: CylinderBenchmark) -> ModalSolution:
     interface residuals check continuity of u and u'/mu at r_in against the
     conductor field A*J_m(k_minus r)/J_m(k_minus r_in) itself.
     """
-    sol = _solve_shell("exact", None, b, b.conductor_gamma, 0j, b.source_amplitude)
-    sol = replace(sol, conductor_amplitude=sol.u(b.r_in))
-    interface = _interface_residuals(b, sol.shell_inner, *sol._eval_conductor(b.r_in))
-    sol = replace(sol, residuals={**interface, **sol.residuals})
-    _check_residuals(sol.kind, sol.residuals)
-    return sol
+    return _solve_shell("exact", None, b, b.conductor_gamma, 0j, b.source_amplitude, conductor=True)
 
 
 def solve_ibc(b: CylinderBenchmark, k: int) -> ModalSolution:
     """Impedance-reduced shell solve of order k in {0, 1, 2}."""
-    gamma = robin_coefficient(k, b.mode, Surface.cylinder(b.r_in), b.cfg).gamma
+    gamma = robin_coefficient(k, b.mode, b.wall_surface, b.cfg).gamma
     return _solve_shell(f"ibc{k}", k, b, gamma, 0j, b.source_amplitude)
 
 
@@ -395,7 +466,7 @@ def _expansion_terms(b: CylinderBenchmark, order: int) -> list[ModalSolution]:
     if order not in (0, 1, 2):
         raise ValueError(f"expansion order must be 0, 1 or 2, got {order!r}")
     lam = b.params.lam
-    curv = mean_curvature(Surface.cylinder(b.r_in))
+    curv = mean_curvature(b.wall_surface)
     terms = [_solve_shell("expansion", 0, b, 0j, 0j, b.source_amplitude)]
     if order >= 1:
         u0 = terms[0].u(b.r_in)
@@ -569,15 +640,16 @@ def _shell_difference(
 ) -> tuple[CylinderBenchmark, _Coefficients, _Coefficients]:
     """The shared benchmark and the shell coefficient differences a - b per piece."""
     ba, bb = a.benchmark, b.benchmark
-    same = (
-        ba.r_in == bb.r_in
-        and ba.r_out == bb.r_out
-        and ba.r_source == bb.r_source
-        and abs(ba.mode) == abs(bb.mode)
-        and abs(ba.k_plus - bb.k_plus) <= 1e-12 * abs(ba.k_plus)
-    )
-    if not same:
-        raise SolverError("solutions live on different benchmarks; cannot compare")
+    if ba is not bb:
+        same = (
+            ba.r_in == bb.r_in
+            and ba.r_out == bb.r_out
+            and ba.r_source == bb.r_source
+            and abs(ba.mode) == abs(bb.mode)
+            and abs(ba.k_plus - bb.k_plus) <= 1e-12 * abs(ba.k_plus)
+        )
+        if not same:
+            raise SolverError("solutions live on different benchmarks; cannot compare")
     inner = (a.shell_inner[0] - b.shell_inner[0], a.shell_inner[1] - b.shell_inner[1])
     outer = (a.shell_outer[0] - b.shell_outer[0], a.shell_outer[1] - b.shell_outer[1])
     return ba, inner, outer
@@ -705,7 +777,7 @@ def convergence_study(
     eps_sorted = sorted(float(e) for e in eps_list)
     if eps_sorted[0] <= 0 or eps_sorted[-1] >= 1:
         raise ValueError("eps values must lie in (0, 1)")
-    b0.shell_basis  # evaluated once, handed to every eps point by with_eps
+    b0.shell_closure  # derived once, with its basis, and handed to every eps point by with_eps
     points = []
     for eps in eps_sorted:
         bench = b0.with_eps(eps)
@@ -783,7 +855,7 @@ def solve_plane_exact(b: PlaneBenchmark) -> PlaneSolution:
 
     points = tuple(_exp_point(kp, x) for x in (0.0, b.x_source, b.thickness))
     gamma = 1j * (b.cfg.mu_plus / b.cfg.mu_minus) * km
-    inner, outer, _ = _shell_green("plane", *points, kp, gamma, 0j, b.source_amplitude)
+    inner, outer, _ = _shell_green("plane", _shell_closure(kp, *points), gamma, 0j, b.source_amplitude)
     res = _shell_residuals(points, inner, outer, gamma, 0j, b.source_amplitude)
     _check_residuals("plane", res)
     return PlaneSolution(

@@ -12,7 +12,7 @@ import cmath
 import math
 import sys
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 
 def _caller_stacklevel() -> int:
@@ -54,10 +54,10 @@ class PhysicalConfig:
     sigma_minus: float
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            v = getattr(self, f.name)
+        for name in _CONFIG_FIELDS:
+            v = getattr(self, name)
             if not isinstance(v, (int, float)) or not math.isfinite(v) or v <= 0:
-                raise ValueError(f"{f.name} must be a finite positive number, got {v!r}")
+                raise ValueError(f"{name} must be a finite positive number, got {v!r}")
         if self.mu_minus < self.mu_plus:
             warnings.warn(
                 "mu_minus < mu_plus: relative permeability below 1, outside the "
@@ -66,7 +66,36 @@ class PhysicalConfig:
             )
 
     def with_mu_minus(self, mu_minus: float) -> "PhysicalConfig":
-        return replace(self, mu_minus=mu_minus)
+        # the constructor, not dataclasses.replace: an eps sweep builds one config per point
+        return PhysicalConfig(
+            self.omega, self.eps0, self.mu_plus, mu_minus, self.sigma_plus, self.sigma_minus
+        )
+
+
+# PhysicalConfig's fields in declaration order, each checked by __post_init__
+_CONFIG_FIELDS = ("omega", "eps0", "mu_plus", "mu_minus", "sigma_plus", "sigma_minus")
+
+
+def mu_minus_for_eps(mu_plus: float, eps: float) -> float:
+    """mu_plus/eps^2: the conductor permeability whose expansion parameter is eps.
+
+    Raises ValueError naming eps unless eps is finite and positive and so is
+    the quotient: eps^2 underflows to 0 below eps ~ 1e-162, where the quotient
+    would divide by zero, and near either end of the float range the quotient
+    overflows to inf or rounds to 0.
+    """
+    if not (0.0 < eps < math.inf):
+        raise ValueError(f"eps must be finite and positive, got {eps!r}")
+    try:
+        eps_sq = eps**2
+    except OverflowError:  # float ** raises where float * would give inf
+        eps_sq = math.inf
+    mu_minus = mu_plus / eps_sq if eps_sq > 0.0 else math.inf
+    if not (0.0 < mu_minus < math.inf):
+        raise ValueError(
+            f"eps = {eps!r} gives mu_minus = mu_plus/eps^2 = {mu_minus!r}; need a finite positive value"
+        )
+    return mu_minus
 
 
 def _root4_1p(x: float) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .geometry import Surface, SurfaceKind, TangentVector, mean_curvature
@@ -35,16 +35,21 @@ class DecayTrace:
 
     ``sampler(h)`` returns the field modulus at depth h >= 0 [m];
     ``max_depth`` bounds the search and must be finite and positive.
+    ``surface_modulus`` is ``sampler(0.0)``, sampled once here, where it must
+    be positive, and read by ``skin_depth_numeric``.
     """
 
     sampler: Callable[[float], float]
     max_depth: float
+    surface_modulus: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not (0 < self.max_depth < math.inf):
             raise ValueError(f"max_depth must be finite and positive, got {self.max_depth!r}")
-        if not (self.sampler(0.0) > 0):
+        surface = self.sampler(0.0)
+        if not (surface > 0):
             raise ValueError("sampler(0) must be positive (nonzero surface trace)")
+        object.__setattr__(self, "surface_modulus", surface)
 
 
 def layer_trace(
@@ -86,11 +91,15 @@ _ROOT_MAX_STEPS = 100
 _MAX_SCAN_SAMPLES = 100_000
 
 
+def _bad_sample(h: float, s: float) -> SkinDepthError:
+    return SkinDepthError(f"sampled modulus at depth {h!r} is {s!r}; need a finite value >= 0")
+
+
 def _sample(sampler: Callable[[float], float], h: float) -> float:
     """sampler(h), which must be finite and nonnegative."""
     s = sampler(h)
     if not (0.0 <= s < math.inf):
-        raise SkinDepthError(f"sampled modulus at depth {h!r} is {s!r}; need a finite value >= 0")
+        raise _bad_sample(h, s)
     return s
 
 
@@ -123,7 +132,9 @@ def skin_depth_numeric(trace: DecayTrace, scale: float) -> float:
             f"to reach max_depth={trace.max_depth!r}"
         )
     sampler = trace.sampler
-    s0 = _sample(sampler, 0.0)
+    s0 = trace.surface_modulus  # sampled, and checked positive, when the trace was built
+    if not (s0 < math.inf):
+        raise _bad_sample(0.0, s0)
     target = s0 / math.e
 
     lo, s_lo = 0.0, s0

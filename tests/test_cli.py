@@ -243,6 +243,40 @@ def test_non_positive_eps_is_a_usage_error(command, bad, cfg_path, capsys):
     assert err.startswith("error: flag --eps: values must be finite and positive")
 
 
+@pytest.mark.parametrize("command", ["ibc-sweep", "expansion-error", "convergence"])
+@pytest.mark.parametrize("eps, shown", [("1e-170", "inf"), ("1e+200", "0.0")])
+def test_eps_without_a_finite_mu_minus_is_a_usage_error(command, eps, shown, cfg_path, monkeypatch, capsys):
+    # eps^2 underflowed to 0 and the sweep died in a ZeroDivisionError traceback (exit 1)
+    def no_solve(*args):
+        raise AssertionError("a solve ran")
+
+    for name in ("solve_exact", "convergence_study"):
+        monkeypatch.setattr(cli, name, no_solve)
+    code, out, err = run([command, "--config", cfg_path, "--eps", f"0.1,{eps}"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: flag --eps: eps = {eps} gives mu_minus = mu_plus/eps^2 = {shown};")
+
+
+@pytest.mark.parametrize(
+    "variable, values, message",
+    [
+        ("eps", [1e-170, 0.1], "eps = 1e-170 gives mu_minus"),
+        # mu_plus*mu_r overflows: this exited 1, as if a solve had failed
+        ("mu_r", [100.0, 1e308], "mu_minus must be a finite positive number, got inf"),
+    ],
+)
+def test_skin_depth_sweep_value_without_a_valid_config_is_a_usage_error(variable, values, message, tmp_path, capsys):
+    physical = dict(BASE_CONFIG["physical"], mu_plus_henry_per_m=10.0)
+    cfg = dict(BASE_CONFIG, physical=physical, sweep={"variable": variable, "values": values})
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(["skin-depth", "--config", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: config field sweep.values: {message}")
+
+
 def test_permeability_warning_names_the_cli(cfg_path, capsys):
     with pytest.warns(UserWarning, match="^mu_minus < mu_plus") as record:
         code, _, _ = run(["ibc-sweep", "--config", cfg_path, "--eps", "1.5,0.1"], capsys)
@@ -279,16 +313,18 @@ def test_convergence_eps_outside_a_rate_fit_is_a_usage_error(eps, message, cfg_p
     ],
 )
 def test_sweeps_evaluate_one_shell_basis_per_mode(argv, cfg_path, monkeypatch, capsys):
-    pairs = []
+    pairs, closures = [], []
 
     def counted(m, z):
         pairs.append(m)
         return eval_pair(m, z)
 
-    eval_pair = modal._eval_pair
+    eval_pair, shell_closure = modal._eval_pair, modal._shell_closure
     monkeypatch.setattr(modal, "_eval_pair", counted)
+    monkeypatch.setattr(modal, "_shell_closure", lambda *args: closures.append(args) or shell_closure(*args))
     assert run([*argv, "--config", cfg_path], capsys)[0] == 0
     assert pairs == [0, 0, 0, 3, 3, 3]  # (J_m, H1_m) at r_in, r_source, r_out per mode
+    assert len(closures) == 2  # one shell closure per mode, shared by every eps point
 
 
 def test_empty_sweep_is_usage_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import inspect
 import math
 import warnings
 
@@ -8,7 +9,7 @@ import pytest
 
 from magskin import modal
 from magskin.bessel import bessel_h1, bessel_j
-from magskin.geometry import Surface, TangentVector
+from magskin.geometry import Surface, TangentVector, mean_curvature
 from magskin.ibc import robin_coefficient
 from magskin.modal import (
     ConvergenceError,
@@ -360,22 +361,22 @@ def test_require_decreasing_errors_diagnostic():
 
 def test_near_singular_system_warns():
     b = default_benchmark(mode=2, eps=0.1)
-    wall, ring, outer = b.shell_basis
+    wall, _, outer = b.shell_basis
     # gamma = -N'/N at r_in makes N, which already meets u' = 0 at r_out, meet the wall too
     n = (outer[3], -outer[1])
     gamma = -(n[0] * wall[1] + n[1] * wall[3]) / (n[0] * wall[0] + n[1] * wall[2])
     with pytest.warns(UserWarning, match="near-singular: resonance number"):
-        modal._shell_green("demo", wall, ring, outer, b.k_plus, gamma * (1 + 1e-13), 0j, 1.0)
+        modal._shell_green("demo", b.shell_closure, gamma * (1 + 1e-13), 0j, 1.0)
     # a basis where N' + gamma*N vanishes exactly: N = f1 with f1 = f1' = 1 at the wall, gamma = -1
-    wall, ring, outer = (1.0, 1.0, 0.0, 1.0), (2.0, 1.0, 1.0, 3.0), (1.0, 0.0, 0.0, 1.0)
+    closure = modal._shell_closure(1.0, (1.0, 1.0, 0.0, 1.0), (2.0, 1.0, 1.0, 3.0), (1.0, 0.0, 0.0, 1.0))
     with pytest.raises(SolverError, match="resonant"):
-        modal._shell_green("demo", wall, ring, outer, 1.0, -1.0, 0j, 1.0)
+        modal._shell_green("demo", closure, -1.0, 0j, 1.0)
     # away from resonance it solves without a warning; kappa is the larger of the
     # Neumann (gamma = 0) and the Robin closure's resonance numbers
     for gamma, want in ((0.5, 2.0), (-0.9, 2.9 / 0.1)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            kappa = modal._shell_green("demo", wall, ring, outer, 1.0, gamma, 2.0, 1.0)[2]
+            kappa = modal._shell_green("demo", closure, gamma, 2.0, 1.0)[2]
         assert kappa == pytest.approx(want, rel=1e-14)
 
 
@@ -464,9 +465,17 @@ def test_composite_integral_raises_at_panel_cap():
 
 
 def test_overflowing_basis_surfaces_as_solver_error():
-    # at mode 200 H1_m(k_plus r) overflows at every shell radius
-    with pytest.raises(SolverError, match="exact shell basis not finite"):
-        solve_exact(default_benchmark(mode=200))
+    # at mode 200 H1_m(k_plus r) overflows at every shell radius; every model on the closure raises
+    b = default_benchmark(mode=200)
+    for kind, solve in (
+        ("exact", solve_exact),
+        ("ibc1", lambda b_: solve_ibc(b_, 1)),
+        ("ibc-custom", lambda b_: solve_ibc_with_gamma(b_, 0.5j)),
+        ("expansion", lambda b_: truncated_expansion(b_, 2)),
+    ):
+        with pytest.raises(SolverError, match=f"^{kind} shell basis not finite: wall "):
+            solve(b)
+    assert not b.shell_closure.finite
 
 
 def _with_sigma_plus(b: CylinderBenchmark, sigma_plus: float) -> CylinderBenchmark:
@@ -907,3 +916,174 @@ def test_exact_solve_matches_the_6x6_reference(eps):
         for model in models:
             diff = shell_l2_error(sol, model).total - shell_l2_error(ref, model).total
             assert abs(diff) <= 1e-12 * scale, (mode, eps)
+
+
+# --------------------------------------------------------------------------
+# the shell closure: everything _shell_green derives from the basis, once per shell
+
+
+def _reference_point(m: int, k: complex, r: float) -> tuple[complex, complex, complex, complex]:
+    """The shell basis point as it was built before unscaled evaluations were read as they are."""
+    jv, hv = bessel_j(m, k * r), bessel_h1(m, k * r)
+    return jv.actual, k * jv.actual_derivative, hv.actual, k * hv.actual_derivative
+
+
+def _reference_green(kind, wall, ring, outer, k, gamma, datum, source):
+    """The shell's Green's-function solve in one function, as it was before the closure."""
+    if not all(cmath.isfinite(v) for v in (*wall, *ring, *outer)):
+        raise SolverError(f"{kind} shell basis not finite: wall {wall}, ring {ring}, outer {outer}")
+    n, el = (outer[3], -outer[1]), (wall[3], -wall[1])
+    n_wall, dn_wall = modal._combine(n, wall)
+    n_ring, dn_ring = modal._combine(n, ring)
+    l_ring, dl_ring = modal._combine(el, ring)
+    w = l_ring * dn_ring - dl_ring * n_ring
+    wall_n = dn_wall + gamma * n_wall
+    if wall_n == 0 or w == 0:
+        raise SolverError(f"{kind} solve is resonant: N' + gamma*N = {wall_n} at the wall, W = {w}")
+    size = abs(k * n_wall) + abs(dn_wall)
+    kappa = max(size / abs(dn_wall), (size + abs(gamma * n_wall)) / abs(wall_n))
+    c, c_out = source * n_ring / w, source * l_ring / w
+    t = (datum - gamma * c * modal._combine(el, wall)[0]) / wall_n
+    inner = (c * el[0] + t * n[0], c * el[1] + t * n[1])
+    return inner, ((c_out + t) * n[0], (c_out + t) * n[1]), kappa
+
+
+def _reference_residuals(points, inner, outer, gamma, datum, source):
+    """The shell residuals with their nested helper, as they were before it was inlined."""
+    wall, ring, outer_wall = points
+    u_in, du_in = modal._combine(inner, ring)
+    u_out, du_out = modal._combine(outer, ring)
+    _, du_outer = modal._combine(outer, outer_wall)
+    u_wall, du_wall = modal._combine(inner, wall)
+
+    def du_terms(coeff, at):
+        return abs(coeff[0] * at[1]) + abs(coeff[1] * at[3])
+
+    jump_scale = du_terms(inner, ring) + du_terms(outer, ring) + abs(source)
+    u_terms = abs(inner[0] * wall[0]) + abs(inner[1] * wall[2])
+    wall_scale = du_terms(inner, wall) + abs(gamma) * u_terms + abs(datum)
+    return {
+        "source_u": modal._rel(abs(u_in - u_out), max(abs(u_in), abs(u_out))),
+        "source_jump": modal._rel(abs((du_out - du_in) - source), jump_scale),
+        "outer_flux": modal._rel(abs(du_outer), du_terms(outer, outer_wall)),
+        "wall": modal._rel(abs(du_wall + gamma * u_wall - datum), wall_scale),
+    }
+
+
+def _reference_solves(b: CylinderBenchmark, custom_gamma: complex) -> dict[str, tuple]:
+    """(inner, outer, kappa, residuals, conductor amplitude) of every model, solved the old way."""
+    m, kp = abs(b.mode), b.k_plus
+    points = tuple(_reference_point(m, kp, r) for r in (b.r_in, b.r_source, b.r_out))
+
+    def shell(kind, gamma, datum, source):
+        inner, outer, kappa = _reference_green(kind, *points, kp, gamma, datum, source)
+        return inner, outer, kappa, _reference_residuals(points, inner, outer, gamma, datum, source)
+
+    out = {}
+    inner, outer, kappa, res = shell("exact", b.conductor_gamma, 0j, b.source_amplitude)
+    # solve_exact: the amplitude is u(r_in), the interface residuals come first
+    amplitude = inner[0] * points[0][0] + inner[1] * points[0][2]
+    ref = b.conductor_ref
+    f = cmath.exp(ref.exponent - ref.exponent)
+    u_minus = amplitude * ref.value / ref.value * f
+    du_minus = amplitude * b.k_minus * ref.derivative / ref.value * f
+    res = {**modal._interface_residuals(b, inner, u_minus, du_minus), **res}
+    out["exact"] = (inner, outer, kappa, res, amplitude)
+    for k in (0, 1, 2):
+        gamma = robin_coefficient(k, b.mode, Surface.cylinder(b.r_in), b.cfg).gamma
+        out[f"ibc{k}"] = (*shell(f"ibc{k}", gamma, 0j, b.source_amplitude), None)
+    out["custom"] = (*shell("ibc-custom", custom_gamma, 0j, b.source_amplitude), None)
+    lam, curv, eps = b.params.lam, mean_curvature(Surface.cylinder(b.r_in)), b.params.eps_small
+    terms = [shell("expansion", 0j, 0j, b.source_amplitude)]
+    u0 = modal._combine(terms[0][0], points[0])[0]
+    terms.append(shell("expansion", 0j, lam * u0, 0j))
+    u1 = modal._combine(terms[1][0], points[0])[0]
+    terms.append(shell("expansion", 0j, lam * u1 - curv * u0, 0j))
+    for order in (0, 1, 2):
+        part = terms[: order + 1]
+        inner = tuple(sum(eps**j * t[0][i] for j, t in enumerate(part)) for i in (0, 1))
+        outer = tuple(sum(eps**j * t[1][i] for j, t in enumerate(part)) for i in (0, 1))
+        kappa = max(t[2] for t in part)
+        res = {key: max(t[3][key] for t in part) for key in part[0][3]}
+        out[f"truncated{order}"] = (inner, outer, kappa, res, None)
+    return out
+
+
+def _solution_bits(inner, outer, kappa, residuals, amplitude):
+    return (
+        bits(*inner, *outer, kappa),
+        {key: value.hex() for key, value in residuals.items()},
+        list(residuals),
+        None if amplitude is None else bits(amplitude),
+    )
+
+
+@pytest.mark.parametrize("sigma_plus", [1e-2, 1e-6])
+@pytest.mark.parametrize("mode", [0, 1, 2, 5, 10, 30, 100])
+def test_every_model_on_the_shell_closure_matches_the_one_function_solve_in_hex(sigma_plus, mode):
+    for eps in (0.1, 1e-2, 1e-3):
+        b = _with_sigma_plus(default_benchmark(mode=mode, eps=eps), sigma_plus)
+        custom_gamma = b.conductor_gamma * (1 + 1e-3j)
+        want = _reference_solves(b, custom_gamma)
+        got = {
+            "exact": solve_exact(b),
+            **{f"ibc{k}": solve_ibc(b, k) for k in (0, 1, 2)},
+            "custom": solve_ibc_with_gamma(b, custom_gamma),
+            **{f"truncated{k}": truncated_expansion(b, k) for k in (0, 1, 2)},
+        }
+        assert list(got) == list(want)
+        for name, sol in got.items():
+            mine = _solution_bits(
+                sol.shell_inner, sol.shell_outer, sol.condition_number, sol.residuals, sol.conductor_amplitude
+            )
+            assert mine == _solution_bits(*want[name]), (name, eps)
+
+
+def test_one_shell_closure_per_benchmark(monkeypatch):
+    built = []
+    closure = modal._shell_closure
+    monkeypatch.setattr(modal, "_shell_closure", lambda *args: built.append(args) or closure(*args))
+    b = default_benchmark(mode=2, eps=0.1)
+    exact = solve_exact(b)
+    models = [solve_ibc(b, k) for k in (0, 1, 2)] + [solve_ibc_with_gamma(b, 0.3 - 0.2j)]
+    models += [truncated_expansion(b, k) for k in (0, 1, 2)]
+    for model in models:
+        shell_l2_error(exact, model)
+    assert len(built) == 1
+    # with_eps hands the closure on; a copy at another mode derives its own
+    same_shell = b.with_eps(0.01)
+    assert same_shell.shell_closure is b.shell_closure
+    shell_l2_error(solve_exact(same_shell), truncated_expansion(same_shell, 2))
+    assert len(built) == 1
+    other_mode = dataclasses.replace(b, mode=4)
+    assert "shell_closure" not in vars(other_mode)
+    solve_ibc(other_mode, 1)
+    assert len(built) == 2 and other_mode.shell_closure is not b.shell_closure
+    # a benchmark that has not derived its closure hands none on
+    assert "shell_closure" not in vars(default_benchmark(mode=2, eps=0.1).with_eps(0.01))
+
+
+def test_shell_difference_of_one_benchmark_skips_the_comparison():
+    b = default_benchmark(mode=1, eps=0.1)
+    exact, model = solve_exact(b), solve_ibc(b, 1)
+    bench, inner, outer = _shell_difference(exact, model)
+    assert bench is b
+    assert inner == (exact.shell_inner[0] - model.shell_inner[0], exact.shell_inner[1] - model.shell_inner[1])
+    assert outer == (exact.shell_outer[0] - model.shell_outer[0], exact.shell_outer[1] - model.shell_outer[1])
+    # a different instance of the same shell compares equal; another shell raises
+    assert _shell_difference(exact, solve_ibc(b.with_eps(0.01), 1))[0] is b
+    with pytest.raises(SolverError, match="different benchmarks"):
+        _shell_difference(exact, solve_ibc(dataclasses.replace(b, r_out=2.5), 1))
+
+
+def test_near_singular_warning_names_the_solver_that_asked():
+    # the warning keeps its stack level through the closure: it points into the public solver
+    b = default_benchmark(mode=2, eps=0.1)
+    wall, _, outer = b.shell_basis
+    n = (outer[3], -outer[1])
+    gamma = -(n[0] * wall[1] + n[1] * wall[3]) / (n[0] * wall[0] + n[1] * wall[2])
+    with pytest.warns(UserWarning, match="^ibc-custom solve near-singular") as record:
+        solve_ibc_with_gamma(b, gamma * (1 + 1e-13))
+    lines, start = inspect.getsourcelines(solve_ibc_with_gamma)
+    assert len(record) == 1 and record[0].filename == modal.__file__
+    assert start <= record[0].lineno < start + len(lines)

@@ -1,10 +1,12 @@
 import cmath
+import dataclasses
 import math
 
 import pytest
 
+from magskin import params
 from magskin.modal import default_benchmark, default_config
-from magskin.params import PhysicalConfig, derive_params, leontovich_factor, phi
+from magskin.params import PhysicalConfig, derive_params, leontovich_factor, mu_minus_for_eps, phi
 
 from conftest import log_grid, loglog_slope
 
@@ -147,3 +149,35 @@ def test_leontovich_factor_at_50hz_iron():
     cfg = unit_config(omega=2 * math.pi * 50, mu_plus=4 * math.pi * 1e-7,
                       mu_minus=4 * math.pi * 1e-4, sigma_minus=1e7)
     assert abs(abs(leontovich_factor(cfg)) - 1.9869176531592202e-04) <= 1e-12
+
+
+def test_validated_field_names_are_the_dataclass_fields():
+    assert params._CONFIG_FIELDS == tuple(f.name for f in dataclasses.fields(PhysicalConfig))
+
+
+@pytest.mark.parametrize(
+    "eps, message",
+    [
+        (-1.0, "eps must be finite and positive, got -1.0"),
+        (0.0, "eps must be finite and positive, got 0.0"),
+        (math.nan, "eps must be finite and positive, got nan"),
+        (math.inf, "eps must be finite and positive, got inf"),
+        # eps^2 underflows to 0, or mu_plus/eps^2 overflows to inf or rounds to 0
+        (1e-170, r"eps = 1e-170 gives mu_minus = mu_plus/eps\^2 = inf; need a finite positive value"),
+        (1e-160, r"eps = 1e-160 gives mu_minus = mu_plus/eps\^2 = inf"),
+        (1e200, r"eps = 1e\+200 gives mu_minus = mu_plus/eps\^2 = 0.0"),
+    ],
+)
+def test_eps_without_a_finite_positive_mu_minus_is_rejected_by_name(eps, message):
+    # default_config(-1.0) built the eps = 1 config, 1e-170 raised ZeroDivisionError,
+    # and with_eps(inf) blamed mu_minus
+    base = default_benchmark(mode=1)
+    for build in (lambda: default_config(eps), lambda: base.with_eps(eps), lambda: mu_minus_for_eps(1.0, eps)):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            build()
+
+
+def test_mu_minus_for_eps_is_mu_plus_over_eps_squared():
+    for mu_plus, eps in ((1.0, 0.1), (4e-7 * math.pi, 3e-4), (2.5, 1e-150)):
+        assert mu_minus_for_eps(mu_plus, eps) == mu_plus / eps**2
+    assert default_config(0.03).mu_minus == 1.0 / 0.03**2

@@ -46,6 +46,24 @@ def test_sampler_must_be_positive_at_surface():
         DecayTrace(sampler=lambda h: 0.0, max_depth=1.0)
 
 
+def test_surface_is_sampled_once_when_the_trace_is_built():
+    # skin_depth_numeric sampled depth 0 again for its target: one repeat per root
+    depths = []
+    trace = DecayTrace(sampler=lambda h: depths.append(h) or math.exp(-h), max_depth=10.0)
+    assert depths == [0.0] and trace.surface_modulus == 1.0
+    root = skin_depth_numeric(trace, 1.0)
+    assert 0.0 not in depths[1:]
+    assert abs(root - 1.0) <= 1e-14
+    assert skin_depth_numeric(dataclasses.replace(trace, max_depth=5.0), 1.0) == root
+    assert depths.count(0.0) == 2  # the replaced trace sampled its own surface
+
+
+def test_infinite_surface_sample_raises_naming_depth_zero():
+    trace = DecayTrace(sampler=lambda h: math.inf if h == 0.0 else 1.0, max_depth=1.0)
+    with pytest.raises(SkinDepthError, match=r"depth 0\.0 is inf;"):
+        skin_depth_numeric(trace, 0.1)
+
+
 @pytest.mark.parametrize("max_depth", [math.inf, math.nan, 0.0, -1.0])
 def test_max_depth_must_be_finite_and_positive(max_depth):
     # an infinite max_depth let a sampler that never decays scan forever
@@ -250,6 +268,8 @@ def test_root_stage_keeps_the_scan_bracket_and_adds_at_most_8_samples(kind, mode
     depths.clear()
     root = skin_depth_numeric(trace, scale)
     lo, hi = scan[-2:]
+    # the surface sample at depth 0 was taken once, when the trace was built
+    scan = scan[1:]
     assert depths[: len(scan)] == scan
     stage = depths[len(scan) :]
     assert all(lo < h < hi for h in stage), stage
