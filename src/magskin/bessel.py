@@ -20,13 +20,12 @@ J_m(z) takes one of three routes:
   good to ~4e-11 (3.9e-11 at z = 12.01*exp(-i*pi/2)), which is why orders
   m >= 1 keep the next route until |z| = 20;
 * everywhere else (above the turning point, large amplification, or m >= 1
-  with |z| < 20): backward (Miller) recurrence from order ~1.36|z|,
+  with |z| < 20): Miller's backward recurrence in one descent, from order m
+  to 0, starting at the ratio J_m/J_{m+1} of its continued fraction, and
   normalised through the cross-product with the Hankel seeds (the exact
   analogue of Wronskian normalisation, immune to the exponential growth of J
-  and Y at large |Im z|); it raises BesselDomainError if 8 restarts do not
-  agree.  The restarts share one table of coefficients 2k/z, built once per
-  call and extended when a restart raises the start order; each pass
-  descends in two legs, start to m and m to 0, with no per-step order test.
+  and Y at large |Im z|); the fraction raises BesselDomainError past a step
+  cap derived from its worst-case rate of convergence.
 
 Y and H^(1) ascend from order-0/1 seeds by forward recurrence, since they are
 dominant as the order grows.  In the series wedge |z| <= 12, |Im z| <= 4 the
@@ -313,17 +312,18 @@ def _ascend(c0: complex, c1: complex, z: complex, m: int) -> tuple[complex, comp
     return prev, cur, extra
 
 
-def _descend(
-    coef: list[complex], f: complex, f_next: complex, hi: int, lo: int, n: int
-) -> tuple[complex, complex, int]:
-    """Steps k = hi, ..., lo + 1 of f_{k-1} = coef[k] f_k - f_{k+1} from (f_hi, f_{hi+1}).
+def _descend(f: complex, f_next: complex, z: complex, hi: int) -> tuple[complex, complex, int]:
+    """Backward recurrence f_{k-1} = (2k/z) f_k - f_{k+1} from (f_hi, f_{hi+1}) to (f_0, f_1).
 
-    Returns (f_lo, f_{lo+1}, rescales); the pair is checked once per block of
-    n steps and multiplied by 1/_RESCALE at each of the ``rescales`` checks it fails.
+    Returns (f_0, f_1, rescales).  A step grows the pair by at most
+    2hi/|z| + 1, so it is checked once per block of ``_block_length`` steps
+    and multiplied by 1/_RESCALE at each of the ``rescales`` checks it fails.
     """
+    coef = [2.0 * k / z for k in range(hi + 1)]
+    n = _block_length(abs(coef[hi]) + 1.0)
     rescales = 0
-    for top in range(hi, lo, -n):
-        for c in coef[top : max(top - n, lo) : -1]:
+    for top in range(hi, 0, -n):
+        for c in coef[top : max(top - n, 0) : -1]:
             f, f_next = c * f - f_next, f
         if max(abs(f.real), abs(f.imag), abs(f_next.real), abs(f_next.imag)) > _RESCALE:
             f *= _UNSCALE
@@ -332,58 +332,57 @@ def _descend(
     return f, f_next, rescales
 
 
-def _unscale(c: complex, rescales: int) -> complex:
-    """c / _RESCALE**rescales, exactly unless it underflows."""
-    shift = -_RESCALE_BITS * rescales
-    return complex(math.ldexp(c.real, shift), math.ldexp(c.imag, shift))
+# the fraction stops at a relative change of a few ulps, as much as round-off leaves once settled
+_CF_TOL = 1e-15
+_CF_LOG = math.log(2.0 / _CF_TOL)
 
 
-def _miller_pass(m: int, coef: list[complex], start: int) -> tuple[complex, complex, complex, complex]:
-    """Raw downward recurrence from ``start``; returns (f0, f1, fm, fm1) on one scale.
+def _cf_step_cap(m: int, a: float) -> int:
+    """Steps within which ``_j_ratio`` settles at order m and |z| = a.
 
-    ``coef[k]`` is 2k/z for k <= start.  The descent runs in two legs, start
-    to m and m to 0, so (f_m, f_{m+1}) are read off between them.
+    From the turning order m + k >= a on, every |b_k| >= 2 (a Sleszynski-
+    Pringsheim tail), so the change |delta - 1| <= 2 shrinks by at least
+    (|b_k| - 1)**-2 = (1 + 2i/a)**-2 at step i past that order, by
+    (1 + n/a)**-n over n steps: below _CF_TOL once n ln(1 + n/a) >= _CF_LOG,
+    as at n = sqrt(2 _CF_LOG a) + 2 _CF_LOG.  At most a - m steps come before.
     """
-    if start < m + 2:  # cannot happen by construction
-        raise AssertionError("miller start index below target order")
-    n = _block_length(abs(coef[start]) + 1.0)  # |z| > SERIES_RADIUS keeps this >= 30
-    fm, fm1, _ = _descend(coef, 1e-30 + 0j, 0j, start, m, n)
-    f0, f1, below = _descend(coef, fm, fm1, m, 0, n)
-    if below:
-        fm, fm1 = _unscale(fm, below), _unscale(fm1, below)
-    return f0, f1, fm, fm1
+    return int(max(a - m, 0.0) + math.sqrt(2.0 * _CF_LOG * a) + 2.0 * _CF_LOG) + 1
+
+
+def _j_ratio(m: int, z: complex) -> complex:
+    """J_m/J_{m+1} = b_1 - 1/(b_2 - 1/(b_3 - ...)), b_k = 2(m+k)/z, by modified Lentz.
+
+    After n steps the fraction (DLMF 10.33; Gautschi, SIAM Review 9, 1967)
+    equals Miller's recurrence started at order m + n + 1.  J_m over J_{m+1},
+    not the reverse, stays finite at a zero of J_m.
+    """
+    cap = _cf_step_cap(m, abs(z))
+    w = 2.0 / z
+    f = c = (m + 1) * w
+    d = 0j
+    for k in range(m + 2, m + 2 + cap):
+        b = k * w
+        d = 1.0 / ((b - d) or 1e-300)  # 0j is false: Lentz's guard against a zero denominator
+        c = (b - 1.0 / c) or 1e-300
+        delta = c * d
+        f *= delta
+        if abs(delta - 1.0) < _CF_TOL:
+            return f
+    raise BesselDomainError(
+        f"continued fraction for J_{m}/J_{m + 1} at z = {z!r} did not settle in {cap} steps: last iterate {f!r}"
+    )
 
 
 def _miller_j(m: int, z: complex) -> tuple[complex, complex, complex]:
-    """(J_m, J_{m+1}, exponent) for Im z >= 0 by backward recurrence, anchored on H1_0, H1_1.
-
-    The coefficient table 2k/z is built once and extended as restarts raise ``start``.
-    """
+    """(J_m, J_{m+1}, exponent) for Im z >= 0: one descent from (J_m/J_{m+1}, 1) at order m,
+    normalised by J_1 H1_0 - J_0 H1_1 = 2i/(pi z) with the Hankel seeds."""
+    h = _j_ratio(m, z)
+    f0, f1, rescales = _descend(h, 1.0 + 0j, z, m)
     h0v, h1v = _h1_seeds(z)
-    target = 2j / (math.pi * z)
-    jexp = -1j * z
-
-    start = max(m + 2, int(1.36 * abs(z)) + 2) + 20
-    coef: list[complex] = []
-    previous = last = None
-    for _ in range(8):
-        coef += [2.0 * k / z for k in range(len(coef), start + 1)]
-        f0, f1, fm, fm1 = _miller_pass(m, coef, start)
-        denom = f1 * h0v - f0 * h1v
-        cv = target / denom
-        jm, jm1 = cv * fm, cv * fm1
-        if last is not None:
-            ok = abs(jm - last[0]) <= 1e-13 * abs(jm) and abs(jm1 - last[1]) <= 1e-13 * max(
-                abs(jm1), abs(jm)
-            )
-            if ok:
-                return jm, jm1, jexp
-        previous, last = last, (jm, jm1)
-        start += 24
-    raise BesselDomainError(
-        f"Miller recurrence for J_{m}({z!r}) did not settle in 8 restarts: "
-        f"last two iterates (J_m, J_m+1) = {previous} and {last}"
-    )
+    cv = 2j / (math.pi * z) / (f1 * h0v - f0 * h1v)
+    for _ in range(rescales):  # undo _descend's exact rescales of (f_0, f_1)
+        cv *= _UNSCALE
+    return cv * h, cv, -1j * z
 
 
 def _forward_stable(m: int, z: complex) -> bool:

@@ -149,6 +149,10 @@ class CylinderBenchmark:
             raise ValueError(
                 f"need 0 < r_in < r_source < r_out, got {self.r_in}, {self.r_source}, {self.r_out}"
             )
+        if not math.isfinite(self.r_out):
+            raise ValueError(f"r_out must be finite, got {self.r_out!r}")
+        if isinstance(self.mode, bool) or not isinstance(self.mode, int):
+            raise ValueError(f"mode must be an integer, got {self.mode!r}")
         if abs(self.mode) > 200:
             raise ValueError(f"|mode| must be <= 200, got {self.mode}")
 
@@ -730,6 +734,9 @@ def fit_convergence(points: list[tuple[float, float]]) -> ConvergenceFit:
     """
     if len(points) < 4:
         raise ValueError(f"need at least 4 points for a rate fit, got {len(points)}")
+    for x, y in points:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"rate fit points must be finite, got {(x, y)!r}")
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
     if any(x <= 0 for x in xs) or any(y <= 0 for y in ys):

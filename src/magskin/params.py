@@ -56,7 +56,7 @@ class PhysicalConfig:
     def __post_init__(self) -> None:
         for name in _CONFIG_FIELDS:
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or not math.isfinite(v) or v <= 0:
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v) or v <= 0:
                 raise ValueError(f"{name} must be a finite positive number, got {v!r}")
         if self.mu_minus < self.mu_plus:
             warnings.warn(

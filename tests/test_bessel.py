@@ -15,14 +15,15 @@ from magskin.bessel import (
     BesselEval,
     _align,
     _ascend,
+    _descend,
     _forward_stable,
     _h1_eval,
     _h1_seeds,
     _h1_seeds_via_k,
     _j_seeds,
     _j_series,
+    _j_ratio,
     _maybe_fold,
-    _miller_pass,
     _validate,
     _y01_series,
     bessel_h1,
@@ -621,25 +622,51 @@ def test_conductor_argument_at_high_contrast_skips_miller(monkeypatch):
     assert b.conductor_ref == expected
 
 
-def test_miller_raises_when_its_restarts_never_agree(monkeypatch):
-    counter = itertools.count(1)
+def miller_grid() -> list[tuple[int, complex]]:
+    """Eight orders from 1 to 200 at 12.5 <= |z| <= 1189 in both half-planes,
+    and next to the first four zeros of J_m past SERIES_RADIUS, on the real
+    axis and at Im z = 1e-3: every such point that bessel_j sends to Miller."""
+    pts = []
+    orders = (1, 2, 5, 30, 60, 100, 150, 200)
+    for m in orders:
+        for r in (12.5, 15.0, 19.9, 20.0, 40.0, 80.0, 119.0, 400.0, 1189.0):
+            for arg in (0.0, 0.3, math.pi / 4, 1.2, 1.5):
+                z = cmath.rect(r, arg)
+                pts += [(m, z), (m, z.conjugate())] if arg else [(m, z)]
+        with mp.workdps(20):
+            zeros = [float(mp.besseljzero(m, n)) for n in range(1, 5)]
+        pts += [(m, complex(x, im)) for x in zeros if x > SERIES_RADIUS for im in (0.0, 1e-3)]
+    pts.append((5, 12.338604185128341 + 0j))  # 1.2e-8 below the second zero of J_5
+    # 2 sqrt(42) rounded: a Lentz denominator is exactly 0 there, D's at m = 4 and C's at m = 5
+    pts += [(4, 12.96148139681572 + 0j), (5, 12.96148139681572 + 0j)]
+    return [(m, z) for m, z in pts if not _forward_stable(m, z.conjugate() if z.imag < 0 else z)]
 
-    def restless_pass(m, coef, start):
-        k = next(counter)
-        return 1.0 + 0j, 0.5 + 0j, complex(k), complex(k + 1)
 
-    monkeypatch.setattr(bessel, "_miller_pass", restless_pass)
+def test_miller_route_against_mpmath():
+    """The continued fraction and one descent meet the forward route's bounds,
+    next to zeros of J_m too, where comparing J_m with itself cannot settle."""
+    pts = miller_grid()
+    assert len(pts) >= 400
+    for m, z in pts:
+        jv = bessel_j(m, z)
+        with mp.workdps(40):
+            f = mp.e ** (-mp.mpc(jv.exponent))
+            val = complex(mp.besselj(m, z) * f)
+            der = complex(mp.besselj(m, z, derivative=1) * f)
+        err = max(abs(jv.value - val), abs(jv.derivative - der)) / max(abs(val), abs(der))
+        assert err <= (1e-13 if abs(z) >= 20.0 else 1e-10), (m, z, err)
+
+
+def test_miller_raises_at_the_step_cap_of_its_fraction(monkeypatch):
+    monkeypatch.setattr(bessel, "_cf_step_cap", lambda m, a: 1)
     z = 50.0 + 3.0j
     assert not _forward_stable(40, z)
-    with pytest.raises(BesselDomainError, match=r"J_40\(\(50\+3j\)\).*8 restarts") as info:
+    with pytest.raises(BesselDomainError, match=r"J_40/J_41 at z = \(50\+3j\).* 1 steps") as info:
         bessel_j(40, z)
-    assert next(counter) == 9  # every restart ran
-    # the message quotes the last two iterates, from passes 7 and 8
-    target = 2j / (math.pi * z)
-    h0v, h1v = _h1_seeds(z)
-    cv = target / (0.5 * h0v - h1v)
-    assert f"{(cv * 7, cv * 8)}" in str(info.value)
-    assert f"{(cv * 8, cv * 9)}" in str(info.value)
+    # the last iterate is the first Lentz step: b_1 times (b_2 - 1/b_1)/b_2
+    w = 2.0 / z
+    b1, b2 = 41 * w, 42 * w
+    assert repr(b1 * ((b2 - 1.0 / b1) * (1.0 / b2))) in str(info.value)
 
 
 _PARENT_RESCALE = 1e250
@@ -662,30 +689,25 @@ def _ascend_per_step(c0: complex, c1: complex, z: complex, m: int) -> tuple[comp
     return prev, cur, rescales
 
 
-def _miller_pass_per_step(m: int, z: complex, start: int) -> tuple[tuple[complex, ...], list[int], int]:
-    """Reference: the former downward recurrence, with order tests and a check on every step.
+def _descend_per_step(f: complex, f_next: complex, z: complex, hi: int) -> tuple[complex, complex, int]:
+    """Reference: the former downward recurrence from (f_hi, f_hi+1) to (f_0, f_1),
+    checked and rescaled by 1e250 on every step.
 
-    Returns ((f0, f1, fm, fm1), owed, rescales): the tuple times
-    1e250**-owed, term by term, is the former pass.  The factor is left to
-    the caller because 1e250**-2 underflows to 0.
+    Returns (f_0, f_1, rescales); the values are those times 1e250**rescales.
     """
-    f_next = 0j
-    f = 1e-30 + 0j
-    fm = fm1 = None
     rescales = 0
-    marks = [0, 0]
-    for k in range(start, 0, -1):
-        f_prev = (2.0 * k / z) * f - f_next
-        f_next, f = f, f_prev
-        if k - 1 == m + 1:
-            fm1, marks[1] = f, rescales
-        if k - 1 == m:
-            fm, marks[0] = f, rescales
+    for k in range(hi, 0, -1):
+        f, f_next = (2.0 * k / z) * f - f_next, f
         if max(abs(f.real), abs(f.imag)) > _PARENT_RESCALE:
             f /= _PARENT_RESCALE
             f_next /= _PARENT_RESCALE
             rescales += 1
-    return (f, f_next, fm, fm1), [0, 0, rescales - marks[0], rescales - marks[1]], rescales
+    return f, f_next, rescales
+
+
+def _miller_start(m: int, z: complex) -> int:
+    """The start order of the former Miller passes, which grow by up to 2**830 per block."""
+    return max(m + 2, int(1.36 * abs(z)) + 2) + 20
 
 
 RECURRENCE_ORDERS = (0, 1, 2, 5, 30, 60, 100, 150, 200)
@@ -740,46 +762,46 @@ def test_forward_ascent_equals_the_per_step_recurrence():
     assert rescaled >= 500
 
 
-def test_miller_pass_equals_the_per_step_recurrence():
-    """The two-leg descent over the shared coefficient table reproduces the
-    per-step pass bit for bit wherever that never rescaled.  Elsewhere, at
-    |z| > SERIES_RADIUS where bessel_j runs it, its tuple is the former one
-    times a common factor within 2e-15 (worst 1.04e-15, in f_201 at
-    1189 exp(i pi/4)), as the former divisions by 1e250 rounded.
-    Below SERIES_RADIUS the true fm can fall out of range of the pass's
-    scale, so only bit equality is checked there."""
+def test_miller_descent_equals_the_per_step_recurrence():
+    """The descent with one check per block reproduces the per-step
+    recurrence bit for bit wherever that never rescaled: from the continued
+    fraction's pair (J_m/J_{m+1}, 1) wherever bessel_j runs Miller, and from
+    (1e-30, 0) at the former Miller start order, which grows past 2**830.
+    Elsewhere the former divisions by 1e250 rounded, each in its own way, so
+    the pairs folded by their rescale counts differ by a common factor up to
+    3.2e-15 from 1; past it they agree within 2e-15 (worst 5.5e-16, in f_0
+    of J_200 at 5.07)."""
     rescaled = 0
     with mp.workprec(200):
         for z in RECURRENCE_GRID:
             for m in RECURRENCE_ORDERS:
-                start = max(m + 2, int(1.36 * abs(z)) + 2) + 20
-                coef = [2.0 * k / z for k in range(start + 1)]
-                new = _miller_pass(m, coef, start)
-                ref, owed, rescales = _miller_pass_per_step(m, z, start)
-                if rescales == 0:
-                    assert bits(*new) == bits(*ref), (m, z)
-                    continue
-                if abs(z) <= SERIES_RADIUS:
-                    continue
-                rescaled += 1
-                ref = [mp.mpc(v) * mp.mpf(_PARENT_RESCALE) ** -d for v, d in zip(ref, owed)]
-                mine = [mp.mpc(v) for v in new]
-                i = 0 if abs(ref[0]) >= abs(ref[1]) else 1
-                factor = mine[i] / ref[i]
-                for a, b in zip(mine, ref):
-                    assert abs(a - factor * b) <= 2e-15 * abs(factor * b), (m, z)
-    assert rescaled >= 50
+                starts = [(1e-30 + 0j, 0j, _miller_start(m, z))]
+                upper = z.conjugate() if z.imag < 0 else z
+                if m and abs(z) > SERIES_RADIUS and not _forward_stable(m, upper):
+                    starts.append((_j_ratio(m, z), 1.0 + 0j, m))
+                for f, f_next, hi in starts:
+                    new = _descend(f, f_next, z, hi)
+                    f0, f1, count = _descend_per_step(f, f_next, z, hi)
+                    if count == 0:
+                        assert bits(*new) == bits(f0, f1, 0), (m, z, hi)
+                        continue
+                    rescaled += 1
+                    mine = [mp.mpc(v) * mp.mpf(2) ** (830 * new[2]) for v in new[:2]]
+                    ref = [mp.mpc(v) * mp.mpf(_PARENT_RESCALE) ** count for v in (f0, f1)]
+                    i = 0 if abs(ref[0]) >= abs(ref[1]) else 1
+                    factor = mine[i] / ref[i]
+                    for a, b in zip(mine, ref):
+                        assert abs(a - factor * b) <= 2e-15 * abs(factor * b), (m, z, hi)
+    assert rescaled >= 300
 
 
 def _ldexp(c: complex, e: int) -> complex:
     return complex(math.ldexp(c.real, e), math.ldexp(c.imag, e))
 
 
-def _rescale_runs(z: complex, m: int) -> tuple[tuple[complex, complex, float], tuple[complex, ...]]:
-    """Forward ascent of Y_m from its series seeds, and one Miller pass, at z."""
-    start = max(m + 2, int(1.36 * abs(z)) + 2) + 20
-    coef = [2.0 * k / z for k in range(start + 1)]
-    return _ascend(*_y01_series(z), z, m), _miller_pass(m, coef, start)
+def _rescale_runs(z: complex, m: int) -> tuple[tuple[complex, complex, float], tuple[complex, complex, int]]:
+    """Forward ascent of Y_m from its series seeds, and one descent from the former Miller start, at z."""
+    return _ascend(*_y01_series(z), z, m), _descend(1e-30 + 0j, 0j, z, _miller_start(m, z))
 
 
 @pytest.mark.parametrize("block", [1, 7])
@@ -790,14 +812,34 @@ def test_where_a_rescale_happens_changes_no_bit(monkeypatch, block):
     default = [_rescale_runs(z, m) for z, m in points]
     monkeypatch.setattr(bessel, "_block_length", lambda bound: block)
     counts = set()
-    for (z, m), ((prev, cur, extra), pass_values) in zip(points, default):
-        (prev2, cur2, extra2), pass_values2 = _rescale_runs(z, m)
+    for (z, m), ((prev, cur, extra), (f0, f1, rescales)) in zip(points, default):
+        (prev2, cur2, extra2), (g0, g1, rescales2) = _rescale_runs(z, m)
         shift = round((extra2 - extra) / bessel._LOG_RESCALE)
         assert bits(_ldexp(prev2, 830 * shift), _ldexp(cur2, 830 * shift)) == bits(prev, cur), (z, m)
-        shift = round(math.log2(abs(pass_values[0]) / abs(pass_values2[0])) / 830)
-        assert bits(*(_ldexp(c, 830 * shift) for c in pass_values2)) == bits(*pass_values), (z, m)
+        shift = rescales - rescales2
+        assert bits(_ldexp(g0, -830 * shift), _ldexp(g1, -830 * shift)) == bits(f0, f1), (z, m)
         counts.add(round(extra / bessel._LOG_RESCALE))
     assert max(counts) >= 2
+
+
+def test_where_the_miller_descent_rescales_changes_no_bit(monkeypatch):
+    """At the library's arguments the descent from order m <= 200 never grows
+    past 2**830; with a threshold of 2**8 it rescales, and J is unchanged."""
+    points = [(200, 12.5 + 0j), (150, 15.0 + 4.0j), (100, 40.0 - 30.0j), (60, 80.0j)]
+    default = [bits(*bessel_j(m, z)) for m, z in points]
+    seen = []
+    descend = bessel._descend
+
+    def recorded(*args):
+        out = descend(*args)
+        seen.append(out[2])
+        return out
+
+    monkeypatch.setattr(bessel, "_descend", recorded)
+    monkeypatch.setattr(bessel, "_RESCALE", 2.0**8)
+    monkeypatch.setattr(bessel, "_UNSCALE", 2.0**-8)
+    assert [bits(*bessel_j(m, z)) for m, z in points] == default
+    assert min(seen) >= 1
 
 
 def test_tiny_arguments_raise_instead_of_overflowing():

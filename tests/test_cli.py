@@ -380,6 +380,17 @@ def test_profile_table_config_errors_name_the_field(tmp_path, capsys, table, fie
     assert err.startswith(f"error: config field {field}:")
 
 
+def test_an_infinite_outer_radius_is_a_config_error(tmp_path, capsys):
+    # it used to pass the benchmark's checks and fail inside bessel with exit 1
+    cfg = dict(BASE_CONFIG, benchmark=dict(BASE_CONFIG["benchmark"], R_out=math.inf))
+    path = tmp_path / "open.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(["ibc-sweep", "--config", str(path), "--eps", "0.1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: config field benchmark: r_out must be finite, got inf")
+
+
 def test_skin_depth_rejects_a_benchmark_off_the_surface(tmp_path, capsys):
     # L_numeric would be measured at R_in = 1 and L_asymptotic at radius 2
     cfg = dict(BASE_CONFIG, surface={"kind": "cylinder", "radius": 2.0})

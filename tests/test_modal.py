@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import inspect
 import math
+import re
 import warnings
 
 import numpy as np
@@ -319,6 +320,10 @@ def test_fit_convergence_guards():
         fit_convergence([(0.1, 1.0), (0.09, 0.9), (0.08, 0.8), (0.07, 0.7)])
     with pytest.raises(ValueError, match="positive"):
         fit_convergence([(0.1, 1.0), (0.01, -0.1), (0.001, 0.01), (0.0001, 0.001)])
+    # a NaN fails every comparison, so only a finiteness check catches it
+    for bad in [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf), (-math.inf, 1.0)]:
+        with pytest.raises(ValueError, match=rf"finite, got {re.escape(repr(bad))}"):
+            fit_convergence([bad, (1.0, 1.0), (10.0, 2.0), (100.0, 3.0)])
 
 
 def _polyfit_reference(points):
@@ -609,6 +614,12 @@ def test_benchmark_validation():
         CylinderBenchmark(r_in=1.0, r_out=2.0, r_source=2.5, mode=0, cfg=cfg)
     with pytest.raises(ValueError, match="mode"):
         CylinderBenchmark(r_in=1.0, r_out=2.0, r_source=1.5, mode=300, cfg=cfg)
+    # each of these used to pass the checks and fail later inside bessel, or not at all
+    with pytest.raises(ValueError, match=r"r_out must be finite, got inf"):
+        CylinderBenchmark(r_in=1.0, r_out=math.inf, r_source=1.5, mode=0, cfg=cfg)
+    for mode in (True, False, 1.5, 2.0):
+        with pytest.raises(ValueError, match=rf"mode must be an integer, got {mode!r}"):
+            CylinderBenchmark(r_in=1.0, r_out=2.0, r_source=1.5, mode=mode, cfg=cfg)
 
 
 def test_plane_solver_conditions_and_decay():

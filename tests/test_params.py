@@ -72,6 +72,10 @@ def test_nonpositive_input_rejected_by_name(field):
     kwargs[field] = -3.0
     with pytest.raises(ValueError, match=field):
         PhysicalConfig(**kwargs)
+    # bool is an int subclass, and True would otherwise pass as 1
+    kwargs[field] = True
+    with pytest.raises(ValueError, match=rf"{field} must be a finite positive number, got True"):
+        PhysicalConfig(**kwargs)
 
 
 def test_phi_at_unit_delta():
