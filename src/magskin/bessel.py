@@ -32,7 +32,9 @@ dominant as the order grows.  In the series wedge |z| <= 12, |Im z| <= 4 the
 Y_0/Y_1 seeds come from their ascending series (DLMF 10.8.2), whose one loop
 also builds J_0 and J_1 from the same terms, and H^(1)_m is assembled there
 directly as J_m + iY_m from the two series loops and the recurrence: three
-loops per evaluation, with no call of the public J or Y.
+loops per evaluation, with no call of the public J or Y.  A caller that
+passes its own ``bessel_j(m, z)`` as ``j`` saves the J loop: H^(1) reads J
+from it, so only Y's loop and the recurrence run.
 
 Outside |z| <= 12 the order-0/1 seeds of all three uses come from the
 Hankel expansions (DLMF 10.17.5-6), and each caller gets only the sums it
@@ -541,14 +543,24 @@ def _align(
     return a[0] * f, a[1] * f, b[0], b[1], b[2]
 
 
-def bessel_h1(m: int, z: complex) -> BesselEval:
-    """Hankel function of the first kind H^(1)_m(z) and its derivative."""
+def bessel_h1(m: int, z: complex, *, j: BesselEval | None = None) -> BesselEval:
+    """Hankel function of the first kind H^(1)_m(z) and its derivative.
+
+    ``j``, if given, is ``bessel_j(m, z)``: in the series wedge H^(1) = J + iY
+    reads J from it and runs only Y's series.  A ``j`` of another order or
+    argument raises ValueError; outside the wedge it is checked and unused.
+    """
     z = _validate(m, z, singular=True)
+    if j is not None and (j.order != m or j.argument != z):
+        raise ValueError(f"j is J_{j.order} at {j.argument!r}, but H^(1)_{m} is asked at {z!r}")
     if abs(z) <= SERIES_RADIUS and abs(z.imag) <= _WEDGE_IM:
         # J + iY from the series at z, or conj(J - iY) at conj z below the real axis
         upper = z.imag >= 0
         zu = z if upper else z.conjugate()
-        jval, jder, jexp = _j_ascending(m, zu)
+        if j is None:
+            jval, jder, jexp = _j_ascending(m, zu)
+        else:
+            _, _, jval, jder, jexp = j if upper else _reflect(j)
         yval, yder, exponent = _y_ascending(m, zu)
         f = cmath.exp(jexp - exponent)
         iy = 1j if upper else -1j
@@ -576,7 +588,8 @@ def wronskian_jh1(m: int, z: complex) -> complex:
     z = _validate(m, z, singular=True)
     if z.imag < 0:
         return -wronskian_jh1(m, z.conjugate()).conjugate()
-    jv, hv = bessel_j(m, z), bessel_h1(m, z)
+    jv = bessel_j(m, z)
+    hv = bessel_h1(m, z, j=jv)
     cross = jv.value * hv.derivative - jv.derivative * hv.value
     return cross * cmath.exp(jv.exponent + hv.exponent)
 

@@ -101,7 +101,7 @@ def load_surface(doc: dict) -> Surface:
     if kind == "plane":
         return Surface.plane()
     if kind in ("cylinder", "sphere"):
-        radius = _get(doc, "surface.radius", float, lambda v: v > 0, "must be > 0")
+        radius = _get(doc, "surface.radius", float, lambda v: 0 < v < math.inf, "must be finite and > 0")
         return Surface.cylinder(radius) if kind == "cylinder" else Surface.sphere(radius)
     raise ConfigError(f"config field surface.kind: unknown kind {kind!r}")
 

@@ -68,7 +68,8 @@ _Point = tuple[complex, complex, complex, complex]  # f1, f1', f2, f2' at one po
 
 
 def _eval_pair(m: int, z: complex) -> tuple[BesselEval, BesselEval]:
-    return bessel_j(m, z), bessel_h1(m, z)
+    jv = bessel_j(m, z)
+    return jv, bessel_h1(m, z, j=jv)
 
 
 def _shell_point(m: int, k: complex, r: float) -> _Point:
@@ -133,6 +134,12 @@ def _shell_closure(k: complex, wall: _Point, ring: _Point, outer: _Point) -> _Sh
     return _ShellClosure(points, True, n, el, n_wall, dn_wall, n_ring, l_ring, _combine(el, wall)[0], w, size)
 
 
+def _check_source_amplitude(amplitude: complex) -> None:
+    """A zero source drives no field, and every error relative to it divides by zero."""
+    if not (cmath.isfinite(amplitude) and amplitude != 0):
+        raise ValueError(f"source_amplitude must be finite and nonzero, got {amplitude!r}")
+
+
 @dataclass(frozen=True)
 class CylinderBenchmark:
     """Layered-cylinder benchmark: interface, outer wall, ring source, one mode."""
@@ -155,6 +162,7 @@ class CylinderBenchmark:
             raise ValueError(f"mode must be an integer, got {self.mode!r}")
         if abs(self.mode) > 200:
             raise ValueError(f"|mode| must be <= 200, got {self.mode}")
+        _check_source_amplitude(self.source_amplitude)
 
     @functools.cached_property
     def params(self) -> DerivedParams:
@@ -815,6 +823,7 @@ class PlaneBenchmark:
     def __post_init__(self) -> None:
         if not (0.0 < self.x_source < self.thickness):
             raise ValueError("need 0 < x_source < thickness")
+        _check_source_amplitude(self.source_amplitude)
 
     @functools.cached_property
     def params(self) -> DerivedParams:

@@ -9,6 +9,7 @@ import pytest
 from magskin import bessel
 from magskin.bessel import (
     _EULER_GAMMA,
+    MAX_ORDER,
     SERIES_RADIUS,
     _WEDGE_IM,
     BesselDomainError,
@@ -345,6 +346,59 @@ def test_h1_wedge_calls_no_public_bessel_function(monkeypatch):
     for m in (0, 1, 30, 200):
         for z in (1.5 + 0.01j, 1.5 - 0.01j, 11.9 + 0j, 8.0 - 4.0j):
             assert cmath.isfinite(bessel_h1(m, z).value)
+
+
+# |z| from 1e-3 to 12.3 on seven rays across both half-planes: the series
+# wedge, and past it (|Im z| > 4 or |z| > 12) where a given J is only checked
+J_READ_GRID = [
+    cmath.rect(a, t * math.pi / 2) for a in log_grid(1e-3, 12.3, 8) for t in (-1.0, -0.5, -0.1, 0.0, 0.1, 0.5, 1.0)
+]
+
+
+def test_h1_reading_the_callers_j_changes_no_bit():
+    """J + iY from a given J_m evaluation equals, in hex, the sum that runs J's series itself."""
+    wedge = 0
+    for z in J_READ_GRID:
+        wedge += abs(z) <= SERIES_RADIUS and abs(z.imag) <= _WEDGE_IM
+        for m in range(MAX_ORDER + 1):
+            own, read = bessel_h1(m, z), bessel_h1(m, z, j=bessel_j(m, z))
+            assert (read.order, read.argument) == (m, z)
+            assert bits(read.value, read.derivative, read.exponent) == bits(
+                own.value, own.derivative, own.exponent
+            ), (m, z)
+    assert 20 < wedge < len(J_READ_GRID)
+
+
+def test_h1_rejects_a_j_of_another_order_or_argument():
+    z = 1.5 + 0.25j
+    for m, other in (
+        (3, bessel_j(2, z)),
+        (3, bessel_j(3, z + 1e-12)),
+        (3, bessel_j(3, z.conjugate())),
+        (0, bessel_j(0, 20.0)),
+    ):
+        message = f"j is J_{other.order} at {other.argument!r}, but H^(1)_{m} is asked at {z!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            bessel_h1(m, z, j=other)
+    # outside the series wedge a j of the right order and argument is read by no one
+    assert bessel_h1(4, 30 + 2j, j=bessel_j(4, 30 + 2j)) == bessel_h1(4, 30 + 2j)
+
+
+def test_a_shell_basis_runs_the_j_series_once_per_point(monkeypatch):
+    """J_m and H1_m at each of the three shell radii share one J series loop."""
+    runs = []
+
+    def counted(m, z):
+        runs.append((m, z))
+        return _j_series(m, z)
+
+    monkeypatch.setattr(bessel, "_j_series", counted)
+    for m in (0, 1, 2):
+        runs.clear()
+        b = default_benchmark(m)
+        b.shell_basis
+        assert len(runs) == 3
+        assert len(set(runs)) == 3
 
 
 def _hankel_asymptotic(m: int, z: complex, kind: int) -> tuple[complex, complex]:

@@ -391,6 +391,36 @@ def test_an_infinite_outer_radius_is_a_config_error(tmp_path, capsys):
     assert err.startswith("error: config field benchmark: r_out must be finite, got inf")
 
 
+@pytest.mark.parametrize("amplitude", [[0.0, 0.0], [math.nan, 0.0], [math.inf, 0.0]])
+@pytest.mark.parametrize(
+    "argv", [["ibc-sweep", "--eps", "0.1,0.01"], ["convergence", "--eps", EPS5], ["skin-depth"]]
+)
+def test_a_zero_or_non_finite_source_amplitude_is_a_config_error(argv, amplitude, tmp_path, capsys):
+    # a zero amplitude used to exit 1 (a ZeroDivisionError traceback in ibc-sweep), a non-finite one
+    # with all-NaN residuals
+    cfg = dict(BASE_CONFIG, benchmark=dict(BASE_CONFIG["benchmark"], source_amplitude=amplitude))
+    path = tmp_path / "silent.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run([*argv, "--config", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: config field benchmark: source_amplitude must be finite and nonzero")
+
+
+@pytest.mark.parametrize("kind", ["cylinder", "sphere"])
+@pytest.mark.parametrize("radius", ["1e309", "Infinity"])
+@pytest.mark.parametrize("command", ["skin-depth", "profile-table"])
+def test_an_infinite_surface_radius_is_a_config_error(command, radius, kind, tmp_path, capsys):
+    # both parse to inf, which used to pass the config check and exit 1 from the surface constructor
+    text = json.dumps(dict(BASE_CONFIG, surface={"kind": kind, "radius": 1.0}))
+    path = tmp_path / "flat.json"
+    path.write_text(text.replace('"radius": 1.0', f'"radius": {radius}'))
+    code, out, err = run([command, "--config", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: config field surface.radius: must be finite and > 0 (got inf)")
+
+
 def test_skin_depth_rejects_a_benchmark_off_the_surface(tmp_path, capsys):
     # L_numeric would be measured at R_in = 1 and L_asymptotic at radius 2
     cfg = dict(BASE_CONFIG, surface={"kind": "cylinder", "radius": 2.0})

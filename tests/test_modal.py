@@ -620,6 +620,15 @@ def test_benchmark_validation():
     for mode in (True, False, 1.5, 2.0):
         with pytest.raises(ValueError, match=rf"mode must be an integer, got {mode!r}"):
             CylinderBenchmark(r_in=1.0, r_out=2.0, r_source=1.5, mode=mode, cfg=cfg)
+    # a zero source reached a division by zero in the rate fit, a non-finite one all-NaN residuals
+    for amplitude in (0j, 0.0, complex(math.nan, 0.0), complex(math.inf, 0.0), complex(1.0, -math.inf)):
+        message = rf"source_amplitude must be finite and nonzero, got {re.escape(repr(amplitude))}"
+        with pytest.raises(ValueError, match=message):
+            CylinderBenchmark(r_in=1.0, r_out=2.0, r_source=1.5, mode=0, cfg=cfg, source_amplitude=amplitude)
+        with pytest.raises(ValueError, match=message):
+            PlaneBenchmark(thickness=1.0, x_source=0.4, cfg=cfg, source_amplitude=amplitude)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(default_benchmark(mode=1), source_amplitude=amplitude)
 
 
 def test_plane_solver_conditions_and_decay():
@@ -748,9 +757,9 @@ def _count_bessel_calls(monkeypatch) -> list[tuple[str, int, complex]]:
     calls = []
 
     def counted(name, fn):
-        def wrapper(m, z):
+        def wrapper(m, z, **kwargs):
             calls.append((name, m, z))
-            return fn(m, z)
+            return fn(m, z, **kwargs)
 
         return wrapper
 
