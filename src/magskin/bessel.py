@@ -129,7 +129,7 @@ class BesselEval(NamedTuple):
 
 
 def _validate(m: int, z: complex, singular: bool) -> complex:
-    if not isinstance(m, int) or m < 0 or m > MAX_ORDER:
+    if isinstance(m, bool) or not isinstance(m, int) or m < 0 or m > MAX_ORDER:
         raise BesselDomainError(f"order must be an integer in [0, {MAX_ORDER}], got {m!r}")
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):

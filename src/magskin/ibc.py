@@ -39,7 +39,7 @@ class ImpedanceOperator:
 
 def impedance_operator(k: int, cfg: PhysicalConfig) -> ImpedanceOperator:
     """Build the order-k impedance operator from the physical configuration."""
-    if k not in (0, 1, 2):
+    if isinstance(k, bool) or not isinstance(k, int) or k not in (0, 1, 2):
         raise ValueError(f"unsupported impedance order {k!r}; must be 0, 1 or 2")
     if k == 0:
         return ImpedanceOperator(order=0, scalar_part=0j, curvature_part=0j)

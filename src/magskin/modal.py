@@ -65,6 +65,7 @@ def default_config(eps: float = 0.1) -> PhysicalConfig:
 
 _Coefficients = tuple[complex, complex]
 _Point = tuple[complex, complex, complex, complex]  # f1, f1', f2, f2' at one point
+_OVERFLOW: _Point = (complex(math.inf),) * 4  # a point beyond the float range: not finite
 
 
 def _eval_pair(m: int, z: complex) -> tuple[BesselEval, BesselEval]:
@@ -78,8 +79,11 @@ def _shell_point(m: int, k: complex, r: float) -> _Point:
     An unscaled evaluation (exponent 0) is read as it is, not multiplied by exp(0).
     """
     jv, hv = _eval_pair(m, k * r)
-    f1, d1 = (jv.value, jv.derivative) if jv.exponent == 0 else (jv.actual, jv.actual_derivative)
-    f2, d2 = (hv.value, hv.derivative) if hv.exponent == 0 else (hv.actual, hv.actual_derivative)
+    try:
+        f1, d1 = (jv.value, jv.derivative) if jv.exponent == 0 else (jv.actual, jv.actual_derivative)
+        f2, d2 = (hv.value, hv.derivative) if hv.exponent == 0 else (hv.actual, hv.actual_derivative)
+    except OverflowError:  # the scale exp(exponent) does
+        return _OVERFLOW
     return f1, k * d1, f2, k * d2
 
 
@@ -475,7 +479,7 @@ def _expansion_terms(b: CylinderBenchmark, order: int) -> list[ModalSolution]:
     at order 1, lam*u1(r_in) - H*u0(r_in) at order 2.  lam does not depend on
     the permeability contrast, so the terms are contrast-independent.
     """
-    if order not in (0, 1, 2):
+    if isinstance(order, bool) or not isinstance(order, int) or order not in (0, 1, 2):
         raise ValueError(f"expansion order must be 0, 1 or 2, got {order!r}")
     lam = b.params.lam
     curv = mean_curvature(b.wall_surface)
@@ -517,55 +521,41 @@ def truncated_expansion(b: CylinderBenchmark, order: int) -> ModalSolution:
     )
 
 
-# Panel-doubled quadrature stops when two refinements agree to this relative tolerance.
+# The tanh-sinh quadrature stops when two step sizes agree to this relative tolerance.
 _QUADRATURE_RTOL = 1e-12
 
 
-@functools.cache
-def _gl_rule() -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Nodes and weights of the 48-point Gauss-Legendre rule on [-1, 1]."""
-    # The only numpy use in magskin: imported here, so that only the low-loss
-    # quadrature fallback (which no default configuration reaches) loads it.
-    import numpy as np
+def _tanh_sinh_integral(fn, a: float, b: float, max_levels: int = 8) -> list[float]:
+    """Tanh-sinh rule for the densities fn(r) returns, halving its step h until two steps agree.
 
-    x, w = np.polynomial.legendre.leggauss(48)
-    return tuple(x.tolist()), tuple(w.tolist())
-
-
-def _panel_integrals(fn, a: float, b: float) -> list[float]:
-    """The 48-point Gauss rule on [a, b] for each density fn(r) returns, one fn call per node."""
-    x, w = _gl_rule()
-    half, mid = 0.5 * (b - a), 0.5 * (a + b)
-    values = [fn(half * xi + mid) for xi in x]
-    return [half * math.fsum(wi * v[i] for wi, v in zip(w, values)) for i in range(len(values[0]))]
-
-
-def _composite_integral(fn, a: float, b: float, max_panels: int = 64) -> list[float]:
-    """Panel-doubling composite Gauss rule for the densities fn(r) returns, until two refinements agree.
-
-    fn(r) returns a tuple of densities, integrated together: every level calls
-    fn once per node, and the panels double until each density's last two
-    estimates agree.  Raises SolverError when ``max_panels`` panels are
-    reached without agreement.
+    Nodes r = mid + half*tanh(pi/2*sinh t) at t = j*h, |t| <= 3.5, weights
+    half*h*(pi/2)*cosh t/cosh^2(pi/2*sinh t) (Takahashi & Mori 1974).  h halves from
+    1/2 and each level adds only the odd j, reusing every density value.  A node other
+    than the centre that rounds onto a or b is skipped: its weight is below an ulp there.
+    Raises SolverError after ``max_levels`` halvings (1 + 7*2^(max_levels+1) nodes at most).
     """
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    terms: list[list[float]] = []  # weight/(half*h*pi/2) times each density, at every node so far
     prev = None
-    panels = 1
-    while True:
-        step = (b - a) / panels
-        edges = [a + i * step for i in range(panels)] + [b]
-        parts = [_panel_integrals(fn, edges[i], edges[i + 1]) for i in range(panels)]
-        vals = [sum(col) for col in zip(*parts)]
+    for level in range(max_levels + 1):
+        h, n, step = 0.5 ** (level + 1), 7 * 2**level, 1 if level == 0 else 2
+        for j in range(step - 1 - n, n + 1, step):
+            u = 0.5 * math.pi * math.sinh(j * h)
+            r = mid + half * math.tanh(u)
+            if j == 0 or a < r < b:
+                w = math.cosh(j * h) / math.cosh(u) ** 2
+                terms.append([w * v for v in fn(r)])
+        vals = [half * h * 0.5 * math.pi * math.fsum(col) for col in zip(*terms)]
         if prev is not None and all(
             abs(val - old) <= _QUADRATURE_RTOL * max(abs(val), 1e-300) for val, old in zip(vals, prev)
         ):
             return vals
-        if panels >= max_panels:
+        if level == max_levels:
             raise SolverError(
-                f"quadrature on [{a}, {b}] did not reach rtol {_QUADRATURE_RTOL:.1e} in {panels} "
-                f"panels: last estimates {prev} and {vals}"
+                f"quadrature on [{a}, {b}] did not reach rtol {_QUADRATURE_RTOL:.1e} in {max_levels} "
+                f"step halvings: last estimates {prev} and {vals}"
             )
         prev = vals
-        panels *= 2
 
 
 @dataclass(frozen=True)
@@ -620,7 +610,7 @@ def _shell_squares_lommel(
 def _shell_squares_quadrature(
     b: CylinderBenchmark, inner: _Coefficients, outer: _Coefficients
 ) -> tuple[float, float]:
-    """Squared electric and magnetic shell norms by panel-doubled Gauss quadrature."""
+    """Squared electric and magnetic shell norms by tanh-sinh quadrature, one basis point per node."""
     m = abs(b.mode)
     kp = b.k_plus
 
@@ -630,7 +620,7 @@ def _shell_squares_quadrature(
             u_sq = abs(u) ** 2
             return u_sq * r, (abs(du) ** 2 + (m / r) ** 2 * u_sq) * r
 
-        return _composite_integral(densities, lo, hi)
+        return _tanh_sinh_integral(densities, lo, hi)
 
     e_in, h_in = piece(inner, b.r_in, b.r_source)
     e_out, h_out = piece(outer, b.r_source, b.r_out)
@@ -683,7 +673,7 @@ def shell_l2_error(a: ModalSolution, b: ModalSolution) -> ShellError:
     (m/r)*u component, both divided by omega*mu_plus.  Both norms come in
     closed form from the difference's values at r_in, r_source and r_out
     (Lommel's integrals); when Im(k_plus^2)/|k_plus^2| < 1e-3 that form
-    cancels too many digits and panel-doubled Gauss quadrature is used.
+    cancels too many digits and tanh-sinh quadrature is used.
     """
     bench, inner, outer = _shell_difference(a, b)
     return _shell_error(bench, *_shell_squares(bench, inner, outer))
@@ -823,6 +813,8 @@ class PlaneBenchmark:
     def __post_init__(self) -> None:
         if not (0.0 < self.x_source < self.thickness):
             raise ValueError("need 0 < x_source < thickness")
+        if not math.isfinite(self.thickness):
+            raise ValueError(f"thickness must be finite, got {self.thickness!r}")
         _check_source_amplitude(self.source_amplitude)
 
     @functools.cached_property
@@ -854,7 +846,10 @@ class PlaneSolution:
 
 def _exp_point(k: complex, x: float) -> _Point:
     """(exp(ikx), ik*exp(ikx), exp(-ikx), -ik*exp(-ikx)): the plane's shell basis at x."""
-    ep, em = cmath.exp(1j * k * x), cmath.exp(-1j * k * x)
+    try:
+        ep, em = cmath.exp(1j * k * x), cmath.exp(-1j * k * x)
+    except (OverflowError, ValueError):  # an exponential overflows, or k*x does (a domain error)
+        return _OVERFLOW
     return ep, 1j * k * ep, em, -1j * k * em
 
 

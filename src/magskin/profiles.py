@@ -378,8 +378,10 @@ def cutoff_chi(y3: float, horizon: float) -> float:
     Multiplies layer evaluations in physical coordinates; every identity is
     checked inside the region where it equals 1.
     """
-    if horizon <= 0:
-        raise ValueError("cutoff horizon must be positive")
+    if not horizon > 0:  # not <= 0: NaN fails every comparison
+        raise ValueError(f"cutoff horizon must be positive, got {horizon!r}")
+    if math.isnan(y3):
+        raise ValueError(f"cutoff depth y3 must not be NaN, got {y3!r}")
     if y3 <= 0.5 * horizon:
         return 1.0
     if y3 >= horizon:

@@ -80,6 +80,11 @@ def test_domain_validation():
         bessel_j(201, 1.0)
     with pytest.raises(BesselDomainError):
         bessel_j(0, -1.0 + 0.5j)
+    # bool and float orders passed as integers
+    for m in (True, False, 1.0):
+        for fn in (bessel_j, bessel_y, bessel_h1):
+            with pytest.raises(BesselDomainError, match=rf"order must be an integer in \[0, 200\], got {m!r}"):
+                fn(m, 1.0)
 
 
 SPOT_POINTS = [

@@ -10,7 +10,7 @@ from magskin.ibc import (
     leontovich_limit_check,
     robin_coefficient,
 )
-from magskin.modal import default_benchmark
+from magskin.modal import default_benchmark, solve_ibc
 from magskin.params import PhysicalConfig, derive_params
 
 from conftest import log_grid, loglog_slope
@@ -47,6 +47,12 @@ def test_order_two_curvature_coefficient():
 def test_unsupported_order_rejected():
     with pytest.raises(ValueError, match="unsupported"):
         impedance_operator(3, config())
+    # bool and float orders compared equal to 0, 1 or 2 and were accepted
+    for k in (True, False, 1.0, 2.0):
+        with pytest.raises(ValueError, match=f"unsupported impedance order {k!r}"):
+            impedance_operator(k, config())
+        with pytest.raises(ValueError, match=f"unsupported impedance order {k!r}"):
+            solve_ibc(default_benchmark(mode=1), k)
 
 
 def test_sphere_umbilic_degeneracy(rng):

@@ -17,11 +17,11 @@ from magskin.modal import (
     CylinderBenchmark,
     PlaneBenchmark,
     SolverError,
-    _composite_integral,
     _shell_difference,
     _shell_error,
     _shell_l2_error_quadrature,
     _shell_squares_lommel,
+    _tanh_sinh_integral,
     conductor_l2_norm,
     convergence_study,
     default_benchmark,
@@ -406,9 +406,9 @@ def test_model_differences_match_the_wall_defect_error(mode, eps):
 
 
 def test_composite_integral_against_closed_forms():
-    (val,) = _composite_integral(lambda r: (math.exp(-r),), 0.0, 3.0)
+    (val,) = _tanh_sinh_integral(lambda r: (math.exp(-r),), 0.0, 3.0)
     assert abs(val - (1.0 - math.exp(-3.0))) <= 1e-13
-    (val,) = _composite_integral(lambda r: (r**3,), 0.0, 2.0)
+    (val,) = _tanh_sinh_integral(lambda r: (r**3,), 0.0, 2.0)
     assert abs(val - 4.0) <= 1e-13
 
 
@@ -427,8 +427,8 @@ def test_quadrature_stable_under_refinement():
         du = db * bessel_j(m, kp * r).actual + dc * bessel_h1(m, kp * r).actual
         return (abs(du) ** 2 * r,)
 
-    (coarse,) = _composite_integral(density, b.r_in, b.r_source, max_panels=4)
-    (fine,) = _composite_integral(density, b.r_in, b.r_source, max_panels=64)
+    (coarse,) = _tanh_sinh_integral(density, b.r_in, b.r_source, max_levels=4)
+    (fine,) = _tanh_sinh_integral(density, b.r_in, b.r_source, max_levels=8)
     assert abs(coarse - fine) <= 1e-12 * fine
 
 
@@ -447,40 +447,60 @@ def _numpy_composite_integral(fn, a, b):
         prev, panels = val, 2 * panels
 
 
-@pytest.mark.parametrize("mode", [0, 1, 5])
+@pytest.mark.parametrize("mode", [0, 1, 5, 30, 100])
 def test_scalar_quadrature_matches_the_numpy_panel_sum(mode):
-    # the panel sums moved from np.dot to math.fsum; measured worst 3.1e-16 on modes 0-30
-    b = _with_sigma_plus(default_benchmark(mode=mode, eps=0.01), 1e-6)
-    _, inner, outer = _shell_difference(solve_exact(b), solve_ibc(b, 1))
-    for coeff, lo, hi in ((inner, b.r_in, b.r_source), (outer, b.r_source, b.r_out)):
+    # the tanh-sinh rule against the former panel-doubled Gauss rule, on the low-loss densities
+    for sigma_plus in (1e-6, 9e-4):
+        b = _with_sigma_plus(default_benchmark(mode=mode, eps=0.01), sigma_plus)
+        _, inner, outer = _shell_difference(solve_exact(b), solve_ibc(b, 1))
+        for coeff, lo, hi in ((inner, b.r_in, b.r_source), (outer, b.r_source, b.r_out)):
 
-        def density(r, coeff=coeff):
-            u, du = modal._combine(coeff, modal._shell_point(mode, b.k_plus, r))
-            return (abs(du) ** 2 + (mode / r) ** 2 * abs(u) ** 2) * r
+            def density(r, coeff=coeff, b=b):
+                u, du = modal._combine(coeff, modal._shell_point(mode, b.k_plus, r))
+                return (abs(du) ** 2 + (mode / r) ** 2 * abs(u) ** 2) * r
 
-        want = _numpy_composite_integral(density, lo, hi)
-        (got,) = _composite_integral(lambda r: (density(r),), lo, hi)
-        assert abs(got - want) <= 1e-15 * want
+            want = _numpy_composite_integral(density, lo, hi)
+            (got,) = _tanh_sinh_integral(lambda r: (density(r),), lo, hi)
+            assert abs(got - want) <= 1e-12 * want, (sigma_plus, lo, got, want)
 
 
-def test_composite_integral_raises_at_panel_cap():
-    # sin^2(400 r) on [0, 10] integrates to 4.999...; two panels give 5.16
-    with pytest.raises(SolverError, match="2 panels"):
-        _composite_integral(lambda r: (math.sin(400.0 * r) ** 2,), 0.0, 10.0, max_panels=2)
+def test_tanh_sinh_integral_raises_at_level_cap():
+    # sin^2(400 r) on [0, 10] integrates to 4.999...; the rule needs more than two halvings
+    with pytest.raises(SolverError, match="in 2 step halvings"):
+        _tanh_sinh_integral(lambda r: (math.sin(400.0 * r) ** 2,), 0.0, 10.0, max_levels=2)
+    # the default cap, 8 halvings, is at most 3585 density calls: fewer than the 6096 of the
+    # former 48-point Gauss rule doubled to 64 panels
+    calls = []
+    with pytest.raises(SolverError, match="in 8 step halvings"):
+        _tanh_sinh_integral(lambda r: calls.append(r) or (math.sin(400.0 * r) ** 2,), 0.0, 10.0)
+    assert len(calls) <= 1 + 7 * 2**9
 
 
 def test_overflowing_basis_surfaces_as_solver_error():
-    # at mode 200 H1_m(k_plus r) overflows at every shell radius; every model on the closure raises
-    b = default_benchmark(mode=200)
-    for kind, solve in (
-        ("exact", solve_exact),
-        ("ibc1", lambda b_: solve_ibc(b_, 1)),
-        ("ibc-custom", lambda b_: solve_ibc_with_gamma(b_, 0.5j)),
-        ("expansion", lambda b_: truncated_expansion(b_, 2)),
+    # at mode 200 H1_m(k_plus r) overflows at every shell radius; at r_out = 1e300, and at
+    # r_source = 1e5 with r_out = 2e5, the scale exp(exponent) of J_m(k_plus r) overflows,
+    # which raised a raw OverflowError before.  Every model on the closure raises.
+    cfg = default_config(0.1)
+    for b in (
+        default_benchmark(mode=200),
+        CylinderBenchmark(r_in=1.0, r_out=1e300, r_source=1.5, mode=0, cfg=cfg),
+        CylinderBenchmark(r_in=1.0, r_out=2e5, r_source=1e5, mode=0, cfg=cfg),
     ):
-        with pytest.raises(SolverError, match=f"^{kind} shell basis not finite: wall "):
-            solve(b)
-    assert not b.shell_closure.finite
+        for kind, solve in (
+            ("exact", solve_exact),
+            ("ibc1", lambda b_: solve_ibc(b_, 1)),
+            ("ibc-custom", lambda b_: solve_ibc_with_gamma(b_, 0.5j)),
+            ("expansion", lambda b_: truncated_expansion(b_, 2)),
+        ):
+            with pytest.raises(SolverError, match=f"^{kind} shell basis not finite: wall "):
+                solve(b)
+        assert not b.shell_closure.finite
+    # exp(-i k_plus x) overflows at x = 1e308 (a raw OverflowError before), and at omega = 100
+    # k_plus*x itself does (a math domain error before)
+    for omega in (1.0, 100.0):
+        plane = PlaneBenchmark(thickness=1e308, x_source=0.4, cfg=dataclasses.replace(cfg, omega=omega))
+        with pytest.raises(SolverError, match="^plane shell basis not finite: wall "):
+            solve_plane_exact(plane)
 
 
 def _with_sigma_plus(b: CylinderBenchmark, sigma_plus: float) -> CylinderBenchmark:
@@ -550,15 +570,15 @@ def test_low_loss_shell_error_falls_back_to_quadrature():
 
 
 def test_low_loss_quadrature_evaluates_one_shell_point_per_node(monkeypatch):
-    # two pieces, each converged at 2 panels after 1: 2 * (1 + 2) * 48 nodes,
-    # one basis point each for both densities (576 points at 288 radii before)
+    # two pieces of the tanh-sinh rule, one basis point per node for both densities
+    # (288 with the former 48-point Gauss rule, each piece converged at 2 panels after 1)
     b = _with_sigma_plus(default_benchmark(mode=1, eps=1e-2), 1e-6)
     _, inner, outer = _shell_difference(solve_exact(b), solve_ibc(b, 1))
     radii = []
     point = modal._shell_point
     monkeypatch.setattr(modal, "_shell_point", lambda m, k, r: radii.append(r) or point(m, k, r))
     e_sq, h_sq = modal._shell_squares_quadrature(b, inner, outer)
-    assert len(radii) <= 288 and len(set(radii)) == len(radii)
+    assert len(radii) <= 202 and len(set(radii)) == len(radii)
     monkeypatch.undo()
 
     # against one quadrature run per density, within the stop tolerance
@@ -569,7 +589,7 @@ def test_low_loss_quadrature_evaluates_one_shell_point_per_node(monkeypatch):
             def one(r, coeff=coeff):
                 return (density(*modal._combine(coeff, point(1, b.k_plus, r)), r),)
 
-            total += _composite_integral(one, lo, hi)[0]
+            total += _tanh_sinh_integral(one, lo, hi)[0]
         return total
 
     ref_e = alone(lambda u, du, r: abs(u) ** 2 * r)
@@ -617,9 +637,10 @@ def test_benchmark_validation():
     # each of these used to pass the checks and fail later inside bessel, or not at all
     with pytest.raises(ValueError, match=r"r_out must be finite, got inf"):
         CylinderBenchmark(r_in=1.0, r_out=math.inf, r_source=1.5, mode=0, cfg=cfg)
-    for mode in (True, False, 1.5, 2.0):
-        with pytest.raises(ValueError, match=rf"mode must be an integer, got {mode!r}"):
-            CylinderBenchmark(r_in=1.0, r_out=2.0, r_source=1.5, mode=mode, cfg=cfg)
+    # an infinite thickness reached a math domain error in the plane's basis
+    with pytest.raises(ValueError, match=r"thickness must be finite, got inf"):
+        PlaneBenchmark(thickness=math.inf, x_source=0.4, cfg=cfg)
+    # shells whose basis overflows are finite inputs; test_overflowing_basis_surfaces_as_solver_error
     # a zero source reached a division by zero in the rate fit, a non-finite one all-NaN residuals
     for amplitude in (0j, 0.0, complex(math.nan, 0.0), complex(math.inf, 0.0), complex(1.0, -math.inf)):
         message = rf"source_amplitude must be finite and nonzero, got {re.escape(repr(amplitude))}"
@@ -810,9 +831,11 @@ def test_truncated_expansion_is_the_weighted_sum_of_its_terms():
     assert sol.shell_inner[1] == sum(eps**j * t.shell_inner[1] for j, t in enumerate(terms))
     assert sol.shell_outer[0] == sum(eps**j * t.shell_outer[0] for j, t in enumerate(terms))
     assert sol.shell_outer[1] == sum(eps**j * t.shell_outer[1] for j, t in enumerate(terms))
-    for order in (-1, 3):
-        with pytest.raises(ValueError, match="expansion order"):
+    for order in (-1, 3, True, False, 2.0):
+        with pytest.raises(ValueError, match=f"expansion order must be 0, 1 or 2, got {order!r}"):
             truncated_expansion(b, order)
+        with pytest.raises(ValueError, match=f"expansion order must be 0, 1 or 2, got {order!r}"):
+            solve_expansion_term(b, order)
 
 
 def test_truncated_expansion_reports_the_worst_residual_of_its_terms():

@@ -283,6 +283,15 @@ def test_cutoff_shape_and_smoothness():
         assert abs(second_left - second_right) <= 1e-1
 
 
+def test_cutoff_rejects_nan():
+    # NaN passed the horizon <= 0 check and came back as the value
+    with pytest.raises(ValueError, match="cutoff depth y3 must not be NaN, got nan"):
+        cutoff_chi(math.nan, 1.0)
+    for horizon in (math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match=f"cutoff horizon must be positive, got {horizon!r}"):
+            cutoff_chi(0.1, horizon)
+
+
 def test_sphere_rejects_nonzero_wavevector():
     s = Surface.sphere(1.0)
     with pytest.raises(ValueError):
