@@ -528,20 +528,22 @@ _QUADRATURE_RTOL = 1e-12
 def _tanh_sinh_integral(fn, a: float, b: float, max_levels: int = 8) -> list[float]:
     """Tanh-sinh rule for the densities fn(r) returns, halving its step h until two steps agree.
 
-    Nodes r = mid + half*tanh(pi/2*sinh t) at t = j*h, |t| <= 3.5, weights
+    Nodes r = (a+b)/2 + half*tanh(pi/2*sinh t) at t = j*h, |t| <= 3.5, weights
     half*h*(pi/2)*cosh t/cosh^2(pi/2*sinh t) (Takahashi & Mori 1974).  h halves from
-    1/2 and each level adds only the odd j, reusing every density value.  A node other
-    than the centre that rounds onto a or b is skipped: its weight is below an ulp there.
+    1/2 and each level adds only the odd j, reusing every density value.  A node is formed
+    from its distance half*2/(1 + e^(2|u|)) to the nearer end, so it is rounded at that
+    end's spacing; one other than the centre that rounds onto a or b is skipped.
     Raises SolverError after ``max_levels`` halvings (1 + 7*2^(max_levels+1) nodes at most).
     """
-    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    half = 0.5 * (b - a)
     terms: list[list[float]] = []  # weight/(half*h*pi/2) times each density, at every node so far
     prev = None
     for level in range(max_levels + 1):
         h, n, step = 0.5 ** (level + 1), 7 * 2**level, 1 if level == 0 else 2
         for j in range(step - 1 - n, n + 1, step):
             u = 0.5 * math.pi * math.sinh(j * h)
-            r = mid + half * math.tanh(u)
+            d = 2.0 * half / (1.0 + math.exp(2.0 * abs(u)))
+            r = a + d if j <= 0 else b - d
             if j == 0 or a < r < b:
                 w = math.cosh(j * h) / math.cosh(u) ** 2
                 terms.append([w * v for v in fn(r)])

@@ -637,6 +637,9 @@ def test_benchmark_validation():
     # each of these used to pass the checks and fail later inside bessel, or not at all
     with pytest.raises(ValueError, match=r"r_out must be finite, got inf"):
         CylinderBenchmark(r_in=1.0, r_out=math.inf, r_source=1.5, mode=0, cfg=cfg)
+    for mode in (True, False, 1.5, 2.0):
+        with pytest.raises(ValueError, match=rf"mode must be an integer, got {mode!r}"):
+            CylinderBenchmark(r_in=1.0, r_out=2.0, r_source=1.5, mode=mode, cfg=cfg)
     # an infinite thickness reached a math domain error in the plane's basis
     with pytest.raises(ValueError, match=r"thickness must be finite, got inf"):
         PlaneBenchmark(thickness=math.inf, x_source=0.4, cfg=cfg)
