@@ -349,6 +349,37 @@ class LayerField:
         a11, a22 = curvature_metric_diagonal(self.principal_curvatures, self.tubular_radius, y3)
         return float(a11 * abs(t1) ** 2 + a22 * abs(t2) ** 2) + abs(norm) ** 2
 
+    def modulus_sq_floor(self, a: float, b: float) -> float:
+        """Lower bound of ``modulus_sq`` over depths [a, b], 0 <= a <= b < tubular radius.
+
+        modulus_sq(y) = |exp(-lam*y/eps)|^2 * (sum_i |A_i + y*B_i|^2 / (1 - k_i*y)^2
+        + |eps*normal|^2), with A = e0 + eps*e1 and B the curvature coefficient.
+        The product of the factors' minima bounds it: the decay and metric
+        factors are monotone, so they take theirs at an endpoint, and the
+        convex |A_i + y*B_i|^2 at its vertex clipped to [a, b].  Each quadratic
+        is lowered by 1e-12*(|e0_i| + eps*|e1_i| + b*|B_i|)^2, far more than the
+        rounding of this form or of a sample, so the bound may be negative.
+        NaN coefficients give NaN.
+        """
+        if not (0.0 <= a <= b < self.tubular_radius):
+            raise ValueError(f"depths [{a!r}, {b!r}] outside the tubular neighborhood")
+        eps, e0, e1, curv = self.eps, self.e0, self.e1, self.curvature
+        total = abs(eps * self.normal) ** 2
+        for k, c0, c1, slope in zip(
+            self.principal_curvatures, (e0.c1, e0.c2), (e1.c1, e1.c2), (curv.c1, curv.c2)
+        ):
+            offset = c0 + eps * c1
+            y = a
+            if slope:  # the vertex -Re(conj(A)*B)/|B|^2, without squaring |B|
+                y = -(offset / slope).real
+                y = a if y < a else b if y > b else y
+            size = abs(c0) + eps * abs(c1) + b * abs(slope)
+            total += (abs(offset + y * slope) ** 2 - 1e-12 * size * size) / (
+                1.0 - k * (a if k >= 0.0 else b)
+            ) ** 2
+        rate = self.decay_rate.real
+        return math.exp(-2.0 * rate * (b if rate >= 0.0 else a) / eps) * total
+
 
 def layer_modulus_sq(
     s: Surface,

@@ -35,12 +35,18 @@ class DecayTrace:
 
     ``sampler(h)`` returns the field modulus at depth h >= 0 [m];
     ``max_depth`` bounds the search and must be finite and positive.
+    ``floor(a, b)``, if given, returns a lower bound of the modulus over
+    depths [a, b] within max_depth, so that ``skin_depth_numeric`` may skip
+    the samples it proves to be above 1/e; ``None`` marks an opaque sampler,
+    scanned point by point.  ``dataclasses.replace(trace, sampler=...)`` keeps
+    the floor, which must then still bound the new sampler.
     ``surface_modulus`` is ``sampler(0.0)``, sampled once here, where it must
     be positive, and read by ``skin_depth_numeric``.
     """
 
     sampler: Callable[[float], float]
     max_depth: float
+    floor: Callable[[float, float], float] | None = None
     surface_modulus: float = field(init=False)
 
     def __post_init__(self) -> None:
@@ -55,7 +61,10 @@ class DecayTrace:
 def layer_trace(
     s: Surface, tr: TraceData, dp: DerivedParams, y: tuple[float, float] = (0.0, 0.0)
 ) -> DecayTrace:
-    """Decay trace of the two-term layer field, exact shifted metric included."""
+    """Decay trace of the two-term layer field, exact shifted metric included.
+
+    Its floor is the square root of ``LayerField.modulus_sq_floor``.
+    """
     scale = dp.ell_phi
     field = LayerField.at(s, tr, dp.lam, dp.eps_small, y)
 
@@ -65,7 +74,12 @@ def layer_trace(
     max_depth = 10.0 * scale
     if s.kind is not SurfaceKind.PLANE:
         max_depth = min(max_depth, 0.9 * s.tubular_radius)
-    return DecayTrace(sampler=sampler, max_depth=max_depth)
+
+    def floor(a: float, b: float) -> float:
+        f = field.modulus_sq_floor(a, b)
+        return math.sqrt(f) if f > 0.0 else f  # a NaN stays NaN
+
+    return DecayTrace(sampler=sampler, max_depth=max_depth, floor=floor)
 
 
 def w0_plane_trace(dp: DerivedParams, amplitude: float = 1.0) -> DecayTrace:
@@ -86,9 +100,13 @@ def w0_plane_trace(dp: DerivedParams, amplitude: float = 1.0) -> DecayTrace:
 _ROOT_RTOL = 1e-14
 _ROOT_MAX_STEPS = 100
 # A scan of more than this many steps to max_depth raises before any sample.
-# Every caller in magskin scans 500 (max_depth = 10*scale, step scale/50); the
-# cap also keeps h/step far below 2**53, so h += step always advances h.
+# The traces in magskin span at most 500 (max_depth at most 10*scale, step
+# scale/50); the cap also keeps h/step far below 2**53, so h += step always
+# advances h.
 _MAX_SCAN_SAMPLES = 100_000
+# Grid points in the first run a floor is asked to clear: 64 steps reach
+# 1.28*scale, just past the depth ~scale where the crossing is expected.
+_FIRST_RUN = 64
 
 
 def _bad_sample(h: float, s: float) -> SkinDepthError:
@@ -107,13 +125,18 @@ def skin_depth_numeric(trace: DecayTrace, scale: float) -> float:
     """Smallest depth where the sampled modulus reaches 1/e of its surface value.
 
     Scan with step scale/50 to bracket the first crossing (guards against
-    non-monotone moduli), then solve g(h) = log(s(h)/target) = 0 inside the
-    bracket by Illinois regula falsi (Dowell & Jarratt 1971), starting from
-    the two scan samples that bound it.  A step bisects instead where the
-    secant is unusable: after a zero sample (g = -inf), or when the secant
-    point falls outside the bracket.  The solve stops when g is at round-off
-    (at the first step for a single exponential) or when a step is below
-    _ROOT_RTOL * max(scale, depth), returning that step's point.
+    non-monotone moduli).  Where the trace has a floor, runs of grid points
+    whose floor exceeds target*(1 + 1e-9) are skipped unsampled (a floor that
+    is NaN or inf skips nothing), and the last skipped point is sampled once
+    if it bounds the bracket; the grid, the bracket and so the root are the
+    ones of the point-by-point scan, bit for bit.  Then solve
+    g(h) = log(s(h)/target) = 0 inside the bracket by Illinois regula falsi
+    (Dowell & Jarratt 1971), starting from the two scan samples that bound
+    it.  A step bisects instead where the secant is unusable: after a zero
+    sample (g = -inf), or when the secant point falls outside the bracket.
+    The solve stops when g is at round-off (at the first step for a single
+    exponential) or when a step is below _ROOT_RTOL * max(scale, depth),
+    returning that step's point.
 
     Raises SkinDepthError before the first sample if the scan would take
     more than _MAX_SCAN_SAMPLES samples to reach ``trace.max_depth``; after
@@ -141,17 +164,40 @@ def skin_depth_numeric(trace: DecayTrace, scale: float) -> float:
     hi = s_hi = None
     h = step
     horizon = trace.max_depth * (1.0 + 1e-12)
+    floor, clear = trace.floor, target * (1.0 + 1e-9)
+    # Galloping over the same grid: a run of grid points whose floor clears
+    # the target is skipped; the run doubles until a floor first fails, then
+    # halves at every floor (a bisection for the first point it cannot clear),
+    # and at length 1 the point is sampled.  A sample above the target starts
+    # a new gallop.
+    run, doubling = (_FIRST_RUN, True) if floor is not None else (1, False)
     while h <= horizon:
+        if run > 1:
+            end = h
+            for _ in range(run - 1):
+                if end + step > horizon:
+                    break
+                end += step
+            if clear < floor(h, end) < math.inf:
+                lo, s_lo, h = end, None, end + step
+                run = 2 * run if doubling else run // 2
+            else:
+                run, doubling = run // 2, False
+            continue
         s = _sample(sampler, h)
         if s - target <= 0.0:
             hi, s_hi = h, s
             break
         lo, s_lo = h, s
         h += step
+        if floor is not None:
+            run, doubling = 2, True
     if hi is None:
         raise SkinDepthError(
             f"modulus never decayed to 1/e of its surface value within max_depth={trace.max_depth!r}"
         )
+    if s_lo is None:
+        s_lo = _sample(sampler, lo)
 
     def g(s: float) -> float:
         return math.log(s / target) if s > 0.0 else -math.inf

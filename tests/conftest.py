@@ -3,6 +3,9 @@ import random
 
 import pytest
 
+from magskin.geometry import Surface, TangentVector
+from magskin.profiles import HarmonicTangentField, TraceData
+
 
 @pytest.fixture
 def rng():
@@ -32,3 +35,12 @@ def loglog_slope(points) -> float:
 def bits(*values) -> tuple[str, ...]:
     """Hex of the real and imaginary part of each value, so -0.0 and 0.0 differ."""
     return tuple(x.hex() for v in values for x in (complex(v).real, complex(v).imag))
+
+
+def cylinder_traces(mode=2, e0=(0.8 + 0.3j, 0.5 - 0.2j), e1=(0.1 - 0.4j, -0.3 + 0.6j), radius=1.0):
+    """Traces of one azimuthal mode on a cylinder: nonzero e1 and a curvature term."""
+    s = Surface.cylinder(radius)
+    return TraceData(
+        e0_trace=HarmonicTangentField.cylinder_mode(s, TangentVector(*e0), mode),
+        e1_trace=HarmonicTangentField.cylinder_mode(s, TangentVector(*e1), mode),
+    ), s

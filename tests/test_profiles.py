@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import pytest
@@ -23,19 +24,11 @@ from magskin.profiles import (
 )
 from magskin.skin import DecayTrace, comparison_report, skin_depth_numeric
 
-from conftest import bits, log_grid, loglog_slope
+from conftest import bits, cylinder_traces, log_grid, loglog_slope
 
 LAM = derive_params(
     PhysicalConfig(omega=1, eps0=1, mu_plus=1, mu_minus=100, sigma_plus=0.01, sigma_minus=1)
 ).lam
-
-
-def cylinder_traces(mode=2, e0=(0.8 + 0.3j, 0.5 - 0.2j), e1=(0.1 - 0.4j, -0.3 + 0.6j), radius=1.0):
-    s = Surface.cylinder(radius)
-    return TraceData(
-        e0_trace=HarmonicTangentField.cylinder_mode(s, TangentVector(*e0), mode),
-        e1_trace=HarmonicTangentField.cylinder_mode(s, TangentVector(*e1), mode),
-    ), s
 
 
 def test_w0_boundary_value_is_trace():
@@ -402,3 +395,76 @@ def test_comparison_report_numeric_matches_per_sample_assembly(s, mu_minus):
     )
     expected = skin_depth_numeric(reference, dp.ell_phi)
     assert comparison_report(dp, s).numeric.hex() == expected.hex()
+
+
+def _floor_fields():
+    """(field, reach) for the default traces on each surface and for cylinder_traces(), mu_r 1e2..1e6."""
+    for mu_minus in (1e2, 1e3, 1e4, 1e5, 1e6):
+        dp = derive_params(
+            PhysicalConfig(omega=1, eps0=1, mu_plus=1, mu_minus=mu_minus, sigma_plus=0.01, sigma_minus=1)
+        )
+        cases = []
+        surfaces = [Surface.plane()] + [f(r) for f in (Surface.cylinder, Surface.sphere) for r in (1.0, 2.0)]
+        for s in surfaces:
+            tr = TraceData(
+                e0_trace=HarmonicTangentField(s, TangentVector(1.0 + 0j, 0j)),
+                e1_trace=HarmonicTangentField(s, TangentVector.zero()),
+            )
+            cases.append((s, tr, (0.0, 0.0)))
+        for radius in (1.0, 2.0):
+            tr, s = cylinder_traces(radius=radius)
+            cases.append((s, tr, (0.3, -0.2)))
+        for s, tr, y in cases:
+            reach = min(10.0 * dp.ell_phi, 0.9 * s.tubular_radius)
+            yield LayerField.at(s, tr, dp.lam, dp.eps_small, y), reach
+
+
+def _random_fields(rng):
+    """(field, reach) with arbitrary coefficients: slow or growing decay, vertices inside the reach."""
+    for s, _ in _layer_cases(rng):
+        reach = min(0.9 * s.tubular_radius, 1.0)
+        yield LayerField(
+            surface=s, decay_rate=complex(rng.uniform(-0.5, 1.0), rng.uniform(-2, 2)), eps=rng.uniform(0.05, 1.0),
+            e0=TangentVector(_rand_complex(rng), _rand_complex(rng)),
+            e1=TangentVector(_rand_complex(rng), _rand_complex(rng)),
+            curvature=TangentVector(_rand_complex(rng) / reach, _rand_complex(rng) / reach),
+            normal=_rand_complex(rng),
+        ), reach
+
+
+def test_modulus_sq_floor_bounds_dense_samples_from_below(rng):
+    for field, reach in [*_floor_fields(), *_random_fields(rng)]:
+        intervals = [(0.0, reach), (0.5 * reach, reach)]
+        for _ in range(6):
+            a = rng.uniform(0.0, reach)
+            intervals.append((a, rng.uniform(a, reach)))
+        for a, b in intervals:
+            floor = field.modulus_sq_floor(a, b)
+            values = [field.modulus_sq(a + (b - a) * i / 199) for i in range(200)]
+            assert floor <= min(values), (a, b)
+        # at one depth the bound is the sample, up to rounding
+        for y in (0.0, 0.3 * reach, reach):
+            floor = field.modulus_sq_floor(y, y)
+            assert floor <= field.modulus_sq(y) <= floor * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("where", ["e0", "e1", "curvature", "normal", "decay_rate"])
+def test_modulus_sq_floor_of_a_bad_coefficient_clears_nothing(bad, where):
+    s = Surface.cylinder(1.0)
+    tr, _ = cylinder_traces()
+    field = LayerField.at(s, tr, LAM, 0.1, (0.0, 0.0))
+    if where in ("e0", "e1", "curvature"):
+        coeff = complex(bad, 0.0)
+        field = dataclasses.replace(field, **{where: TangentVector(getattr(field, where).c1, coeff)})
+    else:
+        field = dataclasses.replace(field, **{where: complex(bad, 1.0)})
+    # the scan skips a run only where 0 <= target < floor < inf
+    assert not (0.0 < field.modulus_sq_floor(0.01, 0.2) < math.inf)
+
+
+@pytest.mark.parametrize("a,b", [(-1e-3, 0.1), (0.2, 0.1), (0.1, 0.5), (0.1, math.nan)])
+def test_modulus_sq_floor_rejects_depths_outside_the_neighborhood(a, b):
+    tr, s = cylinder_traces()
+    with pytest.raises(ValueError, match="outside the tubular neighborhood"):
+        LayerField.at(s, tr, LAM, 0.1, (0.0, 0.0)).modulus_sq_floor(a, b)

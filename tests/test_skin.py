@@ -9,7 +9,7 @@ from magskin import skin
 from magskin.geometry import Surface, TangentVector
 from magskin.modal import default_benchmark, solve_exact
 from magskin.params import PhysicalConfig, derive_params
-from magskin.profiles import HarmonicTangentField, TraceData
+from magskin.profiles import HarmonicTangentField, LayerField, TraceData
 from magskin.skin import (
     DecayTrace,
     SkinDepthError,
@@ -19,6 +19,8 @@ from magskin.skin import (
     skin_depth_numeric,
     w0_plane_trace,
 )
+
+from conftest import cylinder_traces
 
 
 def config(mu_r=100.0, sigma_minus=1.0, omega=1.0, mu_plus=1.0):
@@ -270,11 +272,89 @@ def test_root_stage_keeps_the_scan_bracket_and_adds_at_most_8_samples(kind, mode
     lo, hi = scan[-2:]
     # the surface sample at depth 0 was taken once, when the trace was built
     scan = scan[1:]
-    assert depths[: len(scan)] == scan
-    stage = depths[len(scan) :]
+    if trace.floor is None:
+        assert depths[: len(scan)] == scan
+        stage = depths[len(scan) :]
+    else:
+        # a layer trace skips the grid points its floor clears: it samples
+        # some of the parent's grid, hi and lo among them, then the root stage
+        grid = set(scan)
+        assert all(h in grid or lo < h < hi for h in depths), depths
+        n = max(i for i, h in enumerate(depths) if h in grid) + 1
+        assert hi in depths[:n] and (lo == 0.0 or lo in depths[:n])
+        stage = depths[n:]
     assert all(lo < h < hi for h in stage), stage
     assert lo <= root <= hi
     assert len(stage) <= 8, len(stage)  # bisection + polish took 24
+
+
+def counted(trace: DecayTrace) -> tuple[DecayTrace, list[str]]:
+    """The trace with every sample and floor call logged."""
+    calls: list[str] = []
+
+    def sampler(h):
+        calls.append("sample")
+        return trace.sampler(h)
+
+    def floor(a, b):
+        calls.append("floor")
+        return trace.floor(a, b)
+
+    wrapped = dataclasses.replace(trace, sampler=sampler, floor=floor)
+    calls.clear()  # the surface sample, taken when the trace was built
+    return wrapped, calls
+
+
+def rising_trace() -> tuple[DecayTrace, float]:
+    # |1 + 40y|*exp(-10y) on a plane: rises to 1.89 at y = 0.075, crosses 1/e near 0.38
+    field = LayerField(
+        surface=Surface.plane(), decay_rate=1.0 + 1.0j, eps=0.1, e0=TangentVector(1.0 + 0j, 0j),
+        e1=TangentVector.zero(), curvature=TangentVector(40.0 + 0j, 0j), normal=0j,
+    )
+    trace = DecayTrace(
+        sampler=lambda h: math.sqrt(field.modulus_sq(h)),
+        max_depth=1.0,
+        floor=lambda a, b: math.sqrt(max(field.modulus_sq_floor(a, b), 0.0)),
+    )
+    return trace, 0.1
+
+
+def mode_trace(mode: int, mu_r: float, radius: float) -> tuple[DecayTrace, float]:
+    dp = default_benchmark(0).with_eps(1.0 / math.sqrt(mu_r)).params
+    tr, s = cylinder_traces(mode=mode, radius=radius)
+    return layer_trace(s, tr, dp, (0.3, -0.2)), dp.ell_phi
+
+
+CERTIFIED_CASES = (
+    [functools.partial(surface_trace, SURFACES[kind], mu_r) for kind in SURFACES for mu_r in MU_RS]
+    + [functools.partial(mode_trace, m, mu_r, r) for m in (0, 2, 5) for mu_r in MU_RS for r in (1.0, 2.0)]
+    + [rising_trace]
+)
+
+
+def test_certified_scan_finds_the_opaque_root_bit_for_bit():
+    evaluations = []
+    for make in CERTIFIED_CASES:
+        trace, scale = make()
+        opaque = skin_depth_numeric(dataclasses.replace(trace, floor=None), scale)
+        trace, calls = counted(trace)
+        assert skin_depth_numeric(trace, scale).hex() == opaque.hex(), make
+        evaluations.append(len(calls) + 1)  # and the surface sample
+    # samples plus floors per root, at their measured worst; the opaque scan
+    # took 51 to 73 samples on the layer cases and 195 on the rising one
+    *layer, rising = evaluations
+    trace, _ = rising_trace()
+    assert trace.sampler(0.075) > trace.sampler(0.0)
+    assert max(layer) <= 17 and sum(layer) / len(layer) <= 12.6, layer
+    assert rising <= 28, rising
+
+
+@pytest.mark.parametrize("floor", [math.nan, math.inf])
+def test_floor_that_is_not_a_finite_number_certifies_nothing(floor):
+    # the scan samples every grid point and raises where the opaque scan raises
+    trace = DecayTrace(sampler=step_sampler(math.nan), max_depth=1.0, floor=lambda a, b: floor)
+    with pytest.raises(SkinDepthError, match=r"depth 0\.0124\d* is nan;"):
+        skin_depth_numeric(trace, 0.01)
 
 
 @pytest.mark.parametrize("kind,mode,mu_r", TRACE_CASES)
