@@ -20,15 +20,11 @@ from dataclasses import replace
 from .geometry import Surface, TangentVector, mean_curvature
 from .ibc import impedance_operator
 from .modal import (
-    ConvergenceFit,
-    CylinderBenchmark,
-    SolverError,
-    convergence_study,
-    shell_l2_error,
-    solve_exact,
-    solve_ibc,
-    truncated_expansion,
+    ConvergenceFit, CylinderBenchmark, SolverError, convergence_study, model_errors, solve_exact,
 )
+
+# bench/tracing.py wraps these names on magskin.cli; the sweeps reach them through model_errors
+from .modal import shell_l2_error, solve_ibc, truncated_expansion  # noqa: F401
 from .params import PhysicalConfig, derive_params, leontovich_factor, mu_minus_for_eps
 from .profiles import HarmonicTangentField, LayerField, TraceData
 
@@ -328,10 +324,11 @@ def cmd_ibc_factors(doc: dict, args) -> str:
     return _json_dump([_ibc_factor_payload(cfg, k) for k in (0, 1, 2)])
 
 
-def _sweep_values(args, bench0: CylinderBenchmark) -> tuple[list[int], list[float]]:
-    """The sweep's modes (the config's mode by default) and eps values, checked before any solve.
+def _sweep_values(args, bench0: CylinderBenchmark) -> tuple[list[CylinderBenchmark], list[float]]:
+    """The sweep's benchmarks, one per mode (the config's mode by default), and eps values.
 
-    Each eps must give a finite positive mu_minus = mu_plus/eps^2 too.
+    Every value is checked before any solve: each mode must give a valid
+    benchmark, and each eps a finite positive mu_minus = mu_plus/eps^2.
     """
     modes = args.modes if args.modes is not None else [bench0.mode]
     for flag, values in (("--modes", modes), ("--eps", args.eps)):
@@ -344,7 +341,11 @@ def _sweep_values(args, bench0: CylinderBenchmark) -> tuple[list[int], list[floa
             mu_minus_for_eps(bench0.cfg.mu_plus, eps)
         except ValueError as exc:
             raise ConfigError(f"flag --eps: {exc}") from exc
-    return modes, args.eps
+    try:
+        benches = [replace(bench0, mode=mode) for mode in modes]
+    except ValueError as exc:
+        raise ConfigError(f"flag --modes: {exc}") from exc
+    return benches, args.eps
 
 
 def _run_error_sweep(doc: dict, args, family: str) -> str:
@@ -352,23 +353,17 @@ def _run_error_sweep(doc: dict, args, family: str) -> str:
     bench0 = load_benchmark(doc, cfg)
     if not args.eps:
         raise ConfigError("flag --eps: need at least one value")
-    modes, eps_values = _sweep_values(args, bench0)
+    benches, eps_values = _sweep_values(args, bench0)
     order = args.k if args.k is not None else 1
     rows = []
-    for mode in sorted(modes):
-        bench_mode = replace(bench0, mode=mode)
-        bench_mode.shell_closure  # derived once per mode, with its basis; with_eps hands both to each eps point
+    for bench in sorted(benches, key=lambda b: b.mode):
         prev: tuple[float, float] | None = None
-        for eps in sorted(eps_values):
-            bench = bench_mode.with_eps(eps)
-            exact = solve_exact(bench)
-            model = solve_ibc(bench, order) if family == "ibc" else truncated_expansion(bench, order)
-            err = shell_l2_error(exact, model)
+        for eps, err in model_errors(bench, family, order, sorted(eps_values)):
             total = err.total
             local = ""
             if prev is not None:
                 local = _fmt(math.log(total / prev[1]) / math.log(eps / prev[0]))
-            rows.append([str(mode), *map(_fmt, (eps, 1.0 / eps**2, err.error_e, err.error_h)), local])
+            rows.append([str(bench.mode), *map(_fmt, (eps, 1.0 / eps**2, err.error_e, err.error_h)), local])
             prev = (eps, total)
     header = ["mode", "eps", "mu_r", "error_E", "error_H", "local_slope"]
     return _csv_text(header, rows)
@@ -398,16 +393,13 @@ def cmd_convergence(doc: dict, args) -> str:
     bench0 = load_benchmark(doc, cfg)
     if not args.eps:
         raise ConfigError("flag --eps: need at least five values for a rate fit")
-    modes, eps_values = _sweep_values(args, bench0)
+    benches, eps_values = _sweep_values(args, bench0)
     if len(eps_values) < 5:
         raise ConfigError(f"flag --eps: need at least five values for a rate fit, got {eps_values}")
     if max(eps_values) >= 1.0:
         raise ConfigError(f"flag --eps: values must lie in (0, 1), got {eps_values}")
     order = args.k if args.k is not None else 1
-    fits = {}
-    for mode in modes:
-        bench = replace(bench0, mode=mode)
-        fits[str(mode)] = _fit_payload(convergence_study(bench, args.study, order, eps_values))
+    fits = {str(b.mode): _fit_payload(convergence_study(b, args.study, order, eps_values)) for b in benches}
     payload = {"study": args.study, "order": order, "fits": fits}
     return _json_dump(payload)
 

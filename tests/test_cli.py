@@ -250,12 +250,29 @@ def test_eps_without_a_finite_mu_minus_is_a_usage_error(command, eps, shown, cfg
     def no_solve(*args):
         raise AssertionError("a solve ran")
 
-    for name in ("solve_exact", "convergence_study"):
+    for name in ("model_errors", "convergence_study"):
         monkeypatch.setattr(cli, name, no_solve)
     code, out, err = run([command, "--config", cfg_path, "--eps", f"0.1,{eps}"], capsys)
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: flag --eps: eps = {eps} gives mu_minus = mu_plus/eps^2 = {shown};")
+
+
+@pytest.mark.parametrize(
+    "command, modes, bad",
+    [("ibc-sweep", "0,201", 201), ("expansion-error", "-201", -201), ("convergence", "3,0,-250", -250)],
+)
+def test_out_of_range_mode_is_a_usage_error_before_any_solve(command, modes, bad, cfg_path, monkeypatch, capsys):
+    # this exited 1, after solving the modes before it; benchmark.mode in the config already exited 2
+    def no_solve(*args):
+        raise AssertionError("a solve ran")
+
+    for name in ("model_errors", "convergence_study"):
+        monkeypatch.setattr(cli, name, no_solve)
+    code, out, err = run([command, "--config", cfg_path, "--modes", modes, "--eps", EPS5], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: flag --modes: |mode| must be <= 200, got {bad}\n"
 
 
 @pytest.mark.parametrize(
