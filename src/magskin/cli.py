@@ -266,6 +266,11 @@ def cmd_profile_table(doc: dict, args) -> str:
         "must be finite and > 0", default=default_depth,
     )
     mode = _get(doc, "profile_table.mode", int, default=0)
+    if mode != 0 and surface.kind.value != "cylinder":
+        raise ConfigError(
+            f"config field profile_table.mode: a nonzero mode needs a cylinder surface, "
+            f"got {mode} on a {surface.kind.value}"
+        )
 
     def tangent(path: str, default: complex) -> TangentVector:
         return TangentVector(
@@ -273,9 +278,7 @@ def cmd_profile_table(doc: dict, args) -> str:
             _complex_field(doc, f"profile_table.{path}_2", 0j),
         )
 
-    wavevector = (0.0, 0.0)
-    if surface.kind.value == "cylinder" and mode != 0:
-        wavevector = (mode / surface.radius, 0.0)
+    wavevector = (mode / surface.radius, 0.0) if mode != 0 else (0.0, 0.0)
     tr = TraceData(
         e0_trace=HarmonicTangentField(surface, tangent("e0", 1.0 + 0j), wavevector),
         e1_trace=HarmonicTangentField(surface, tangent("e1", 0j), wavevector),

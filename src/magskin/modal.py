@@ -93,25 +93,21 @@ def _combine(coeff: _Coefficients, at: _Point) -> tuple[complex, complex]:
     return coeff[0] * f1 + coeff[1] * f2, coeff[0] * d1 + coeff[1] * d2
 
 
-class ShellBasis(NamedTuple):
-    """(J_m, k_plus*J_m', H1_m, k_plus*H1_m') at the shell's inner wall, source ring and outer wall."""
-
-    inner: _Point
-    source: _Point
-    outer: _Point
-
-
 class _ShellClosure(NamedTuple):
-    """What ``_shell_green`` and ``_shell_field`` read of the shell basis, computed once per shell.
+    """The shell basis at the inner wall, source ring and outer wall, and what ``_shell_green``,
+    ``_shell_field`` and the closed-form norms read of it, computed once per shell.
 
+    ``wall``, ``ring`` and ``outer`` are (f1, f1', f2, f2') at the three radii.
     N = f2'(outer)*f1 - f1'(outer)*f2 and L = f2'(wall)*f1 - f1'(wall)*f2 as
     coefficient pairs over (f1, f2); N and N' at the wall, N and L at the
     ring, L at the wall, W = L*N' - L'*N at the ring and |k*N| + |N'| at the
-    wall.  Where the basis is not finite only ``points`` and ``finite`` are
+    wall.  Where the basis is not finite only the points and ``finite`` are
     set, and ``_shell_green`` raises on it.
     """
 
-    points: tuple[_Point, _Point, _Point]
+    wall: _Point
+    ring: _Point
+    outer: _Point
     finite: bool
     n: _Coefficients | None = None
     el: _Coefficients | None = None
@@ -126,16 +122,15 @@ class _ShellClosure(NamedTuple):
 
 def _shell_closure(k: complex, wall: _Point, ring: _Point, outer: _Point) -> _ShellClosure:
     """The shell's Green's-function closure over the basis points at the wall, ring and outer wall."""
-    points = (wall, ring, outer)
     if not all(cmath.isfinite(v) for v in (*wall, *ring, *outer)):
-        return _ShellClosure(points, False)
+        return _ShellClosure(wall, ring, outer, False)
     n, el = (outer[3], -outer[1]), (wall[3], -wall[1])
     n_wall, dn_wall = _combine(n, wall)
     n_ring, dn_ring = _combine(n, ring)
     l_ring, dl_ring = _combine(el, ring)
     w = l_ring * dn_ring - dl_ring * n_ring
-    size = abs(k * n_wall) + abs(dn_wall)
-    return _ShellClosure(points, True, n, el, n_wall, dn_wall, n_ring, l_ring, _combine(el, wall)[0], w, size)
+    size, l_wall = abs(k * n_wall) + abs(dn_wall), _combine(el, wall)[0]
+    return _ShellClosure(wall, ring, outer, True, n, el, n_wall, dn_wall, n_ring, l_ring, l_wall, w, size)
 
 
 def _check_source_amplitude(amplitude: complex) -> None:
@@ -182,23 +177,15 @@ class CylinderBenchmark:
         return dp.kappa_plus * cmath.sqrt(dp.alpha_minus) / dp.eps_small
 
     @functools.cached_property
-    def shell_basis(self) -> ShellBasis:
-        """The shell basis points at r_in, r_source and r_out, evaluated once per instance.
+    def shell_closure(self) -> _ShellClosure:
+        """The shell basis at r_in, r_source and r_out and its closure, derived once per instance.
 
         Every solve, residual check, point evaluation at those radii and
-        closed-form shell norm on this benchmark reads these values.
+        closed-form shell norm on this benchmark reads it, so a solve costs
+        only the update that depends on the model's wall coefficient and datum.
         """
         m, kp = abs(self.mode), self.k_plus
-        return ShellBasis(*(_shell_point(m, kp, r) for r in (self.r_in, self.r_source, self.r_out)))
-
-    @functools.cached_property
-    def shell_closure(self) -> _ShellClosure:
-        """``_shell_green``'s closure over the shell basis, derived once per instance.
-
-        Every model solved on this benchmark reads it, so a solve costs only
-        the update that depends on the model's wall coefficient and datum.
-        """
-        return _shell_closure(self.k_plus, *self.shell_basis)
+        return _shell_closure(kp, *(_shell_point(m, kp, r) for r in (self.r_in, self.r_source, self.r_out)))
 
     @functools.cached_property
     def wall_surface(self) -> Surface:
@@ -222,21 +209,21 @@ class CylinderBenchmark:
         return -(self.cfg.mu_plus / self.cfg.mu_minus) * self.k_minus * ref.derivative / ref.value
 
     def shell_point(self, r: float) -> _Point:
-        """The shell basis point at r; read from the shell basis at its three radii."""
+        """The shell basis point at r; read from the shell closure at its three radii."""
         if r == self.r_in:
-            return self.shell_basis.inner
+            return self.shell_closure.wall
         if r == self.r_source:
-            return self.shell_basis.source
+            return self.shell_closure.ring
         if r == self.r_out:
-            return self.shell_basis.outer
+            return self.shell_closure.outer
         return _shell_point(abs(self.mode), self.k_plus, r)
 
     def with_eps(self, eps: float) -> "CylinderBenchmark":
         """Same benchmark with mu_minus = mu_plus/eps^2; everything else fixed.
 
-        k_plus does not depend on mu_minus, so the shell basis, shell closure
-        and wall surface this instance has already derived serve the copy too;
-        none of them is derived again for it.  Raises ValueError naming eps
+        k_plus does not depend on mu_minus, so the shell closure, basis points
+        included, and the wall surface this instance has already derived serve
+        the copy too; neither is derived again for it.  Raises ValueError naming eps
         unless eps and mu_plus/eps^2 are finite and positive.
         """
         cfg = self.cfg
@@ -249,7 +236,7 @@ class CylinderBenchmark:
 
 
 # CylinderBenchmark's cached values that do not depend on mu_minus, handed on by with_eps
-_SHARED_ACROSS_EPS = ("shell_basis", "shell_closure", "wall_surface")
+_SHARED_ACROSS_EPS = ("shell_closure", "wall_surface")
 
 
 def default_benchmark(mode: int = 0, eps: float = 0.1) -> CylinderBenchmark:
@@ -348,17 +335,17 @@ def _shell_green(
     wall over g = 0 and g = gamma, is the closures' relative sensitivity, infinite where
     a source-free problem solves.
     """
-    points, finite, _, _, n_wall, dn_wall, n_ring, _, l_wall, w, size = closure
-    if not finite:
-        wall, ring, outer = points
+    if not closure.finite:
+        wall, ring, outer = closure.wall, closure.ring, closure.outer
         raise SolverError(f"{kind} shell basis not finite: wall {wall}, ring {ring}, outer {outer}")
+    n_wall, dn_wall, w, size = closure.n_wall, closure.dn_wall, closure.w, closure.size
     wall_n = dn_wall + gamma * n_wall
     if wall_n == 0 or w == 0:
         raise SolverError(f"{kind} solve is resonant: N' + gamma*N = {wall_n} at the wall, W = {w}")
     kappa = max(size / abs(dn_wall), (size + abs(gamma * n_wall)) / abs(wall_n))
     if kappa > _COND_WARN:
         warnings.warn(f"{kind} solve near-singular: resonance number {kappa:.3e}", stacklevel=3)
-    return (datum - gamma * (source * n_ring / w) * l_wall) / wall_n, kappa
+    return (datum - gamma * (source * closure.n_ring / w) * closure.l_wall) / wall_n, kappa
 
 
 def _shell_field(closure: _ShellClosure, source: complex, t: complex) -> tuple[_Coefficients, _Coefficients]:
@@ -376,11 +363,11 @@ def _rel(num: float, scale: float) -> float:
 
 
 def _shell_residuals(
-    points: tuple[_Point, _Point, _Point], inner: _Coefficients, outer: _Coefficients,
+    closure: _ShellClosure, inner: _Coefficients, outer: _Coefficients,
     gamma: complex, datum: complex, source: complex,
 ) -> dict[str, float]:
     """Source-continuity, source-jump, outer-wall and wall residuals, each relative to its terms."""
-    wall, ring, outer_wall = points
+    wall, ring, outer_wall = closure.wall, closure.ring, closure.outer
     u_in, du_in = _combine(inner, ring)
     u_out, du_out = _combine(outer, ring)
     _, du_outer = _combine(outer, outer_wall)
@@ -418,13 +405,14 @@ def _solve_shell(
     the conductor field of amplitude u(r_in), and the interface residuals
     join the shell's, checked after them.
     """
-    t, kappa = _shell_green(kind, b.shell_closure, gamma, datum, source)
-    inner, outer = _shell_field(b.shell_closure, source, t)
-    res = _shell_residuals(b.shell_basis, inner, outer, gamma, datum, source)
+    closure = b.shell_closure
+    t, kappa = _shell_green(kind, closure, gamma, datum, source)
+    inner, outer = _shell_field(closure, source, t)
+    res = _shell_residuals(closure, inner, outer, gamma, datum, source)
     _check_residuals(kind, res)
     amplitude = None
     if conductor:
-        amplitude = _combine(inner, b.shell_basis.inner)[0]
+        amplitude = _combine(inner, closure.wall)[0]
         res = {**_interface_residuals(b, inner, *_conductor_point(b, amplitude, b.r_in)), **res}
         _check_residuals(kind, res)
     return ModalSolution(kind, order, b, source, t, inner, outer, amplitude, kappa, res)
@@ -440,8 +428,7 @@ def _interface_residuals(
     derivatives, the conductor side through their values times
     k_minus*J_m'/J_m.  The net flux would measure that cancellation's round-off.
     """
-    cfg, ref = b.cfg, b.conductor_ref
-    wall = b.shell_basis.inner
+    cfg, ref, wall = b.cfg, b.conductor_ref, b.shell_closure.wall
     u_plus, du_plus = _combine(inner, wall)
     u_terms = abs(inner[0] * wall[0]) + abs(inner[1] * wall[2])
     du_terms = abs(inner[0] * wall[1]) + abs(inner[1] * wall[3])
@@ -573,43 +560,40 @@ class ShellError:
 _LOMMEL_MIN_LOSS = 1e-3
 
 
-def _shell_squares_lommel(
-    b: CylinderBenchmark, inner: _Coefficients, outer: _Coefficients
-) -> tuple[float, float]:
-    """Squared electric and magnetic shell norms of u from its values at the piece ends.
+def _shell_squares_lommel(b: CylinderBenchmark, source: complex, t: complex) -> tuple[float, float]:
+    """Squared electric and magnetic shell norms of the field of (source, t), from its energy balance.
 
-    On each piece u = B*J_m(k r) + C*H1_m(k r) solves (r u')' = (m^2/r - k^2 r) u,
-    so Green's identity (Lommel's integrals, DLMF 10.22(ii)) gives, with
-    W = [r u' conj(u)] taken between the piece's ends,
+    On each piece u solves (r u')' = (m^2/r - k^2 r) u, so Green's identity
+    (Lommel's integrals, DLMF 10.22(ii)) gives, with W = [r u' conj(u)] taken
+    over the whole shell,
 
         int r|u|^2 dr = -Im(W) / Im(k^2),
         int r(|u'|^2 + m^2|u|^2/r^2) dr = Re(W) + Re(k^2) * int r|u|^2 dr.
+
+    u' = 0 at r_out and u' jumps by ``source`` at the ring, so
+    W = -r_source*source*conj(u(ring)) - r_in*u'(wall)*conj(u(wall)), with
+    u = c*L + t*N inside the ring, c = source*N/W_ring, and u' = t*N' at the wall,
+    where L' = 0.  With equal sources W is |t|^2 times -r_in*N'*conj(N) at the wall.
     """
+    closure = b.shell_closure
     k2 = b.k_plus * b.k_plus
-
-    def flux(coeff: _Coefficients, r: float, at: _Point) -> complex:
-        u, du = _combine(coeff, at)
-        return r * du * u.conjugate()
-
-    at_in, at_s, at_out = b.shell_basis
-    e_sq = h_sq = 0.0
-    for coeff, lo, hi, at_lo, at_hi in (
-        (inner, b.r_in, b.r_source, at_in, at_s),
-        (outer, b.r_source, b.r_out, at_s, at_out),
-    ):
-        w = flux(coeff, hi, at_hi) - flux(coeff, lo, at_lo)
-        e_piece = -w.imag / k2.imag
-        e_sq += e_piece
-        h_sq += w.real + k2.real * e_piece
-    return e_sq, h_sq
+    c = source * closure.n_ring / closure.w
+    u_ring = c * closure.l_ring + t * closure.n_ring
+    wall_flux = -b.r_in * closure.dn_wall * closure.n_wall.conjugate()
+    w = (
+        abs(t) ** 2 * wall_flux
+        - b.r_in * closure.dn_wall * t * (c * closure.l_wall).conjugate()
+        - b.r_source * source * u_ring.conjugate()
+    )
+    e_sq = -w.imag / k2.imag
+    return e_sq, w.real + k2.real * e_sq
 
 
-def _shell_squares_quadrature(
-    b: CylinderBenchmark, inner: _Coefficients, outer: _Coefficients
-) -> tuple[float, float]:
+def _shell_squares_quadrature(b: CylinderBenchmark, source: complex, t: complex) -> tuple[float, float]:
     """Squared electric and magnetic shell norms by tanh-sinh quadrature, one basis point per node."""
     m = abs(b.mode)
     kp = b.k_plus
+    inner, outer = _shell_field(b.shell_closure, source, t)
 
     def piece(coeff: _Coefficients, lo: float, hi: float) -> list[float]:
         def densities(r: float) -> tuple[float, float]:
@@ -624,20 +608,16 @@ def _shell_squares_quadrature(
     return e_in + e_out, h_in + h_out
 
 
-def _shell_squares(
-    b: CylinderBenchmark, inner: _Coefficients, outer: _Coefficients
-) -> tuple[float, float]:
-    """Squared shell norms; closed form unless Im(k_plus^2) is too small for it."""
+def _shell_squares(b: CylinderBenchmark, source: complex, t: complex) -> tuple[float, float]:
+    """Squared shell norms of the field of (source, t); closed form unless Im(k_plus^2) is too small."""
     k2 = b.k_plus * b.k_plus
     if abs(k2.imag) < _LOMMEL_MIN_LOSS * abs(k2):
-        return _shell_squares_quadrature(b, inner, outer)
-    return _shell_squares_lommel(b, inner, outer)
+        return _shell_squares_quadrature(b, source, t)
+    return _shell_squares_lommel(b, source, t)
 
 
-def _shell_difference(
-    a: ModalSolution, b: ModalSolution
-) -> tuple[CylinderBenchmark, _Coefficients, _Coefficients]:
-    """The shared benchmark and the coefficients of a - b per piece, formed from (source, t).
+def _shell_difference(a: ModalSolution, b: ModalSolution) -> tuple[CylinderBenchmark, complex, complex]:
+    """The shared benchmark and the shell coordinates (source, t) of a - b.
 
     Two solutions compare when they live on the same shell closure.  With equal
     sources the difference is (a.t - b.t)*N exactly, so the Neumann part never cancels.
@@ -646,7 +626,7 @@ def _shell_difference(
     other = b.benchmark.shell_closure
     if other is not closure and other != closure:
         raise SolverError("solutions live on different benchmarks; cannot compare")
-    return a.benchmark, *_shell_field(closure, a.source - b.source, a.wall_amplitude - b.wall_amplitude)
+    return a.benchmark, a.source - b.source, a.wall_amplitude - b.wall_amplitude
 
 
 def _shell_error(b: CylinderBenchmark, e_sq: float, h_sq: float) -> ShellError:
@@ -666,24 +646,25 @@ def shell_l2_error(a: ModalSolution, b: ModalSolution) -> ShellError:
     coefficients, ibc0-2 and the order-2 expansion are within 2.5e-9 relative
     on modes 0-30, eps 1e-3 to 0.1.  The magnetic part combines the azimuthal
     u'-component with the radial (m/r)*u component, both divided by
-    omega*mu_plus.  Both norms come in closed form from the difference's
-    values at r_in, r_source and r_out (Lommel's integrals); when
+    omega*mu_plus.  Both norms come in closed form from the shell's energy
+    balance on (source, t) (``_shell_squares_lommel``): with equal sources
+    they are |Delta t| times a constant of the shell closure.  When
     Im(k_plus^2)/|k_plus^2| < 1e-3 that form cancels too many digits and
     tanh-sinh quadrature is used.
     """
-    bench, inner, outer = _shell_difference(a, b)
-    return _shell_error(bench, *_shell_squares(bench, inner, outer))
+    bench, source, t = _shell_difference(a, b)
+    return _shell_error(bench, *_shell_squares(bench, source, t))
 
 
 def _shell_l2_error_quadrature(a: ModalSolution, b: ModalSolution) -> ShellError:
     """shell_l2_error by quadrature alone: the low-loss fallback's path and the test oracle."""
-    bench, inner, outer = _shell_difference(a, b)
-    return _shell_error(bench, *_shell_squares_quadrature(bench, inner, outer))
+    bench, source, t = _shell_difference(a, b)
+    return _shell_error(bench, *_shell_squares_quadrature(bench, source, t))
 
 
 def shell_l2_norm(sol: ModalSolution) -> float:
     """Weighted-L2 norm of the solution's own electric field over the shell."""
-    return math.sqrt(_shell_squares(sol.benchmark, sol.shell_inner, sol.shell_outer)[0])
+    return math.sqrt(_shell_squares(sol.benchmark, sol.source, sol.wall_amplitude)[0])
 
 
 def conductor_l2_norm(sol: ModalSolution) -> float:
@@ -790,7 +771,7 @@ def model_errors(
     """
     if family not in ("ibc", "expansion"):
         raise ValueError(f"unknown study family {family!r}")
-    b0.shell_closure  # derived once, with its basis, and handed to every eps point by with_eps
+    b0.shell_closure  # basis points and closure, derived once and handed to every eps point by with_eps
     out = []
     for eps in eps_values:
         bench = b0.with_eps(eps)
@@ -871,12 +852,11 @@ def solve_plane_exact(b: PlaneBenchmark) -> PlaneSolution:
     kp = dp.kappa_plus * cmath.sqrt(dp.alpha_plus)
     km = dp.kappa_plus * cmath.sqrt(dp.alpha_minus) / dp.eps_small
 
-    points = tuple(_exp_point(kp, x) for x in (0.0, b.x_source, b.thickness))
     gamma = 1j * (b.cfg.mu_plus / b.cfg.mu_minus) * km
-    closure = _shell_closure(kp, *points)
+    closure = _shell_closure(kp, *(_exp_point(kp, x) for x in (0.0, b.x_source, b.thickness)))
     t, _ = _shell_green("plane", closure, gamma, 0j, b.source_amplitude)
     inner, outer = _shell_field(closure, b.source_amplitude, t)
-    res = _shell_residuals(points, inner, outer, gamma, 0j, b.source_amplitude)
+    res = _shell_residuals(closure, inner, outer, gamma, 0j, b.source_amplitude)
     _check_residuals("plane", res)
     return PlaneSolution(
         benchmark=b,

@@ -99,23 +99,27 @@ class TraceData:
     """Interface traces feeding the layer profiles.
 
     e0_trace and e1_trace are the leading and first-order tangential traces of
-    the exterior field; surface_divergence_e0 defaults to the closed-form
-    divergence of the harmonic e0_trace but may be supplied explicitly.
+    the exterior field, on one surface with one harmonic wavevector.
     """
 
     e0_trace: HarmonicTangentField
     e1_trace: HarmonicTangentField
-    surface_divergence_e0: HarmonicScalarField | None = None
 
     def __post_init__(self) -> None:
+        if self.e0_trace.surface != self.e1_trace.surface:
+            surfaces = f"{self.e0_trace.surface} and {self.e1_trace.surface}"
+            raise ValueError(f"e0 and e1 traces must lie on one surface, got {surfaces}")
         if self.e0_trace.wavevector != self.e1_trace.wavevector:
             raise ValueError("e0 and e1 traces must share one harmonic wavevector")
-        if self.surface_divergence_e0 is None:
-            object.__setattr__(self, "surface_divergence_e0", self.e0_trace.divergence())
 
     @property
     def surface(self) -> Surface:
         return self.e0_trace.surface
+
+    @property
+    def surface_divergence_e0(self) -> HarmonicScalarField:
+        """The closed-form surface divergence of the harmonic e0_trace."""
+        return self.e0_trace.divergence()
 
 
 _ZERO = TangentVector.zero()

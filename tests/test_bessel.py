@@ -401,7 +401,7 @@ def test_a_shell_basis_runs_the_j_series_once_per_point(monkeypatch):
     for m in (0, 1, 2):
         runs.clear()
         b = default_benchmark(m)
-        b.shell_basis
+        b.shell_closure
         assert len(runs) == 3
         assert len(set(runs)) == 3
 

@@ -385,16 +385,22 @@ def test_nonpositive_physics_rejected(tmp_path, capsys):
         ({"max_depth_m": -1.0}, "profile_table.max_depth_m"),
         ({"max_depth_m": math.inf}, "profile_table.max_depth_m"),
         ({"mode": 1.5}, "profile_table.mode"),
+        (({"kind": "sphere", "radius": 1.0}, {"mode": 3}), "profile_table.mode"),
+        (({"kind": "plane"}, {"mode": -2}), "profile_table.mode"),
     ],
 )
 def test_profile_table_config_errors_name_the_field(tmp_path, capsys, table, field):
-    cfg = dict(BASE_CONFIG, profile_table=table)
+    # a (surface, table) pair replaces the cylinder too: a nonzero mode off the cylinder was
+    # ignored, and its table was that of mode 0
+    surface, table = table if isinstance(table, tuple) else (BASE_CONFIG["surface"], table)
+    cfg = dict(BASE_CONFIG, surface=surface, profile_table=table)
     path = tmp_path / "table.json"
     path.write_text(json.dumps(cfg))
     code, out, err = run(["profile-table", "--config", str(path)], capsys)
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: config field {field}:")
+    assert surface["kind"] in err or surface is BASE_CONFIG["surface"]
 
 
 def test_an_infinite_outer_radius_is_a_config_error(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import re
 
 import pytest
 
@@ -55,6 +56,22 @@ def test_w0_rejects_negative_depth():
     tr, _ = cylinder_traces()
     with pytest.raises(ValueError):
         eval_w0(tr, LAM, (0.0, 0.0), -0.1)
+
+
+def test_traces_on_different_surfaces_rejected():
+    # an e1 trace on another surface (or another radius) than e0 used to be accepted
+    e0_surface = Surface.cylinder(1.0)
+    e0 = HarmonicTangentField(e0_surface, TangentVector(1, 0), (0.0, 0.0))
+    for other in (Surface.plane(), Surface.cylinder(2.0)):
+        e1 = HarmonicTangentField(other, TangentVector(1, 0), (0.0, 0.0))
+        message = f"e0 and e1 traces must lie on one surface, got {e0_surface} and {other}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TraceData(e0_trace=e0, e1_trace=e1)
+    # div(e0) is derived from e0, so it cannot be given on another surface or wavevector
+    tr, _ = cylinder_traces(mode=2)
+    assert tr.surface_divergence_e0 == tr.e0_trace.divergence()
+    with pytest.raises(TypeError, match="surface_divergence_e0"):
+        TraceData(tr.e0_trace, tr.e1_trace, surface_divergence_e0=HarmonicScalarField(Surface.plane(), 1j))
 
 
 def test_fke1_divergence_free_axial_mode():
