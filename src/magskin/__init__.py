@@ -67,7 +67,6 @@ from .profiles import (
     apply_b,
     apply_l1,
     cutoff_chi,
-    default_cutoff_horizon,
     eval_fke1,
     eval_w0,
     eval_w1,

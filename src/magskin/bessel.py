@@ -59,11 +59,12 @@ Values whose natural size is exponential are returned in scaled form
 ``value * exp(exponent)`` with the complex ``exponent`` recorded, so ratios
 and cross-products of scaled evaluations are exact.  Scaling kicks in
 automatically when |Im z| > 30 or when the order regime would over/underflow.
-The recurrences check the size of their pair once per block of steps, as
-long as the per-step growth bound 2k/|z| + 1 allows below overflow, and
-rescale a pair grown past 2**830 by the exact 2**-830, so where a check falls
-changes no bit.  Y_m and H^(1)_m raise BesselDomainError where one step could
-overflow, 2m/|z| + 1 > 2**190.
+The forward ascent and Miller's descent run one three-term recurrence,
+which checks the size of its pair once per block of steps, as long as the
+per-step growth bound 2k/|z| + 1 allows below overflow (one block covers the
+range where the bound rounds to 1), and rescales a pair grown past 2**830 by
+the exact 2**-830, so where a check falls changes no bit.  Y_m and H^(1)_m
+raise BesselDomainError where one step could overflow, 2m/|z| + 1 > 2**190.
 """
 
 from __future__ import annotations
@@ -279,59 +280,54 @@ def _y_ascending(m: int, z: complex) -> tuple[complex, complex, complex]:
 
 
 def _block_length(bound: float) -> int:
-    """Steps between checks for a recurrence whose pair grows by at most ``bound`` per step."""
-    return int(_LOG_HEADROOM / math.log(bound))
+    """Steps between checks for a recurrence whose pair grows by at most ``bound`` per step.
+
+    Where the bound rounds to 1 (2k/|z| <= 2**-53) one block covers any order range.
+    """
+    return int(_LOG_HEADROOM / math.log(bound)) if bound > 1.0 else MAX_ORDER + 1
+
+
+def _recur(x: complex, y: complex, z: complex, orders: range, bound: float) -> tuple[complex, complex, int]:
+    """x, y <- (2k/z) x - y, x for k over ``orders``: up from (f_k, f_{k-1}), or down from (f_k, f_{k+1}).
+
+    A step grows the pair by at most ``bound``, so it is checked once per
+    ``_block_length`` steps and multiplied by the exact 1/_RESCALE at each
+    check it fails.  Returns (x, y, rescales).
+    """
+    n = _block_length(bound)
+    rescales = 0
+    for lo in range(0, len(orders), n):
+        for k in orders[lo : lo + n]:
+            x, y = (2.0 * k / z) * x - y, x
+        if max(abs(x.real), abs(x.imag), abs(y.real), abs(y.imag)) > _RESCALE:
+            x *= _UNSCALE
+            y *= _UNSCALE
+            rescales += 1
+    return x, y, rescales
 
 
 def _ascend(c0: complex, c1: complex, z: complex, m: int) -> tuple[complex, complex, float]:
     """Forward recurrence from orders (0, 1) to (m-1, m); returns extra real log scale.
 
     A step grows the pair by at most 2m/|z| + 1, which also bounds the
-    caller's derivative f_{m-1} - (m/z) f_m, so the pair is checked once per
-    block of ``_block_length`` steps.  Orders <= 2 take at most one step from
-    seeds of size O(1/|z|) and skip the check.  Raises BesselDomainError
-    where a single step could outgrow the headroom.
+    caller's derivative f_{m-1} - (m/z) f_m.  Orders <= 2 take at most one
+    step from seeds of size O(1/|z|) and skip the check.  Raises
+    BesselDomainError where a single step could outgrow the headroom.
     """
     bound = 2.0 * m / abs(z) + 1.0
     if bound > _HEADROOM:
         raise BesselDomainError(
             f"order {m} at z = {z!r}: one recurrence step could grow by 2m/|z| + 1 > 2**190"
         )
-    prev, cur = c0, c1
     if m <= 2:
         if m == 2:
-            prev, cur = cur, (2.0 / z) * cur - prev
-        return prev, cur, 0.0
-    n = _block_length(bound)
+            c0, c1 = c1, (2.0 / z) * c1 - c0
+        return c0, c1, 0.0
+    cur, prev, rescales = _recur(c1, c0, z, range(1, m), bound)
     extra = 0.0
-    for lo in range(1, m, n):
-        for k in range(lo, min(lo + n, m)):
-            prev, cur = cur, (2.0 * k / z) * cur - prev
-        if max(abs(prev.real), abs(prev.imag), abs(cur.real), abs(cur.imag)) > _RESCALE:
-            prev *= _UNSCALE
-            cur *= _UNSCALE
-            extra += _LOG_RESCALE
+    for _ in range(rescales):
+        extra += _LOG_RESCALE
     return prev, cur, extra
-
-
-def _descend(f: complex, f_next: complex, z: complex, hi: int) -> tuple[complex, complex, int]:
-    """Backward recurrence f_{k-1} = (2k/z) f_k - f_{k+1} from (f_hi, f_{hi+1}) to (f_0, f_1).
-
-    Returns (f_0, f_1, rescales).  A step grows the pair by at most
-    2hi/|z| + 1, so it is checked once per block of ``_block_length`` steps
-    and multiplied by 1/_RESCALE at each of the ``rescales`` checks it fails.
-    """
-    coef = [2.0 * k / z for k in range(hi + 1)]
-    n = _block_length(abs(coef[hi]) + 1.0)
-    rescales = 0
-    for top in range(hi, 0, -n):
-        for c in coef[top : max(top - n, 0) : -1]:
-            f, f_next = c * f - f_next, f
-        if max(abs(f.real), abs(f.imag), abs(f_next.real), abs(f_next.imag)) > _RESCALE:
-            f *= _UNSCALE
-            f_next *= _UNSCALE
-            rescales += 1
-    return f, f_next, rescales
 
 
 # the fraction stops at a relative change of a few ulps, as much as round-off leaves once settled
@@ -379,10 +375,10 @@ def _miller_j(m: int, z: complex) -> tuple[complex, complex, complex]:
     """(J_m, J_{m+1}, exponent) for Im z >= 0: one descent from (J_m/J_{m+1}, 1) at order m,
     normalised by J_1 H1_0 - J_0 H1_1 = 2i/(pi z) with the Hankel seeds."""
     h = _j_ratio(m, z)
-    f0, f1, rescales = _descend(h, 1.0 + 0j, z, m)
+    f0, f1, rescales = _recur(h, 1.0 + 0j, z, range(m, 0, -1), abs(2.0 * m / z) + 1.0)
     h0v, h1v = _h1_seeds(z)
     cv = 2j / (math.pi * z) / (f1 * h0v - f0 * h1v)
-    for _ in range(rescales):  # undo _descend's exact rescales of (f_0, f_1)
+    for _ in range(rescales):  # undo the descent's exact rescales of (f_0, f_1)
         cv *= _UNSCALE
     return cv * h, cv, -1j * z
 

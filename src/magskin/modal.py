@@ -358,6 +358,11 @@ def _shell_field(closure: _ShellClosure, source: complex, t: complex) -> tuple[_
     return (c * el[0] + t * n[0], c * el[1] + t * n[1]), ((c_out + t) * n[0], (c_out + t) * n[1])
 
 
+def _ldexp(z: complex, e: int) -> complex:
+    """z * 2**e, exact unless it leaves the float range."""
+    return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
+
+
 def _rel(num: float, scale: float) -> float:
     return num / max(scale, 1e-300)
 
@@ -590,10 +595,16 @@ def _shell_squares_lommel(b: CylinderBenchmark, source: complex, t: complex) -> 
 
 
 def _shell_squares_quadrature(b: CylinderBenchmark, source: complex, t: complex) -> tuple[float, float]:
-    """Squared electric and magnetic shell norms by tanh-sinh quadrature, one basis point per node."""
+    """Squared electric and magnetic shell norms by tanh-sinh quadrature, one basis point per node.
+
+    (source, t) are divided by the power of two 2**e nearest above the larger
+    of their moduli, and the squares multiplied back by 4**e, both exactly: a
+    tiny Delta t would otherwise make subnormal coefficients and lose digits.
+    """
     m = abs(b.mode)
     kp = b.k_plus
-    inner, outer = _shell_field(b.shell_closure, source, t)
+    e = math.frexp(max(abs(source), abs(t)))[1]
+    inner, outer = _shell_field(b.shell_closure, _ldexp(source, -e), _ldexp(t, -e))
 
     def piece(coeff: _Coefficients, lo: float, hi: float) -> list[float]:
         def densities(r: float) -> tuple[float, float]:
@@ -603,9 +614,15 @@ def _shell_squares_quadrature(b: CylinderBenchmark, source: complex, t: complex)
 
         return _tanh_sinh_integral(densities, lo, hi)
 
-    e_in, h_in = piece(inner, b.r_in, b.r_source)
-    e_out, h_out = piece(outer, b.r_source, b.r_out)
-    return e_in + e_out, h_in + h_out
+    try:
+        e_in, h_in = piece(inner, b.r_in, b.r_source)
+        e_out, h_out = piece(outer, b.r_source, b.r_out)
+        return math.ldexp(e_in + e_out, 2 * e), math.ldexp(h_in + h_out, 2 * e)
+    except OverflowError as exc:
+        raise SolverError(
+            f"shell norm quadrature of (source, t) = ({source!r}, {t!r}): a density or squared norm "
+            f"passes the largest float ({exc})"
+        ) from exc
 
 
 def _shell_squares(b: CylinderBenchmark, source: complex, t: complex) -> tuple[float, float]:
@@ -629,10 +646,17 @@ def _shell_difference(a: ModalSolution, b: ModalSolution) -> tuple[CylinderBench
     return a.benchmark, a.source - b.source, a.wall_amplitude - b.wall_amplitude
 
 
+def _norm_root(what: str, square: float) -> float:
+    """The root of a squared norm; SolverError naming the norm where round-off left no finite square >= 0."""
+    if not 0.0 <= square < math.inf:
+        raise SolverError(f"{what}: squared norm {square!r} is not a finite non-negative number")
+    return math.sqrt(square)
+
+
 def _shell_error(b: CylinderBenchmark, e_sq: float, h_sq: float) -> ShellError:
     return ShellError(
-        error_e=math.sqrt(e_sq),
-        error_h=math.sqrt(h_sq) / (b.cfg.omega * b.cfg.mu_plus),
+        error_e=_norm_root("electric shell error", e_sq),
+        error_h=_norm_root("magnetic shell error", h_sq) / (b.cfg.omega * b.cfg.mu_plus),
     )
 
 
@@ -664,7 +688,7 @@ def _shell_l2_error_quadrature(a: ModalSolution, b: ModalSolution) -> ShellError
 
 def shell_l2_norm(sol: ModalSolution) -> float:
     """Weighted-L2 norm of the solution's own electric field over the shell."""
-    return math.sqrt(_shell_squares(sol.benchmark, sol.source, sol.wall_amplitude)[0])
+    return _norm_root("shell norm", _shell_squares(sol.benchmark, sol.source, sol.wall_amplitude)[0])
 
 
 def conductor_l2_norm(sol: ModalSolution) -> float:
@@ -682,7 +706,7 @@ def conductor_l2_norm(sol: ModalSolution) -> float:
     # u(r_in) is the amplitude itself; u'/u is -(mu_minus/mu_plus)*gamma on the conductor side
     log_der = -(b.cfg.mu_minus / b.cfg.mu_plus) * b.conductor_gamma
     flux = b.r_in * abs(sol.conductor_amplitude) ** 2 * log_der
-    return math.sqrt(-flux.imag / (km * km).imag)
+    return _norm_root("conductor norm", -flux.imag / (km * km).imag)
 
 
 @dataclass(frozen=True)

@@ -99,10 +99,7 @@ def mu_minus_for_eps(mu_plus: float, eps: float) -> float:
 
 
 def _root4_1p(x: float) -> float:
-    """(1 + x)**0.25 without overflow for huge x and full accuracy for tiny x."""
-    if x > 1.0:
-        # (1+x)^(1/4) = x^(1/4) * (1 + 1/x)^(1/4)
-        return math.exp(0.25 * math.log(x)) * math.exp(0.25 * math.log1p(1.0 / x))
+    """(1 + x)**0.25 for 0 <= x <= 1, with full accuracy for tiny x."""
     return math.exp(0.25 * math.log1p(x))
 
 
@@ -168,23 +165,41 @@ def phi(delta: float) -> float:
     return 1.0 / (math.sqrt(2.0) * root4 * math.sin(0.5 * theta))
 
 
+def _check_scalars(cfg: PhysicalConfig, **scalars: float) -> None:
+    """Raise ValueError naming ``cfg`` unless every scalar is finite and positive."""
+    for name, v in scalars.items():
+        if not 0.0 < v < math.inf:
+            raise ValueError(f"{cfg!r} gives {name} = {v!r}; need a finite positive value")
+
+
 def derive_params(cfg: PhysicalConfig) -> DerivedParams:
     """Compute every derived scalar from a physical configuration.
 
     Pure and deterministic.  Complex powers are assembled in modulus/argument
-    form so no branch-cut of a generic complex power is ever taken.
+    form so no branch-cut of a generic complex power is ever taken, and the
+    fourth roots are taken of 1 + x with x <= 1 only, so nothing overflows
+    that the result does not.  Raises ValueError naming the config where a
+    derived scalar, or one it is formed from, is not finite and positive
+    (mu_r = inf would give eps_small = 0).
     """
     mu_r = cfg.mu_minus / cfg.mu_plus
-    eps_small = 1.0 / math.sqrt(mu_r)
     delta_plus = math.sqrt(cfg.omega * cfg.eps0 / cfg.sigma_plus)
     delta_minus = math.sqrt(cfg.omega * cfg.eps0 / cfg.sigma_minus)
     kappa_plus = cfg.omega * math.sqrt(cfg.eps0 * cfg.mu_plus)
+    skin_rate = cfg.omega * cfg.mu_minus * cfg.sigma_minus
+    # what every scalar below is formed from; a positive finite delta squares to neither 0 nor inf
+    _check_scalars(
+        cfg, mu_r=mu_r, delta_plus=delta_plus, delta_minus=delta_minus, kappa_plus=kappa_plus,
+        omega_mu_minus_sigma_minus=skin_rate,
+    )
+    eps_small = 1.0 / math.sqrt(mu_r)
     theta = math.atan(1.0 / (delta_minus * delta_minus))
 
+    # kappa_plus * (1 + delta_minus**-4)**(1/4)
     if delta_minus <= 1.0:
-        modulus = kappa_plus * _root4_1p(delta_minus**-4)
-    else:
         modulus = kappa_plus / delta_minus * _root4_1p(delta_minus**4)
+    else:
+        modulus = kappa_plus * _root4_1p(delta_minus**-4)
     # modulus * exp(i*(theta - pi)/2), with the trig of the shifted angle
     # written out so Re(lam) keeps full relative accuracy as theta -> 0
     half = 0.5 * theta
@@ -192,8 +207,12 @@ def derive_params(cfg: PhysicalConfig) -> DerivedParams:
 
     alpha_plus = complex(1.0, 1.0 / (delta_plus * delta_plus))
     alpha_minus = complex(1.0, 1.0 / (delta_minus * delta_minus))
-    ell = math.sqrt(2.0 / (cfg.omega * cfg.mu_minus * cfg.sigma_minus))
-
+    ell = math.sqrt(2.0 / skin_rate)
+    phi_value = phi(delta_minus)
+    # eps_small, theta and phi_value are finite and positive once the scalars above are
+    _check_scalars(
+        cfg, lam_modulus=modulus, alpha_plus_im=alpha_plus.imag, alpha_minus_im=alpha_minus.imag, ell=ell
+    )
     return DerivedParams(
         config=cfg,
         mu_r=mu_r,
@@ -206,10 +225,16 @@ def derive_params(cfg: PhysicalConfig) -> DerivedParams:
         alpha_plus=alpha_plus,
         alpha_minus=alpha_minus,
         ell=ell,
-        phi_value=phi(delta_minus),
+        phi_value=phi_value,
     )
 
 
 def leontovich_factor(cfg: PhysicalConfig) -> complex:
-    """Classical strongly-absorbing surface impedance sqrt(mu_minus*omega/sigma_minus)*e^{-i*pi/4} [Ohm]."""
-    return math.sqrt(cfg.mu_minus * cfg.omega / cfg.sigma_minus) * cmath.rect(1.0, -math.pi / 4.0)
+    """Classical strongly-absorbing surface impedance sqrt(mu_minus*omega/sigma_minus)*e^{-i*pi/4} [Ohm].
+
+    The root is taken factor by factor, so only a modulus that is itself not
+    representable overflows or underflows; that raises ValueError naming the config.
+    """
+    modulus = math.sqrt(cfg.mu_minus) * math.sqrt(cfg.omega) / math.sqrt(cfg.sigma_minus)
+    _check_scalars(cfg, leontovich_modulus=modulus)
+    return modulus * cmath.rect(1.0, -math.pi / 4.0)

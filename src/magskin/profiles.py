@@ -313,19 +313,23 @@ class LayerField:
     def at(
         s: Surface, tr: TraceData, decay_rate: complex, eps: float, y: tuple[float, float]
     ) -> "LayerField":
-        """Layer field of traces ``tr`` at point y, measured under the metric of ``s``."""
-        w0 = make_w0(tr, decay_rate)
-        w1 = make_w1(tr, decay_rate)
-        e0 = w0.tangential_coeffs[0].value(y)
-        e1 = w1.tangential_coeffs[0].value(y)
+        """Layer field of traces ``tr`` at point y, measured under the metric of ``s``.
+
+        Reads the coefficients of ``make_w0``/``make_w1`` at y straight from
+        the traces, with their one shared phase exp(i k.y).
+        """
+        k1, k2 = tr.e0_trace.wavevector
+        phase = cmath.exp(1j * (k1 * y[0] + k2 * y[1]))
+        e0, e1 = tr.e0_trace.coeff, tr.e1_trace.coeff
+        div = 1j * (k1 * e0.c1 + k2 * e0.c2)
         return LayerField(
             surface=s,
             decay_rate=decay_rate,
             eps=eps,
-            e0=TangentVector(_unit_power(e0.c1), _unit_power(e0.c2)),
-            e1=TangentVector(_unit_power(e1.c1), _unit_power(e1.c2)),
-            curvature=w1.tangential_coeffs[1].value(y),
-            normal=_unit_power(w1.normal_coeffs[0].value(y)),
+            e0=TangentVector(_unit_power(phase * e0.c1), _unit_power(phase * e0.c2)),
+            e1=TangentVector(_unit_power(phase * e1.c1), _unit_power(phase * e1.c2)),
+            curvature=mean_minus_curvature_apply(tr.surface, e0).scale(phase),
+            normal=_unit_power((1.0 / decay_rate) * div * phase),
         )
 
     def _parts(self, y3: float) -> tuple[complex, complex, complex]:
@@ -400,11 +404,6 @@ def layer_modulus_sq(
     one depth trace should build one ``LayerField`` and reuse it.
     """
     return LayerField.at(s, tr, decay_rate, eps, y).modulus_sq(y3)
-
-
-def default_cutoff_horizon(s: Surface) -> float:
-    """Half the tubular-neighborhood radius, the default reach of the cutoff."""
-    return 0.5 * s.tubular_radius
 
 
 def cutoff_chi(y3: float, horizon: float) -> float:

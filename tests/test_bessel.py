@@ -16,7 +16,6 @@ from magskin.bessel import (
     BesselEval,
     _align,
     _ascend,
-    _descend,
     _forward_stable,
     _h1_eval,
     _h1_seeds,
@@ -25,6 +24,7 @@ from magskin.bessel import (
     _j_series,
     _j_ratio,
     _maybe_fold,
+    _recur,
     _validate,
     _y01_series,
     bessel_h1,
@@ -764,6 +764,11 @@ def _descend_per_step(f: complex, f_next: complex, z: complex, hi: int) -> tuple
     return f, f_next, rescales
 
 
+def _miller_descent(f: complex, f_next: complex, z: complex, hi: int) -> tuple[complex, complex, int]:
+    """The library's descent from (f_hi, f_hi+1) to (f_0, f_1), as ``_miller_j`` runs it."""
+    return _recur(f, f_next, z, range(hi, 0, -1), abs(2.0 * hi / z) + 1.0)
+
+
 def _miller_start(m: int, z: complex) -> int:
     """The start order of the former Miller passes, which grow by up to 2**830 per block."""
     return max(m + 2, int(1.36 * abs(z)) + 2) + 20
@@ -839,7 +844,7 @@ def test_miller_descent_equals_the_per_step_recurrence():
                 if m and abs(z) > SERIES_RADIUS and not _forward_stable(m, upper):
                     starts.append((_j_ratio(m, z), 1.0 + 0j, m))
                 for f, f_next, hi in starts:
-                    new = _descend(f, f_next, z, hi)
+                    new = _miller_descent(f, f_next, z, hi)
                     f0, f1, count = _descend_per_step(f, f_next, z, hi)
                     if count == 0:
                         assert bits(*new) == bits(f0, f1, 0), (m, z, hi)
@@ -860,7 +865,7 @@ def _ldexp(c: complex, e: int) -> complex:
 
 def _rescale_runs(z: complex, m: int) -> tuple[tuple[complex, complex, float], tuple[complex, complex, int]]:
     """Forward ascent of Y_m from its series seeds, and one descent from the former Miller start, at z."""
-    return _ascend(*_y01_series(z), z, m), _descend(1e-30 + 0j, 0j, z, _miller_start(m, z))
+    return _ascend(*_y01_series(z), z, m), _miller_descent(1e-30 + 0j, 0j, z, _miller_start(m, z))
 
 
 @pytest.mark.parametrize("block", [1, 7])
@@ -887,14 +892,14 @@ def test_where_the_miller_descent_rescales_changes_no_bit(monkeypatch):
     points = [(200, 12.5 + 0j), (150, 15.0 + 4.0j), (100, 40.0 - 30.0j), (60, 80.0j)]
     default = [bits(*bessel_j(m, z)) for m, z in points]
     seen = []
-    descend = bessel._descend
+    recur = bessel._recur
 
     def recorded(*args):
-        out = descend(*args)
+        out = recur(*args)
         seen.append(out[2])
         return out
 
-    monkeypatch.setattr(bessel, "_descend", recorded)
+    monkeypatch.setattr(bessel, "_recur", recorded)
     monkeypatch.setattr(bessel, "_RESCALE", 2.0**8)
     monkeypatch.setattr(bessel, "_UNSCALE", 2.0**-8)
     assert [bits(*bessel_j(m, z)) for m, z in points] == default
@@ -947,6 +952,29 @@ def test_largest_block_growth_against_mpmath():
         diff = mp.log(mp.mpc(hv.value)) + mp.mpc(hv.exponent) - mp.log(mp.hankel1(200, z))
     phase = (float(diff.imag) + math.pi) % (2 * math.pi) - math.pi
     assert abs(complex(float(diff.real), phase)) <= 1e-13
+
+
+@pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(1.0, math.inf), complex(math.inf, 0.0)])
+def test_a_non_finite_argument_is_rejected(z):
+    for fn in (bessel_j, bessel_y, bessel_h1):
+        with pytest.raises(BesselDomainError, match="argument must be finite"):
+            fn(0, z)
+
+
+def test_recurrence_where_its_growth_bound_rounds_to_one():
+    """From |z| ~ 1.8e16 * m the bound 2m/|z| + 1 rounds to 1, and one block
+    covers the whole order range (the log of the bound was a division by 0).
+    J, Y and H1 there agree with 60-digit mpmath (worst measured 2.3e-15)."""
+    real, both = (1e17, 1e20), (1e17, 1e20, 1e17 + 1e17j, 3e19 + 2e3j)
+    assert bessel._block_length(2.0 * 200 / 1e20 + 1.0) > MAX_ORDER
+    for fn, ref, zs in ((bessel_j, mp.besselj, both), (bessel_y, mp.bessely, both), (bessel_h1, mp.hankel1, real)):
+        for m in (2, 3, 50, 200):
+            for z in zs:
+                ev = fn(m, z)
+                with mp.workdps(60):
+                    want = ref(m, mp.mpc(z))
+                    got = mp.mpc(ev.value) * mp.exp(mp.mpc(ev.exponent))
+                    assert abs(got - want) <= 1e-14 * abs(want), (fn.__name__, m, z)
 
 
 def _h2_eval_mirror(m: int, z: complex) -> tuple[complex, complex, complex]:

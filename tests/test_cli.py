@@ -579,3 +579,143 @@ def test_no_command_imports_numpy(tmp_path):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def _write(tmp_path, cfg, name: str = "cfg.json") -> str:
+    path = tmp_path / name
+    path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
+    return str(path)
+
+
+def _strict_json(text: str):
+    """json.loads that refuses the Infinity and NaN literals, which are not JSON."""
+    def refuse(literal):
+        raise ValueError(f"{literal} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+# at omega = 1e-308 the exact solve also warns that it is near-singular before it fails
+@pytest.mark.filterwarnings("ignore:exact solve near-singular")
+@pytest.mark.parametrize("command", ["params", "skin-depth"])
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("omega_rad_per_s", 1e200), ("eps0_farad_per_m", 1e200), ("sigma_minus_siemens_per_m", 1e-200),
+        ("omega_rad_per_s", 1e-308), ("mu_plus_henry_per_m", 1e-308), ("omega_rad_per_s", 1e308),
+        ("sigma_minus_siemens_per_m", 1e-308),
+    ],
+)
+def test_extreme_physical_values_end_in_output_or_an_error_line(command, field, value, tmp_path, capsys):
+    # params printed an OverflowError traceback, or exited 0 with "mu_r": Infinity, which is not JSON
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["physical"][field] = value
+    code, out, err = run([command, "--config", _write(tmp_path, cfg)], capsys)
+    if code == 0:
+        assert err == ""
+        if command == "params":
+            assert all(math.isfinite(v) for v in _strict_json(out).values())
+    else:
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    if field == "mu_plus_henry_per_m":
+        assert code == 1 and "gives mu_r = inf" in err
+
+
+def test_integer_config_values_read_as_floats(cfg_path, tmp_path, capsys):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["physical"].update(omega_rad_per_s=1, eps0_farad_per_m=1, mu_plus_henry_per_m=1, mu_minus_henry_per_m=100)
+    cfg["benchmark"].update(R_in=1, R_out=2)
+    for command in ("params", "skin-depth"):
+        want = run([command, "--config", cfg_path], capsys)
+        assert want[0] == 0
+        assert run([command, "--config", _write(tmp_path, cfg)], capsys) == want
+
+
+def test_a_non_finite_physical_value_is_a_usage_error(tmp_path, capsys):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["physical"]["omega_rad_per_s"] = math.inf  # written as Infinity, which json.load accepts
+    code, out, err = run(["params", "--config", _write(tmp_path, cfg)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: config field physical: omega must be a finite positive number, got inf")
+
+
+def test_an_unknown_surface_kind_is_a_usage_error(tmp_path, capsys):
+    cfg = dict(BASE_CONFIG, surface={"kind": "torus", "radius": 1.0})
+    code, _, err = run(["skin-depth", "--config", _write(tmp_path, cfg)], capsys)
+    assert code == 2
+    assert err.startswith("error: config field surface.kind: unknown kind 'torus'")
+
+
+@pytest.mark.parametrize("amplitude", [[1.0], [1.0, 0.0, 0.0], "1+0j", [1.0, True], 1.0])
+def test_a_source_amplitude_that_is_not_re_im_is_a_usage_error(amplitude, tmp_path, capsys):
+    cfg = dict(BASE_CONFIG, benchmark=dict(BASE_CONFIG["benchmark"], source_amplitude=amplitude))
+    code, _, err = run(["ibc-sweep", "--config", _write(tmp_path, cfg), "--eps", "0.1"], capsys)
+    assert code == 2
+    assert err.startswith("error: config field benchmark.source_amplitude: expected [re, im]")
+
+
+@pytest.mark.parametrize(
+    "sweep, message",
+    [
+        ({"variable": "kappa", "values": [1.0]}, "sweep.variable: unknown variable 'kappa'"),
+        ({"variable": "mu_r", "values": [1e4, 100.0]}, "sweep.values: values must be sorted ascending"),
+        ({"variable": "mu_r", "values": [100.0, -1.0]}, "sweep.values: all values must be positive numbers"),
+        ({"variable": "mu_r", "values": [0, 100.0]}, "sweep.values: all values must be positive numbers"),
+    ],
+)
+def test_an_unknown_unsorted_or_non_positive_sweep_is_a_usage_error(sweep, message, tmp_path, capsys):
+    cfg = dict(BASE_CONFIG, sweep=sweep)
+    code, out, err = run(["skin-depth", "--config", _write(tmp_path, cfg)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: config field {message}")
+
+
+@pytest.mark.parametrize(
+    "variable, field", [("sigma_minus", "sigma_minus_siemens_per_m"), ("omega", "omega_rad_per_s")]
+)
+def test_sigma_minus_and_omega_sweeps_are_the_rows_of_their_configs(variable, field, tmp_path, capsys):
+    values = [0.5, 2.0, 8.0]
+    cfg = dict(BASE_CONFIG, surface={"kind": "plane"}, sweep={"variable": variable, "values": values})
+    code, out, _ = run(["skin-depth", "--config", _write(tmp_path, cfg)], capsys)
+    assert code == 0
+    header, *rows = out.splitlines()
+    assert len(rows) == len(values)
+    for value, row in zip(values, rows):
+        single = json.loads(json.dumps(dict(BASE_CONFIG, surface={"kind": "plane"})))
+        single["physical"][field] = value
+        code, one, _ = run(["skin-depth", "--config", _write(tmp_path, single, "one.json")], capsys)
+        assert code == 0
+        assert one.splitlines() == [header, row]
+
+
+def test_cylinder_skin_depth_without_a_benchmark_solves_the_default_shell(cfg_path, tmp_path, capsys):
+    # BASE_CONFIG's benchmark is the default one: R_in = radius, R_out = 2*radius, r_source = 1.5*radius
+    cfg = {key: value for key, value in BASE_CONFIG.items() if key != "benchmark"}
+    code, out, _ = run(["skin-depth", "--config", _write(tmp_path, cfg)], capsys)
+    assert (code, out) == run(["skin-depth", "--config", cfg_path], capsys)[:2]
+    assert code == 0
+
+
+@pytest.mark.parametrize("flag, value, message", [("--eps", "0.1,x", "bad float list '0.1,x'"), ("--modes", "0,1.5", "bad integer list '0,1.5'")])
+def test_a_malformed_flag_list_is_a_usage_error(flag, value, message, cfg_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["ibc-sweep", "--config", cfg_path, "--eps", "0.1", flag, value])
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message", [("{not json", "config is not valid JSON"), ("[1, 2]", "config root must be a JSON object")]
+)
+def test_a_config_that_is_not_a_json_object_is_a_usage_error(text, message, tmp_path, capsys):
+    code, out, err = run(["params", "--config", _write(tmp_path, text)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+
+
+def test_a_failed_solve_exits_1_with_an_error_line(cfg_path, capsys):
+    # mode 150 fails every cylinder solve: its inner H1 coefficient underflows to 0
+    code, out, err = run(["ibc-sweep", "--config", cfg_path, "--modes", "150", "--eps", "0.1"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: exact solve violated its conditions") and err.count("\n") == 1

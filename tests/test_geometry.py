@@ -138,3 +138,8 @@ def test_surface_validation():
         Surface.cylinder(0.0)
     with pytest.raises(ValueError):
         Surface.sphere(-1.0)
+
+
+def test_a_plane_has_no_radius():
+    with pytest.raises(ValueError, match="a plane has no radius"):
+        Surface(Surface.plane().kind, 1.0)

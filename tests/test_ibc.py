@@ -165,3 +165,9 @@ def test_leontovich_gap_points_and_slope():
 def test_leontovich_warns_outside_regime():
     with pytest.warns(UserWarning, match="strongly-absorbing"):
         leontovich_limit_check([config(sigma_minus=0.5)])
+
+
+def test_consistency_with_lambda_needs_an_operator_of_order_one_or_more():
+    cfg = config()
+    with pytest.raises(ValueError, match="order >= 1"):
+        consistency_with_lambda(impedance_operator(0, cfg), derive_params(cfg))

@@ -16,6 +16,7 @@ from magskin.ibc import robin_coefficient
 from magskin.modal import (
     ConvergenceError,
     CylinderBenchmark,
+    ModalSolution,
     PlaneBenchmark,
     SolverError,
     _shell_difference,
@@ -647,16 +648,22 @@ def _mp_models(b: CylinderBenchmark, points) -> tuple[dict, list]:
     return want, _mp_field(points, mp.mpc(b.conductor_gamma), 0, source)
 
 
-@pytest.mark.parametrize("sigma_plus", [1e-2, 1e-6])
+@pytest.mark.parametrize("sigma_plus", [1e-2, 1e-6, 9e-4])
 def test_shell_error_against_a_60_digit_oracle(sigma_plus):
     # the oracle takes the same double wall coefficients, lambda and k_plus, and subtracts its
-    # coefficients at 60 digits.  Measured worst 2.5e-9 (ibc2, mode 0, eps 1e-3), from the 1e-16
-    # rounding of the inputs; subtracting the double coefficients read 3.0e-6 (truncated 2, mode 30)
-    for mode in (0, 3, 30):
+    # coefficients at 60 digits.  Measured worst 2.7e-9 (ibc2, mode 0, eps 1e-3), from the 1e-16
+    # rounding of the inputs; subtracting the double coefficients read 3.0e-6 (truncated 2, mode 30).
+    # At mode 140 the difference's H1_m coefficient Delta t*n[1] is subnormal (~3e-318 at eps 1e-4);
+    # the quadrature (sigma_plus < 1e-3) forms it from (source, t) scaled by a power of two.
+    # Measured worst there 2.8e-12 (ibc1, sigma_plus 1e-6, eps 1e-4); unscaled it read 1.1e-6
+    cases = {mode: ((1e-3, 1e-2, 0.1), 5e-9) for mode in (0, 3, 30)}
+    if sigma_plus < 1e-3:
+        cases[140] = ((1e-4, 1e-3), 1e-11)
+    for mode, (eps_values, bound) in cases.items():
         b0 = _with_sigma_plus(default_benchmark(mode=mode), sigma_plus)
         with mp.workdps(60):
             points = _mp_basis(b0)
-        for eps in (1e-3, 1e-2, 0.1):
+        for eps in eps_values:
             b = b0.with_eps(eps)
             exact = solve_exact(b)
             with mp.workdps(60):
@@ -665,7 +672,7 @@ def test_shell_error_against_a_60_digit_oracle(sigma_plus):
             for name, model, ref in zip(want, _models(b), refs):
                 got = shell_l2_error(exact, model)
                 rel = max(abs(got.error_e - ref[0]) / ref[0], abs(got.error_h - ref[1]) / ref[1])
-                assert rel <= 5e-9, (name, mode, eps, float(rel))
+                assert rel <= bound, (name, mode, eps, float(rel))
 
 
 @pytest.mark.parametrize("mode", [0, 5, 30])
@@ -1313,3 +1320,63 @@ def test_near_singular_warning_names_the_solver_that_asked():
     lines, start = inspect.getsourcelines(solve_ibc_with_gamma)
     assert len(record) == 1 and record[0].filename == modal.__file__
     assert start <= record[0].lineno < start + len(lines)
+
+
+def test_conductor_norm_of_a_model_is_a_solver_error():
+    b = default_benchmark(mode=1, eps=0.1)
+    for model in (solve_ibc(b, 1), truncated_expansion(b, 2)):
+        with pytest.raises(SolverError, match="has no conductor region"):
+            conductor_l2_norm(model)
+
+
+def test_convergence_study_rejects_eps_outside_the_unit_interval():
+    with pytest.raises(ValueError, match=r"eps values must lie in \(0, 1\)"):
+        convergence_study(default_benchmark(mode=0), "ibc", 1, [0.001, 0.01, 0.1, 0.5, 1.0])
+
+
+@pytest.mark.parametrize("x_source", [0.0, -0.5, 2.0, 3.0])
+def test_plane_benchmark_needs_its_source_inside_the_shell(x_source):
+    with pytest.raises(ValueError, match="need 0 < x_source < thickness"):
+        PlaneBenchmark(thickness=2.0, x_source=x_source, cfg=default_config())
+
+
+_TINY_RADII = (1e-300, 1.5e-300, 2e-300)
+_SMALL_RADII = (1e-20, 1.5e-20, 2e-20)
+
+
+def _solved_at(radii, mode: int, eps: float, sigma_plus: float = 1e-2) -> tuple[ModalSolution, ModalSolution]:
+    """The exact and ibc0 solutions on a shell of the given (r_in, r_source, r_out)."""
+    r_in, r_source, r_out = radii
+    cfg = dataclasses.replace(default_config(eps), sigma_plus=sigma_plus)
+    b = CylinderBenchmark(r_in=r_in, r_out=r_out, r_source=r_source, mode=mode, cfg=cfg)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "exact solve near-singular|ibc0 solve near-singular")
+        return solve_exact(b), solve_ibc(b, 0)
+
+
+def test_a_negative_closed_form_square_of_a_shell_error_is_a_solver_error():
+    # math.sqrt of the magnetic square raised a bare math domain error
+    exact, model = _solved_at(_TINY_RADII, 0, 0.3)
+    with pytest.raises(SolverError, match=r"^magnetic shell error: squared norm -\S+ is not a finite non-negative"):
+        shell_l2_error(exact, model)
+
+
+def test_a_negative_closed_form_square_of_a_shell_norm_is_a_solver_error():
+    exact, _ = _solved_at(_SMALL_RADII, 3, 0.3)
+    with pytest.raises(SolverError, match=r"^shell norm: squared norm -\S+ is not a finite non-negative"):
+        shell_l2_norm(exact)
+
+
+def test_a_negative_square_of_a_conductor_norm_is_a_solver_error():
+    exact, _ = _solved_at(_SMALL_RADII, 3, 1e-3)
+    with pytest.raises(SolverError, match=r"^conductor norm: squared norm -\S+ is not a finite non-negative"):
+        conductor_l2_norm(exact)
+
+
+@pytest.mark.parametrize("eps", [0.3, 1e-3])
+@pytest.mark.parametrize("norm", ["error", "norm"])
+def test_an_overflowing_low_loss_quadrature_is_a_solver_error(norm, eps):
+    # abs(u) ** 2 raised a bare OverflowError
+    exact, model = _solved_at(_TINY_RADII, 0, eps, sigma_plus=1e-6)
+    with pytest.raises(SolverError, match=r"^shell norm quadrature .* passes the largest float"):
+        shell_l2_error(exact, model) if norm == "error" else shell_l2_norm(exact)

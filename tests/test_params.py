@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import re
 
 import pytest
 
@@ -185,3 +186,39 @@ def test_mu_minus_for_eps_is_mu_plus_over_eps_squared():
     for mu_plus, eps in ((1.0, 0.1), (4e-7 * math.pi, 3e-4), (2.5, 1e-150)):
         assert mu_minus_for_eps(mu_plus, eps) == mu_plus / eps**2
     assert default_config(0.03).mu_minus == 1.0 / 0.03**2
+
+
+@pytest.mark.parametrize(
+    "field, value", [("omega", 1e200), ("eps0", 1e200), ("sigma_minus", 1e-200), ("omega", 1e-308), ("sigma_minus", 1e-308)]
+)
+def test_extreme_configs_with_representable_scalars_derive_them(field, value):
+    # delta_minus**-4 or delta_minus**4 raised OverflowError here
+    dp = derive_params(dataclasses.replace(default_config(), **{field: value}))
+    scalars = [getattr(dp, f.name) for f in dataclasses.fields(dp) if f.name != "config"]
+    assert all(cmath.isfinite(v) for v in scalars), scalars
+    assert dp.lam.real > 0 and 0.0 < dp.theta <= math.pi / 2
+    lhs = dp.eps_small / dp.lam.real
+    assert abs(lhs - dp.ell_phi) <= 1e-12 * lhs
+    assert math.isfinite(abs(leontovich_factor(dp.config)))
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        # mu_r overflowed to inf and eps_small to 0, which divided by zero downstream
+        ({"mu_plus": 1e-308}, "mu_r = inf"),
+        ({"omega": 1e308}, "delta_plus = inf"),
+        # the classical skin depth's denominator underflows
+        ({"omega": 1e-30, "mu_plus": 1e-300, "mu_minus": 1e-299}, "omega_mu_minus_sigma_minus = 0.0"),
+    ],
+)
+def test_configs_without_representable_scalars_are_rejected_by_name(changes, message):
+    cfg = dataclasses.replace(default_config(), **changes)
+    with pytest.raises(ValueError, match=re.escape(f"{cfg!r} gives {message}; need a finite positive value")):
+        derive_params(cfg)
+
+
+def test_leontovich_modulus_past_the_float_range_is_rejected_by_name():
+    cfg = dataclasses.replace(default_config(), omega=1e300, mu_minus=1e300, sigma_minus=1e-300)
+    with pytest.raises(ValueError, match=re.escape(f"{cfg!r} gives leontovich_modulus = inf")):
+        leontovich_factor(cfg)

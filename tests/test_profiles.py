@@ -485,3 +485,15 @@ def test_modulus_sq_floor_rejects_depths_outside_the_neighborhood(a, b):
     tr, s = cylinder_traces()
     with pytest.raises(ValueError, match="outside the tubular neighborhood"):
         LayerField.at(s, tr, LAM, 0.1, (0.0, 0.0)).modulus_sq_floor(a, b)
+
+
+def test_cylinder_mode_needs_a_cylinder():
+    for s in (Surface.plane(), Surface.sphere(1.0)):
+        with pytest.raises(ValueError, match="requires a cylinder surface"):
+            HarmonicTangentField.cylinder_mode(s, TangentVector(1.0 + 0j, 0j), 2)
+
+
+def test_profile_normal_rejects_a_negative_depth():
+    tr, _ = cylinder_traces()
+    with pytest.raises(ValueError, match="scaled depth must be >= 0, got -0.5"):
+        make_w1(tr, LAM).normal((0.0, 0.0), -0.5)

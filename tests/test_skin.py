@@ -424,3 +424,23 @@ def test_step_cap_raises_naming_bracket_and_iterates(monkeypatch):
     monkeypatch.setattr(skin, "_ROOT_MAX_STEPS", 3)
     with pytest.raises(SkinDepthError, match=r"3 steps: bracket \[0\.012\d*, 0\.012\d*\], last two iterates 0\.012\d* and 0\.012\d*$"):
         skin_depth_numeric(trace, 0.01)
+
+
+def test_floored_scan_stops_at_the_horizon_when_the_trace_never_decays():
+    # every floor clears the target: runs of 64, 128 and 256 grid points are skipped,
+    # and the fourth run is cut at max_depth, short of its 512 points
+    floors = []
+    trace = DecayTrace(sampler=lambda h: 1.0, max_depth=1.0, floor=lambda a, b: floors.append((a, b)) or 1.0)
+    with pytest.raises(SkinDepthError, match="never decayed to 1/e .* within max_depth=1.0"):
+        skin_depth_numeric(trace, 0.1)
+    assert len(floors) == 4
+    assert 1.0 <= floors[-1][1] <= 1.0 * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("column", ["numeric", "asymptotic", "classical", "eddy2d", "high_conductivity"])
+def test_skin_depth_report_rejects_a_non_positive_column(column):
+    values = dict.fromkeys(("numeric", "asymptotic", "classical", "eddy2d", "high_conductivity"), 1.0)
+    for bad in (0.0, -1.0, math.nan):
+        values[column] = bad
+        with pytest.raises(ValueError, match=f"^{column} skin depth must be positive"):
+            skin.SkinDepthReport(**values)
