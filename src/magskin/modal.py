@@ -27,17 +27,19 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .bessel import BesselEval, bessel_h1, bessel_j
+from .bessel import BesselEval, _j_value, bessel_h1, bessel_j
 from .geometry import Surface, mean_curvature
 from .ibc import robin_coefficient
 from .params import DerivedParams, PhysicalConfig, derive_params, mu_minus_for_eps
 
 RESIDUAL_TOL = 1e-10
 _COND_WARN = 1e12
+_NORMAL_MIN = sys.float_info.min  # below it a float is subnormal, its relative precision lost
 
 
 class SolverError(RuntimeError):
@@ -97,7 +99,8 @@ class _ShellClosure(NamedTuple):
     """The shell basis at the inner wall, source ring and outer wall, and what ``_shell_green``,
     ``_shell_field`` and the closed-form norms read of it, computed once per shell.
 
-    ``wall``, ``ring`` and ``outer`` are (f1, f1', f2, f2') at the three radii.
+    ``k`` is the shell's wavenumber; ``wall``, ``ring`` and ``outer`` are
+    (f1, f1', f2, f2') at the three radii.
     N = f2'(outer)*f1 - f1'(outer)*f2 and L = f2'(wall)*f1 - f1'(wall)*f2 as
     coefficient pairs over (f1, f2); N and N' at the wall, N and L at the
     ring, L at the wall, W = L*N' - L'*N at the ring and |k*N| + |N'| at the
@@ -105,6 +108,7 @@ class _ShellClosure(NamedTuple):
     set, and ``_shell_green`` raises on it.
     """
 
+    k: complex
     wall: _Point
     ring: _Point
     outer: _Point
@@ -123,14 +127,14 @@ class _ShellClosure(NamedTuple):
 def _shell_closure(k: complex, wall: _Point, ring: _Point, outer: _Point) -> _ShellClosure:
     """The shell's Green's-function closure over the basis points at the wall, ring and outer wall."""
     if not all(cmath.isfinite(v) for v in (*wall, *ring, *outer)):
-        return _ShellClosure(wall, ring, outer, False)
+        return _ShellClosure(k, wall, ring, outer, False)
     n, el = (outer[3], -outer[1]), (wall[3], -wall[1])
     n_wall, dn_wall = _combine(n, wall)
     n_ring, dn_ring = _combine(n, ring)
     l_ring, dl_ring = _combine(el, ring)
     w = l_ring * dn_ring - dl_ring * n_ring
     size, l_wall = abs(k * n_wall) + abs(dn_wall), _combine(el, wall)[0]
-    return _ShellClosure(wall, ring, outer, True, n, el, n_wall, dn_wall, n_ring, l_ring, l_wall, w, size)
+    return _ShellClosure(k, wall, ring, outer, True, n, el, n_wall, dn_wall, n_ring, l_ring, l_wall, w, size)
 
 
 def _check_source_amplitude(amplitude: complex) -> None:
@@ -255,6 +259,8 @@ class ModalSolution:
     inside and outside the ring, formed once by ``_shell_field``.  Conductor
     (exact solution only): u = A*J_m(k_minus r)/J_m(k_minus R_in) with A = u(R_in),
     evaluated through scaled Bessel ratios so deep evaluation never overflows.
+    There u reads J_m alone from ``bessel._j_value``, without J_{m+1} or a
+    derivative; u' reads the full ``bessel_j``.
 
     ``condition_number`` is the wall closure's resonance number kappa (see
     ``_shell_green``); a truncated expansion reports its terms' largest.
@@ -280,9 +286,7 @@ class ModalSolution:
         b = self.benchmark
         if self.conductor_amplitude is None or not 0 <= r < b.r_in:
             return self._eval(r)[0]
-        ref = b.conductor_ref
-        jv = bessel_j(self.mode_abs, b.k_minus * r)
-        return self.conductor_amplitude * jv.value / ref.value * cmath.exp(jv.exponent - ref.exponent)
+        return _conductor_value(b, self.conductor_amplitude, r)
 
     def u_prime(self, r: float) -> complex:
         return self._eval(r)[1]
@@ -302,15 +306,29 @@ class ModalSolution:
         return _combine(coeff, b.shell_point(r))
 
 
-def _conductor_point(b: CylinderBenchmark, amplitude: complex, r: float) -> tuple[complex, complex]:
-    """u and u' at r of the conductor field amplitude*J_m(k_minus r)/J_m(k_minus r_in)."""
-    k = b.k_minus
+def _conductor_value(b: CylinderBenchmark, amplitude: complex, r: float) -> complex:
+    """u at r < r_in of the conductor field amplitude*J_m(k_minus r)/J_m(k_minus r_in).
+
+    J_m comes from ``_j_value``, which takes no J_{m+1} and no derivative;
+    k_minus*r lies in the closed first quadrant, since Im alpha_minus > 0.
+    """
     ref = b.conductor_ref
-    jv = ref if r == b.r_in else bessel_j(abs(b.mode), k * r)
-    f = cmath.exp(jv.exponent - ref.exponent)
-    val = amplitude * jv.value / ref.value * f
-    der = amplitude * k * jv.derivative / ref.value * f
-    return val, der
+    value, exponent = _j_value(abs(b.mode), b.k_minus * r)
+    return amplitude * value / ref.value * cmath.exp(exponent - ref.exponent)
+
+
+def _conductor_point(b: CylinderBenchmark, amplitude: complex, r: float) -> tuple[complex, complex]:
+    """u and u' at r of the conductor field amplitude*J_m(k_minus r)/J_m(k_minus r_in).
+
+    At r_in both read the normalisation itself.  Below it u is ``_conductor_value``,
+    and u' reads ``bessel_j``, whose derivative needs no order above MAX_ORDER.
+    """
+    k, ref = b.k_minus, b.conductor_ref
+    if r == b.r_in:
+        return amplitude * ref.value / ref.value, amplitude * k * ref.derivative / ref.value
+    jv = bessel_j(abs(b.mode), k * r)
+    der = amplitude * k * jv.derivative / ref.value * cmath.exp(jv.exponent - ref.exponent)
+    return _conductor_value(b, amplitude, r), der
 
 
 def _check_residuals(kind: str, residuals: dict[str, float]) -> None:
@@ -333,16 +351,23 @@ def _shell_green(
     depend on the basis alone and come from ``closure`` (``_shell_closure``), so this is
     the per-model update.  kappa, the larger of (|k*N| + |N'| + |g*N|)/|N' + g*N| at the
     wall over g = 0 and g = gamma, is the closures' relative sensitivity, infinite where
-    a source-free problem solves.
+    a source-free problem solves.  N' at the wall and W are divisors of every solve, so
+    where either is zero or subnormal (its relative precision lost) it raises.
     """
     if not closure.finite:
         wall, ring, outer = closure.wall, closure.ring, closure.outer
         raise SolverError(f"{kind} shell basis not finite: wall {wall}, ring {ring}, outer {outer}")
     n_wall, dn_wall, w, size = closure.n_wall, closure.dn_wall, closure.w, closure.size
+    dn_size = abs(dn_wall)
+    if dn_size < _NORMAL_MIN or abs(w) < _NORMAL_MIN:
+        tiny = [f"{name} = {v!r}" for name, v in (("N' at the wall", dn_wall), ("W", w)) if abs(v) < _NORMAL_MIN]
+        raise SolverError(
+            f"{kind} shell closure at k_plus = {closure.k!r} divides by a zero or subnormal {', '.join(tiny)}"
+        )
     wall_n = dn_wall + gamma * n_wall
-    if wall_n == 0 or w == 0:
-        raise SolverError(f"{kind} solve is resonant: N' + gamma*N = {wall_n} at the wall, W = {w}")
-    kappa = max(size / abs(dn_wall), (size + abs(gamma * n_wall)) / abs(wall_n))
+    if wall_n == 0:
+        raise SolverError(f"{kind} solve is resonant: N' + gamma*N = {wall_n} at the wall")
+    kappa = max(size / dn_size, (size + abs(gamma * n_wall)) / abs(wall_n))
     if kappa > _COND_WARN:
         warnings.warn(f"{kind} solve near-singular: resonance number {kappa:.3e}", stacklevel=3)
     return (datum - gamma * (source * closure.n_ring / w) * closure.l_wall) / wall_n, kappa

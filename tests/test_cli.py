@@ -4,9 +4,11 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -595,8 +597,6 @@ def _strict_json(text: str):
     return json.loads(text, parse_constant=refuse)
 
 
-# at omega = 1e-308 the exact solve also warns that it is near-singular before it fails
-@pytest.mark.filterwarnings("ignore:exact solve near-singular")
 @pytest.mark.parametrize("command", ["params", "skin-depth"])
 @pytest.mark.parametrize(
     "field, value",
@@ -620,6 +620,26 @@ def test_extreme_physical_values_end_in_output_or_an_error_line(command, field, 
         assert err.startswith("error: ") and err.count("\n") == 1
     if field == "mu_plus_henry_per_m":
         assert code == 1 and "gives mu_r = inf" in err
+
+
+def test_a_subnormal_shell_closure_is_one_error_line(tmp_path, capsys):
+    # at omega = 1e-308, k_plus ~ 7e-156(1 + i) and the closure's N' at the wall and W
+    # are subnormal: the exact solve warned "near-singular: resonance number 6.667e+154"
+    # and then failed with four nan residuals
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["physical"]["omega_rad_per_s"] = 1e-308
+    path = _write(tmp_path, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["skin-depth", "--config", path], capsys)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and "nan" not in err
+    assert re.match(
+        r"error: exact shell closure at k_plus = \(7\.07\d*e-156\+7\.07\d*e-156j\) divides by a zero or "
+        r"subnormal N' at the wall = \(-4\.77\d*e-311\+0j\), W = \(-0-2\.02\d*e-311j\)$",
+        err,
+    ), err
+    assert run(["params", "--config", path], capsys)[0] == 0
 
 
 def test_integer_config_values_read_as_floats(cfg_path, tmp_path, capsys):

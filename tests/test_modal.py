@@ -265,6 +265,23 @@ def test_conductor_value_is_the_value_of_the_full_evaluation(mode, eps):
         ibc.u(0.5)
 
 
+@pytest.mark.parametrize("mode", [0, 1, 2])
+@pytest.mark.parametrize("eps", [0.1, 1e-2])
+def test_conductor_field_at_the_axis(mode, eps):
+    # u(0) = A*J_m(0)/J_m(k_minus R_in) and u'(0) = A*k_minus*J_m'(0)/J_m(k_minus R_in),
+    # with J_0(0) = 1, J_1'(0) = 1/2 and every other value 0; at z = 0 the
+    # series prefactor would take log(0)
+    b = default_benchmark(mode=mode, eps=eps)
+    sol = solve_exact(b)
+    ref = b.conductor_ref.actual
+    value, slope = {0: (1.0, 0.0), 1: (0.0, 0.5), 2: (0.0, 0.0)}[mode]
+    want_u = sol.conductor_amplitude * value / ref
+    want_du = sol.conductor_amplitude * b.k_minus * slope / ref
+    for got, want in ((sol.u(0.0), want_u), (sol.u_prime(0.0), want_du)):
+        assert abs(got - want) <= 1e-15 * abs(want) if want else got == 0, (got, want)
+    assert sol.u(0.0) == sol._eval(0.0)[0]
+
+
 def test_point_evaluation_accepts_the_domain_ends():
     b = default_benchmark(mode=1, eps=0.1)
     sol = solve_exact(b)

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import functools
 import math
@@ -6,6 +7,7 @@ import mpmath as mp
 import pytest
 
 from magskin import skin
+from magskin.bessel import bessel_j
 from magskin.geometry import Surface, TangentVector
 from magskin.modal import default_benchmark, solve_exact
 from magskin.params import PhysicalConfig, derive_params
@@ -361,6 +363,26 @@ def test_floor_that_is_not_a_finite_number_certifies_nothing(floor):
 def test_root_agrees_with_bisection_and_polish(kind, mode, mu_r):
     trace, scale = make_trace(kind, mode, mu_r)
     assert abs(skin_depth_numeric(trace, scale) - parent_root(trace, scale)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("mu_r", [1e2, 1.5e3, 1.3e4, 9e4, 1e6])
+def test_exact_trace_depths_match_a_bessel_j_sampler(mode, mu_r):
+    # sol.u reads J_m alone (bessel._j_value); the reference sampler takes it
+    # from bessel_j's full evaluation, with J_{m+1} and the derivative
+    bench, sol = exact_case(mode, mu_r)
+    k, ref, amplitude = bench.k_minus, bench.conductor_ref, sol.conductor_amplitude
+
+    def full_evaluation(h):
+        jv = bessel_j(mode, k * (bench.r_in - h))
+        return abs(amplitude * jv.value / ref.value * cmath.exp(jv.exponent - ref.exponent))
+
+    value_only, _ = exact_trace(mode, mu_r)
+    scale = bench.params.ell_phi
+    reference = dataclasses.replace(value_only, sampler=full_evaluation)
+    assert parent_scan(value_only, scale) == parent_scan(reference, scale)  # the same samples and bracket
+    depth, want = skin_depth_numeric(value_only, scale), skin_depth_numeric(reference, scale)
+    assert abs(depth - want) <= 1e-13 * want, (depth, want)
 
 
 def test_exact_trace_roots_against_mpmath():
