@@ -10,7 +10,8 @@ J_m(z) takes one of three routes:
 * |z| <= 12 (SERIES_RADIUS): the ascending series (DLMF 10.2.2), one loop
   carrying orders m and m+1, so J_m' = (m/z) J_m - J_{m+1} needs no second
   series; J_{m+1} is aligned on J_m's exponent by the exact factor
-  (z/2)/(m+1);
+  (z/2)/(m+1).  Each route ends at (J_m, J_{m+1}); ``prev`` = J_{m-1} is
+  one step down, (2m/z) J_m - J_{m+1};
 * |z| > 12 below the turning point -- 2m <= |z|, estimated error
   amplification m^2*|Im z|/|z|^2 <= 4, and |z| >= 20 unless m = 0: J_0 and
   J_1 from the Hankel large-argument expansions (oscillatory exponential
@@ -36,11 +37,12 @@ Hankel sums (DLMF 10.17.3), with the same 1e-17 stop, where they settle
 serves the orders whose terms stop decreasing first.
 
 Y and H^(1) ascend from order-0/1 seeds by forward recurrence, since they are
-dominant as the order grows.  In the series wedge |z| <= 12, |Im z| <= 4 the
-Y_0/Y_1 seeds come from their ascending series (DLMF 10.8.2), whose one loop
-also builds J_0 and J_1 from the same terms, and H^(1)_m is assembled there
-directly as J_m + iY_m from the two series loops and the recurrence: three
-loops per evaluation, with no call of the public J or Y.  A caller that
+dominant as the order grows; ``prev`` is the ascent's order m-1.  In the
+series wedge |z| <= 12, |Im z| <= 4 the Y_0/Y_1 seeds come from their
+ascending series (DLMF 10.8.2), whose one loop also builds J_0 and J_1 from
+the same terms, and H^(1)_m is assembled there directly as J_m + iY_m from
+the two series loops and the recurrence: three loops per evaluation, with no
+call of the public J or Y.  A caller that
 passes its own ``bessel_j(m, z)`` as ``j`` saves the J loop: H^(1) reads J
 from it, so only Y's loop and the recurrence run.
 
@@ -110,19 +112,22 @@ class BesselDomainError(ValueError):
 class BesselEval(NamedTuple):
     """One cylinder-function evaluation, possibly exponentially scaled.
 
-    The true function value is ``value * exp(exponent)`` and the true
-    derivative is ``derivative * exp(exponent)``; ``exponent == 0`` means the
-    evaluation is unscaled.
+    The true function value is ``value * exp(exponent)``, the derivative
+    ``derivative * exp(exponent)`` and the order-(m-1) value Z_{m-1}(z)
+    ``prev * exp(exponent)`` (Z_{-1} = -Z_1), from the same evaluation, so
+    Z_m' = Z_{m-1} - (m/z) Z_m (DLMF 10.6.2) splits without a second call;
+    ``exponent == 0`` means the evaluation is unscaled.
 
-    An immutable named tuple (order, argument, value, derivative, exponent):
-    it unpacks, indexes and compares like that plain tuple, and it is cheap
-    to build, once per evaluation.
+    An immutable named tuple (order, argument, value, derivative, prev,
+    exponent): it unpacks, indexes and compares like that plain tuple, and it
+    is cheap to build, once per evaluation.
     """
 
     order: int
     argument: complex
     value: complex
     derivative: complex
+    prev: complex
     exponent: complex = 0j
 
     @property
@@ -177,10 +182,11 @@ def _j_series(m: int, z: complex) -> tuple[complex, complex, complex]:
     return s0, s1, E
 
 
-def _j_ascending(m: int, z: complex) -> tuple[complex, complex, complex]:
-    """(value, derivative, exponent) of J_m from one ``_j_series`` loop, |z| <= SERIES_RADIUS."""
+def _j_ascending(m: int, z: complex) -> tuple[complex, complex, complex, complex]:
+    """(value, derivative, prev, exponent) of J_m from one ``_j_series`` loop, |z| <= SERIES_RADIUS."""
     s0, s1, E = _j_series(m, z)
-    return s0, (m / z) * s0 - (0.5 * z / (m + 1)) * s1, E
+    j1 = (0.5 * z / (m + 1)) * s1
+    return s0, (m / z) * s0 - j1, (2.0 * m / z) * s0 - j1 if m else -j1, E
 
 
 # exp(-+i*(m/2 + 1/4)*pi): the phases of the H^(1) and H^(2) expansions, by m mod 4;
@@ -296,13 +302,13 @@ def _y01_series(z: complex) -> tuple[complex, complex]:
     return y0, y1
 
 
-def _y_ascending(m: int, z: complex) -> tuple[complex, complex, complex]:
-    """(value, derivative, exponent) of Y_m from the series seeds, in the wedge only."""
+def _y_ascending(m: int, z: complex) -> tuple[complex, complex, complex, complex]:
+    """(value, derivative, prev, exponent) of Y_m from the series seeds, in the wedge only."""
     y0, y1 = _y01_series(z)
     if m == 0:
-        return y0, -y1, 0j
+        return y0, -y1, -y1, 0j
     prev, cur, extra = _ascend(y0, y1, z, m)
-    return cur, prev - (m / z) * cur, complex(extra)
+    return cur, prev - (m / z) * cur, prev, complex(extra)
 
 
 def _block_length(bound: float) -> int:
@@ -425,21 +431,20 @@ def _forward_stable(m: int, z: complex) -> bool:
 
 
 def _maybe_fold(
-    m: int, z: complex, value: complex, derivative: complex, exponent: complex
+    m: int, z: complex, value: complex, derivative: complex, prev: complex, exponent: complex
 ) -> BesselEval:
     """Fold the exponent into the values when that cannot over/underflow."""
     if exponent == 0:
-        return BesselEval(m, z, value, derivative, 0j)
+        return BesselEval(m, z, value, derivative, prev, 0j)
     if abs(z.imag) <= SCALE_IM_THRESHOLD and abs(exponent.real) <= 200.0:
         f = cmath.exp(exponent)
-        return BesselEval(m, z, value * f, derivative * f, 0j)
-    return BesselEval(m, z, value, derivative, exponent)
+        return BesselEval(m, z, value * f, derivative * f, prev * f, 0j)
+    return BesselEval(m, z, value, derivative, prev, exponent)
 
 
 def _reflect(ev: BesselEval) -> BesselEval:
     """J_m or Y_m at conj z from its evaluation at z: each is conj of itself there (DLMF 10.11.9)."""
-    value, derivative, exponent = (c.conjugate() for c in (ev.value, ev.derivative, ev.exponent))
-    return BesselEval(ev.order, ev.argument.conjugate(), value, derivative, exponent)
+    return BesselEval(ev.order, ev.argument.conjugate(), *(c.conjugate() for c in ev[2:]))
 
 
 def bessel_j(m: int, z: complex) -> BesselEval:
@@ -450,7 +455,8 @@ def bessel_j(m: int, z: complex) -> BesselEval:
     if z == 0:
         val = 1.0 + 0j if m == 0 else 0j
         der = 0.5 + 0j if m == 1 else 0j
-        return BesselEval(m, z, val, der, 0j)
+        prev = 1.0 + 0j if m == 1 else 0j
+        return BesselEval(m, z, val, der, prev, 0j)
 
     if abs(z) <= SERIES_RADIUS:
         return _maybe_fold(m, z, *_j_ascending(m, z))
@@ -462,7 +468,7 @@ def bessel_j(m: int, z: complex) -> BesselEval:
     else:
         jm, jm1, jexp = _miller_j(m, z)
     deriv = (m / z) * jm - jm1
-    return _maybe_fold(m, z, jm, deriv, jexp)
+    return _maybe_fold(m, z, jm, deriv, (2.0 * m / z) * jm - jm1 if m else -jm1, jexp)
 
 
 def _j_series_value(m: int, z: complex) -> tuple[complex, complex]:
@@ -549,8 +555,8 @@ def _h1_seeds_via_k(z: complex) -> tuple[complex, complex]:
     return (-2j / math.pi) * k0, (-2.0 / math.pi) * k1
 
 
-def _h1_eval(m: int, z: complex) -> tuple[complex, complex, complex]:
-    """(value, derivative, exponent) of H^(1)_m, unfolded, for Im z >= 0.
+def _h1_eval(m: int, z: complex) -> tuple[complex, complex, complex, complex]:
+    """(value, derivative, prev, exponent) of H^(1)_m, unfolded, for Im z >= 0.
 
     Outside the small-|z| wedge only: Im z > _WEDGE_IM or |z| > SERIES_RADIUS.
     """
@@ -560,9 +566,9 @@ def _h1_eval(m: int, z: complex) -> tuple[complex, complex, complex]:
         h0, h1v = _h1_seeds(z)
     e0 = 1j * z
     if m == 0:
-        return h0, -h1v, e0
+        return h0, -h1v, -h1v, e0
     prev, cur, extra = _ascend(h0, h1v, z, m)
-    return cur, prev - (m / z) * cur, e0 + extra
+    return cur, prev - (m / z) * cur, prev, e0 + extra
 
 
 def bessel_y(m: int, z: complex) -> BesselEval:
@@ -577,23 +583,17 @@ def bessel_y(m: int, z: complex) -> BesselEval:
         return _reflect(bessel_y(m, z.conjugate()))
     if abs(z) <= SERIES_RADIUS and z.imag <= _WEDGE_IM:
         return _maybe_fold(m, z, *_y_ascending(m, z))
-    jv = bessel_j(m, z)
-    hval, hder, hexp = _h1_eval(m, z)
-    jval, jder, hval, hder, exponent = _align((jv.value, jv.derivative, jv.exponent), (hval, hder, hexp))
-    value = (hval - jval) / 1j
-    deriv = (hder - jder) / 1j
-    return _maybe_fold(m, z, value, deriv, exponent)
+    jval, jder, jprev, hval, hder, hprev, exponent = _align(bessel_j(m, z)[2:], _h1_eval(m, z))
+    return _maybe_fold(m, z, (hval - jval) / 1j, (hder - jder) / 1j, (hprev - jprev) / 1j, exponent)
 
 
-def _align(
-    a: tuple[complex, complex, complex], b: tuple[complex, complex, complex]
-) -> tuple[complex, complex, complex, complex, complex]:
-    """Bring two scaled (value, derivative, exponent) triples to one exponent."""
-    if a[2].real >= b[2].real:
-        f = cmath.exp(b[2] - a[2])
-        return a[0], a[1], b[0] * f, b[1] * f, a[2]
-    f = cmath.exp(a[2] - b[2])
-    return a[0] * f, a[1] * f, b[0], b[1], b[2]
+def _align(a: tuple[complex, ...], b: tuple[complex, ...]) -> tuple[complex, ...]:
+    """Bring two scaled tuples (parts..., exponent) to one exponent: (a's parts, b's parts, exponent)."""
+    if a[-1].real >= b[-1].real:
+        f = cmath.exp(b[-1] - a[-1])
+        return (*a[:-1], *(x * f for x in b[:-1]), a[-1])
+    f = cmath.exp(a[-1] - b[-1])
+    return (*(x * f for x in a[:-1]), *b[:-1], b[-1])
 
 
 def bessel_h1(m: int, z: complex, *, j: BesselEval | None = None) -> BesselEval:
@@ -610,25 +610,21 @@ def bessel_h1(m: int, z: complex, *, j: BesselEval | None = None) -> BesselEval:
         # J + iY from the series at z, or conj(J - iY) at conj z below the real axis
         upper = z.imag >= 0
         zu = z if upper else z.conjugate()
-        if j is None:
-            jval, jder, jexp = _j_ascending(m, zu)
-        else:
-            _, _, jval, jder, jexp = j if upper else _reflect(j)
-        yval, yder, exponent = _y_ascending(m, zu)
+        jval, jder, jprev, jexp = _j_ascending(m, zu) if j is None else (j if upper else _reflect(j))[2:]
+        yval, yder, yprev, exponent = _y_ascending(m, zu)
         f = cmath.exp(jexp - exponent)
         iy = 1j if upper else -1j
-        value, deriv = jval * f + iy * yval, jder * f + iy * yder
+        value, deriv, prev = jval * f + iy * yval, jder * f + iy * yder, jprev * f + iy * yprev
         if not upper:
-            value, deriv, exponent = value.conjugate(), deriv.conjugate(), exponent.conjugate()
-        return _maybe_fold(m, z, value, deriv, exponent)
+            value, deriv, prev, exponent = (c.conjugate() for c in (value, deriv, prev, exponent))
+        return _maybe_fold(m, z, value, deriv, prev, exponent)
     if z.imag >= 0:
         return _maybe_fold(m, z, *_h1_eval(m, z))
     # H1 = 2J - H2, with J_m(z) = conj J_m(conj z) and H2_m(z) = conj H1_m(conj z)
     zc = z.conjugate()
-    jv = bessel_j(m, zc)
-    jval, jder, hval, hder, exponent = _align((jv.value, jv.derivative, jv.exponent), _h1_eval(m, zc))
-    value, deriv = 2.0 * jval - hval, 2.0 * jder - hder
-    return _maybe_fold(m, z, value.conjugate(), deriv.conjugate(), exponent.conjugate())
+    jval, jder, jprev, hval, hder, hprev, exponent = _align(bessel_j(m, zc)[2:], _h1_eval(m, zc))
+    parts = (2.0 * jval - hval, 2.0 * jder - hder, 2.0 * jprev - hprev, exponent)
+    return _maybe_fold(m, z, *(c.conjugate() for c in parts))
 
 
 def wronskian_jh1(m: int, z: complex) -> complex:

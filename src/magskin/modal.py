@@ -67,6 +67,7 @@ def default_config(eps: float = 0.1) -> PhysicalConfig:
 
 _Coefficients = tuple[complex, complex]
 _Point = tuple[complex, complex, complex, complex]  # f1, f1', f2, f2' at one point
+_Gram = tuple[float, complex, float]  # (g_FF, g_FN, g_NN): a Hermitian form over (source, t)
 _OVERFLOW: _Point = (complex(math.inf),) * 4  # a point beyond the float range: not finite
 
 
@@ -75,18 +76,19 @@ def _eval_pair(m: int, z: complex) -> tuple[BesselEval, BesselEval]:
     return jv, bessel_h1(m, z, j=jv)
 
 
-def _shell_point(m: int, k: complex, r: float) -> _Point:
-    """(J_m, k*J_m', H1_m, k*H1_m') of k*r: the shell basis and its r-derivatives at r.
+def _basis_point(m: int, k: complex, r: float) -> tuple[_Point, _Coefficients]:
+    """The shell basis point (J_m, k*J_m', H1_m, k*H1_m') of k*r and the order-(m-1) values
+    (J_{m-1}, H1_{m-1}) there, from one evaluation of each function.
 
     An unscaled evaluation (exponent 0) is read as it is, not multiplied by exp(0).
     """
     jv, hv = _eval_pair(m, k * r)
     try:
-        f1, d1 = (jv.value, jv.derivative) if jv.exponent == 0 else (jv.actual, jv.actual_derivative)
-        f2, d2 = (hv.value, hv.derivative) if hv.exponent == 0 else (hv.actual, hv.actual_derivative)
+        f1, d1, p1 = jv[2:5] if jv.exponent == 0 else (x * cmath.exp(jv.exponent) for x in jv[2:5])
+        f2, d2, p2 = hv[2:5] if hv.exponent == 0 else (x * cmath.exp(hv.exponent) for x in hv[2:5])
     except OverflowError:  # the scale exp(exponent) does
-        return _OVERFLOW
-    return f1, k * d1, f2, k * d2
+        return _OVERFLOW, _OVERFLOW[:2]
+    return (f1, k * d1, f2, k * d2), (p1, p2)
 
 
 def _combine(coeff: _Coefficients, at: _Point) -> tuple[complex, complex]:
@@ -100,7 +102,7 @@ class _ShellClosure(NamedTuple):
     ``_shell_field`` and the closed-form norms read of it, computed once per shell.
 
     ``k`` is the shell's wavenumber; ``wall``, ``ring`` and ``outer`` are
-    (f1, f1', f2, f2') at the three radii.
+    (f1, f1', f2, f2') at the three radii, ``low`` (J_{m-1}, H1_{m-1}) at the first two.
     N = f2'(outer)*f1 - f1'(outer)*f2 and L = f2'(wall)*f1 - f1'(wall)*f2 as
     coefficient pairs over (f1, f2); N and N' at the wall, N and L at the
     ring, L at the wall, W = L*N' - L'*N at the ring and |k*N| + |N'| at the
@@ -122,19 +124,20 @@ class _ShellClosure(NamedTuple):
     l_wall: complex | None = None
     w: complex | None = None
     size: float | None = None
+    low: tuple[_Coefficients, _Coefficients] | None = None
 
 
-def _shell_closure(k: complex, wall: _Point, ring: _Point, outer: _Point) -> _ShellClosure:
+def _shell_closure(k: complex, wall: _Point, ring: _Point, outer: _Point, low: tuple | None = None) -> _ShellClosure:
     """The shell's Green's-function closure over the basis points at the wall, ring and outer wall."""
     if not all(cmath.isfinite(v) for v in (*wall, *ring, *outer)):
-        return _ShellClosure(k, wall, ring, outer, False)
+        return _ShellClosure(k, wall, ring, outer, False, low=low)
     n, el = (outer[3], -outer[1]), (wall[3], -wall[1])
     n_wall, dn_wall = _combine(n, wall)
     n_ring, dn_ring = _combine(n, ring)
     l_ring, dl_ring = _combine(el, ring)
     w = l_ring * dn_ring - dl_ring * n_ring
     size, l_wall = abs(k * n_wall) + abs(dn_wall), _combine(el, wall)[0]
-    return _ShellClosure(k, wall, ring, outer, True, n, el, n_wall, dn_wall, n_ring, l_ring, l_wall, w, size)
+    return _ShellClosure(k, wall, ring, outer, True, n, el, n_wall, dn_wall, n_ring, l_ring, l_wall, w, size, low)
 
 
 def _check_source_amplitude(amplitude: complex) -> None:
@@ -189,7 +192,13 @@ class CylinderBenchmark:
         only the update that depends on the model's wall coefficient and datum.
         """
         m, kp = abs(self.mode), self.k_plus
-        return _shell_closure(kp, *(_shell_point(m, kp, r) for r in (self.r_in, self.r_source, self.r_out)))
+        points, lows = zip(*(_basis_point(m, kp, r) for r in (self.r_in, self.r_source, self.r_out)))
+        return _shell_closure(kp, *points, lows[:2])
+
+    @functools.cached_property
+    def shell_grams(self) -> tuple[_Gram, _Gram]:
+        """The shell's electric and magnetic Gram matrices over (source, t) (``_shell_grams``)."""
+        return _shell_grams(self)
 
     @functools.cached_property
     def wall_surface(self) -> Surface:
@@ -220,7 +229,7 @@ class CylinderBenchmark:
             return self.shell_closure.ring
         if r == self.r_out:
             return self.shell_closure.outer
-        return _shell_point(abs(self.mode), self.k_plus, r)
+        return _basis_point(abs(self.mode), self.k_plus, r)[0]
 
     def with_eps(self, eps: float) -> "CylinderBenchmark":
         """Same benchmark with mu_minus = mu_plus/eps^2; everything else fixed.
@@ -240,7 +249,7 @@ class CylinderBenchmark:
 
 
 # CylinderBenchmark's cached values that do not depend on mu_minus, handed on by with_eps
-_SHARED_ACROSS_EPS = ("shell_closure", "wall_surface")
+_SHARED_ACROSS_EPS = ("shell_closure", "shell_grams", "wall_surface")
 
 
 def default_benchmark(mode: int = 0, eps: float = 0.1) -> CylinderBenchmark:
@@ -259,8 +268,7 @@ class ModalSolution:
     inside and outside the ring, formed once by ``_shell_field``.  Conductor
     (exact solution only): u = A*J_m(k_minus r)/J_m(k_minus R_in) with A = u(R_in),
     evaluated through scaled Bessel ratios so deep evaluation never overflows.
-    There u reads J_m alone from ``bessel._j_value``, without J_{m+1} or a
-    derivative; u' reads the full ``bessel_j``.
+    There u reads J_m alone from ``bessel._j_value``, and u' reads J_{m-1} too.
 
     ``condition_number`` is the wall closure's resonance number kappa (see
     ``_shell_green``); a truncated expansion reports its terms' largest.
@@ -277,16 +285,12 @@ class ModalSolution:
     condition_number: float
     residuals: dict[str, float]
 
-    @property
-    def mode_abs(self) -> int:
-        return abs(self.benchmark.mode)
-
     def u(self, r: float) -> complex:
         """u at r; in the conductor the value of ``_eval(r)`` alone, without its derivative."""
         b = self.benchmark
         if self.conductor_amplitude is None or not 0 <= r < b.r_in:
             return self._eval(r)[0]
-        return _conductor_value(b, self.conductor_amplitude, r)
+        return _conductor_ratio(b, self.conductor_amplitude, _j_value(abs(b.mode), b.k_minus * r))
 
     def u_prime(self, r: float) -> complex:
         return self._eval(r)[1]
@@ -306,29 +310,30 @@ class ModalSolution:
         return _combine(coeff, b.shell_point(r))
 
 
-def _conductor_value(b: CylinderBenchmark, amplitude: complex, r: float) -> complex:
-    """u at r < r_in of the conductor field amplitude*J_m(k_minus r)/J_m(k_minus r_in).
-
-    J_m comes from ``_j_value``, which takes no J_{m+1} and no derivative;
-    k_minus*r lies in the closed first quadrant, since Im alpha_minus > 0.
-    """
+def _conductor_ratio(b: CylinderBenchmark, amplitude: complex, j: tuple[complex, complex]) -> complex:
+    """amplitude*J/J_m(k_minus r_in) for one (value, exponent) J of ``_j_value`` at k_minus*r,
+    which lies in the closed first quadrant, since Im alpha_minus > 0."""
     ref = b.conductor_ref
-    value, exponent = _j_value(abs(b.mode), b.k_minus * r)
-    return amplitude * value / ref.value * cmath.exp(exponent - ref.exponent)
+    return amplitude * j[0] / ref.value * cmath.exp(j[1] - ref.exponent)
 
 
 def _conductor_point(b: CylinderBenchmark, amplitude: complex, r: float) -> tuple[complex, complex]:
     """u and u' at r of the conductor field amplitude*J_m(k_minus r)/J_m(k_minus r_in).
 
-    At r_in both read the normalisation itself.  Below it u is ``_conductor_value``,
-    and u' reads ``bessel_j``, whose derivative needs no order above MAX_ORDER.
+    At r_in both read the normalisation.  Below it J_m and J_{m-1} come from ``_j_value``, with
+    u' = k_minus*(J_{m-1} - (m/z)*J_m) in the same ratio (DLMF 10.6.2; J_0' = -J_1): no order
+    above m, and no second evaluation of J_m.
     """
     k, ref = b.k_minus, b.conductor_ref
     if r == b.r_in:
         return amplitude * ref.value / ref.value, amplitude * k * ref.derivative / ref.value
-    jv = bessel_j(abs(b.mode), k * r)
-    der = amplitude * k * jv.derivative / ref.value * cmath.exp(jv.exponent - ref.exponent)
-    return _conductor_value(b, amplitude, r), der
+    m, z = abs(b.mode), k * r
+    u = _conductor_ratio(b, amplitude, _j_value(m, z))
+    if z == 0:  # J_m'(0) is 1/2 at m = 1 and 0 otherwise
+        return u, _conductor_ratio(b, amplitude * k, (0.5 if m == 1 else 0.0, 0j))
+    if m == 0:
+        return u, -k * _conductor_ratio(b, amplitude, _j_value(1, z))
+    return u, k * (_conductor_ratio(b, amplitude, _j_value(m - 1, z)) - (m / z) * u)
 
 
 def _check_residuals(kind: str, residuals: dict[str, float]) -> None:
@@ -524,52 +529,17 @@ def truncated_expansion(b: CylinderBenchmark, order: int) -> ModalSolution:
     source plus t*N with t the eps-weighted sum of the terms' wall amplitudes.
     Its residuals are the worst value of each residual over the terms.
     """
+    return _truncation(b, _expansion_terms(b, order))
+
+
+def _truncation(b: CylinderBenchmark, terms: list[ModalSolution]) -> ModalSolution:
+    """``truncated_expansion`` on b from terms solved on any benchmark of its shell (they do not depend on eps)."""
     eps = b.params.eps_small
-    terms = _expansion_terms(b, order)
     t = sum(eps**j * term.wall_amplitude for j, term in enumerate(terms))
     inner, outer = _shell_field(b.shell_closure, terms[0].source, t)
     kappa = max(term.condition_number for term in terms)
     res = {k: max(term.residuals[k] for term in terms) for k in terms[0].residuals}
-    return ModalSolution("truncated", order, b, terms[0].source, t, inner, outer, None, kappa, res)
-
-
-# The tanh-sinh quadrature stops when two step sizes agree to this relative tolerance.
-_QUADRATURE_RTOL = 1e-12
-
-
-def _tanh_sinh_integral(fn, a: float, b: float, max_levels: int = 8) -> list[float]:
-    """Tanh-sinh rule for the densities fn(r) returns, halving its step h until two steps agree.
-
-    Nodes r = (a+b)/2 + half*tanh(pi/2*sinh t) at t = j*h, |t| <= 3.5, weights
-    half*h*(pi/2)*cosh t/cosh^2(pi/2*sinh t) (Takahashi & Mori 1974).  h halves from
-    1/2 and each level adds only the odd j, reusing every density value.  A node is formed
-    from its distance half*2/(1 + e^(2|u|)) to the nearer end, so it is rounded at that
-    end's spacing; one other than the centre that rounds onto a or b is skipped.
-    Raises SolverError after ``max_levels`` halvings (1 + 7*2^(max_levels+1) nodes at most).
-    """
-    half = 0.5 * (b - a)
-    terms: list[list[float]] = []  # weight/(half*h*pi/2) times each density, at every node so far
-    prev = None
-    for level in range(max_levels + 1):
-        h, n, step = 0.5 ** (level + 1), 7 * 2**level, 1 if level == 0 else 2
-        for j in range(step - 1 - n, n + 1, step):
-            u = 0.5 * math.pi * math.sinh(j * h)
-            d = 2.0 * half / (1.0 + math.exp(2.0 * abs(u)))
-            r = a + d if j <= 0 else b - d
-            if j == 0 or a < r < b:
-                w = math.cosh(j * h) / math.cosh(u) ** 2
-                terms.append([w * v for v in fn(r)])
-        vals = [half * h * 0.5 * math.pi * math.fsum(col) for col in zip(*terms)]
-        if prev is not None and all(
-            abs(val - old) <= _QUADRATURE_RTOL * max(abs(val), 1e-300) for val, old in zip(vals, prev)
-        ):
-            return vals
-        if level == max_levels:
-            raise SolverError(
-                f"quadrature on [{a}, {b}] did not reach rtol {_QUADRATURE_RTOL:.1e} in {max_levels} "
-                f"step halvings: last estimates {prev} and {vals}"
-            )
-        prev = vals
+    return ModalSolution("truncated", len(terms) - 1, b, terms[0].source, t, inner, outer, None, kappa, res)
 
 
 @dataclass(frozen=True)
@@ -584,78 +554,118 @@ class ShellError:
         return self.error_e + self.error_h
 
 
-# The endpoint (Lommel) forms of the shell norms divide by Im(k_plus^2); below
-# this value of Im(k_plus^2)/|k_plus^2| they cancel too many digits, and the
-# shell norms are integrated by quadrature instead.
-_LOMMEL_MIN_LOSS = 1e-3
+_SPLIT_MIN_IM = 1e-3  # the split form needs Im of N's split wall bracket at least this share of it (~1e-12)
+_TAYLOR_RTOL, _TAYLOR_MAX_TERMS = 2.0**-60, 200  # Taylor sums stop at a term below 2**-60 of their largest
+_ROUNDOFF = 64.0 * sys.float_info.epsilon  # a square at or below this share of its terms has no digit left
 
 
-def _shell_squares_lommel(b: CylinderBenchmark, source: complex, t: complex) -> tuple[float, float]:
-    """Squared electric and magnetic shell norms of the field of (source, t), from its energy balance.
+def _resolved(value: float, scale: float) -> float:
+    """A Gram diagonal, or nan where it is round-off of terms of total modulus ``scale``."""
+    return value if value > _ROUNDOFF * scale else math.nan
 
-    On each piece u solves (r u')' = (m^2/r - k^2 r) u, so Green's identity
-    (Lommel's integrals, DLMF 10.22(ii)) gives, with W = [r u' conj(u)] taken
-    over the whole shell,
 
-        int r|u|^2 dr = -Im(W) / Im(k^2),
-        int r(|u'|^2 + m^2|u|^2/r^2) dr = Re(W) + Re(k^2) * int r|u|^2 dr.
+def _shell_grams(b: CylinderBenchmark) -> tuple[_Gram, _Gram]:
+    """Electric and magnetic Gram matrices (g_FF, g_FN, g_NN) of the fields of every shell solution
+    source*F + t*N, F the Neumann-wall field of a unit source.
 
-    u' = 0 at r_out and u' jumps by ``source`` at the ring, so
-    W = -r_source*source*conj(u(ring)) - r_in*u'(wall)*conj(u(wall)), with
-    u = c*L + t*N inside the ring, c = source*N/W_ring, and u' = t*N' at the wall,
-    where L' = 0.  With equal sources W is |t|^2 times -r_in*N'*conj(N) at the wall.
+    Lommel's integrals (DLMF 10.22(ii)) over each piece's ends: int r u conj(v) dr =
+    [r (u' conj(v) - u conj(v'))] / (conj(k)^2 - k^2), and the magnetic form is
+    [r u' conj(v)] + k^2 times that; F' = 0 at the wall and jumps by 1 at the ring, u' = 0 at
+    r_out.  N's wall bracket is split by u' = k*U - (m/r)*u, U of order m-1 (DLMF 10.6.2): the
+    real m|N|^2 drops before Im is taken.  Where that keeps too few digits the electric matrix
+    is ``_taylor_gram``'s.  A diagonal lost to round-off (|k*r| << 1) is nan.
     """
-    closure = b.shell_closure
-    k2 = b.k_plus * b.k_plus
-    c = source * closure.n_ring / closure.w
-    u_ring = c * closure.l_ring + t * closure.n_ring
-    wall_flux = -b.r_in * closure.dn_wall * closure.n_wall.conjugate()
-    w = (
-        abs(t) ** 2 * wall_flux
-        - b.r_in * closure.dn_wall * t * (c * closure.l_wall).conjugate()
-        - b.r_source * source * u_ring.conjugate()
+    cl, k, r_in, r_source = b.shell_closure, b.k_plus, b.r_in, b.r_source
+    k2, c, n_bar = k * k, cl.n_ring / cl.w, cl.n_wall.conjugate()
+    w_ff, w_fn = -r_source * (c * cl.l_ring).conjugate(), -r_source * cl.n_ring.conjugate()
+    w_nf, w_nn = -r_in * cl.dn_wall * (c * cl.l_wall).conjugate(), -r_in * cl.dn_wall * n_bar
+    (j_low, h_low), n = cl.low[0], cl.n
+    s_nn = -r_in * k * (n[0] * j_low + n[1] * h_low) * n_bar
+    if abs(s_nn.imag) >= _SPLIT_MIN_IM * abs(s_nn):
+        g_ff = _resolved(-w_ff.imag / k2.imag, abs(w_ff) / abs(k2.imag))
+        g_fn = (w_fn - w_nf.conjugate()) / (-2j * k2.imag)
+        g_nn = _resolved(-s_nn.imag / k2.imag, abs(s_nn) / abs(k2.imag))
+    else:
+        g_ff, g_fn, g_nn = _taylor_gram(b)
+    # the magnetic form: Re [r u' conj(v)] + Re(k^2) int r u conj(v) dr, Hermitian
+    h_ff = _resolved(w_ff.real + k2.real * g_ff, abs(w_ff.real) + abs(k2.real * g_ff))
+    h_nn = _resolved(w_nn.real + k2.real * g_nn, abs(w_nn.real) + abs(k2.real * g_nn))
+    return (g_ff, g_fn, g_nn), (h_ff, 0.5 * (w_fn + w_nf.conjugate()) + k2.real * g_fn, h_nn)
+
+
+def _taylor_sums(m: int, x0: complex, q: complex, a0: complex, b0: complex) -> tuple[complex, complex, float]:
+    """Sums over n >= 1 of a_n*h^n/q and b_n*h^n/q, h = q*x0, and of their moduli, for the Taylor
+    coefficients at x0 of A = C_m and B = C_{m-1} of one combination C, A(x0) = a0, B(x0) = b0:
+    x*A' = x*B - m*A and x*B' = (m-1)*B - x*A (DLMF 10.6.2) give x0(n+1) a_{n+1} =
+    x0 b_n + b_{n-1} - (m+n) a_n and x0(n+1) b_{n+1} = (m-1-n) b_n - x0 a_n - a_{n-1}.
+    """
+    h = q * x0
+    a, b = x0 * b0 - m * a0, (m - 1) * b0 - x0 * a0
+    a1, b1 = x0 * a0, x0 * b0  # h times the previous pair, over q
+    sum_a, sum_b = a, b
+    total = peak = abs(a) + abs(b)
+    for n in range(1, _TAYLOR_MAX_TERMS):
+        f = q / (n + 1)
+        a, b, a1, b1 = f * (x0 * b + b1 - (m + n) * a), f * ((m - 1 - n) * b - x0 * a - a1), h * a, h * b
+        sum_a += a
+        sum_b += b
+        size = abs(a) + abs(b)
+        total += size
+        if size <= _TAYLOR_RTOL * peak:
+            return sum_a, sum_b, total
+        peak = max(peak, size)
+    raise SolverError(f"shell norms at mode {m}: the Taylor-shifted Lommel series at k_plus*r = {x0!r} did not "
+                      f"settle in {_TAYLOR_MAX_TERMS} terms (delta/k = {q!r})")
+
+
+def _taylor_gram(b: CylinderBenchmark) -> _Gram:
+    """The electric Gram matrix of ``_shell_grams`` from Taylor-shifted Lommel brackets.
+
+    With (A, B) = (U_m, U_{m-1}) of u and (v0, v1) = (V_m, V_{m-1})(k r) of v, H(kappa) =
+    r*(kappa*B(kappa r)*conj(v0) - conj(k)*A(kappa r)*conj(v1)) has [H(conj k)] = 0 (a
+    Wronskian), so int r u conj(v) dr = -[r (b0 conj(v0) + (conj(k)/k)(sum_b conj(v0) -
+    sum_a conj(v1)))] / (2 Re k), the sums ``_taylor_sums``'s at q = (conj(k) - k)/k: no
+    quotient by the loss.  U_{m-1} = (m/(k r)) U_m where u' = 0: F at the wall, both at r_out.
+    """
+    cl, k, m = b.shell_closure, b.k_plus, abs(b.mode)
+    n, el, ((j_wall, h_wall), (j_ring, h_ring)) = cl.n, cl.el, cl.low
+    c, c_out = cl.n_ring / cl.w, cl.l_ring / cl.w
+    n_out, n1_ring = n[0] * cl.outer[0] + n[1] * cl.outer[2], n[0] * j_ring + n[1] * h_ring
+    f_wall, low_wall, low_out = c * cl.l_wall, m / (k * b.r_in), m / (k * b.r_out)
+    ends = (  # (r, sign, ((F, F_{m-1}), (N, N_{m-1}))) at the ends of the two pieces
+        (b.r_in, -1.0, ((f_wall, low_wall * f_wall), (cl.n_wall, n[0] * j_wall + n[1] * h_wall))),
+        (b.r_source, 1.0, ((c * cl.l_ring, c * (el[0] * j_ring + el[1] * h_ring)), (cl.n_ring, n1_ring))),
+        (b.r_source, -1.0, ((c_out * cl.n_ring, c_out * n1_ring), (cl.n_ring, n1_ring))),
+        (b.r_out, 1.0, ((c_out * n_out, low_out * c_out * n_out), (n_out, low_out * n_out))),
     )
-    e_sq = -w.imag / k2.imag
-    return e_sq, w.real + k2.real * e_sq
-
-
-def _shell_squares_quadrature(b: CylinderBenchmark, source: complex, t: complex) -> tuple[float, float]:
-    """Squared electric and magnetic shell norms by tanh-sinh quadrature, one basis point per node.
-
-    (source, t) are divided by the power of two 2**e nearest above the larger
-    of their moduli, and the squares multiplied back by 4**e, both exactly: a
-    tiny Delta t would otherwise make subnormal coefficients and lose digits.
-    """
-    m = abs(b.mode)
-    kp = b.k_plus
-    e = math.frexp(max(abs(source), abs(t)))[1]
-    inner, outer = _shell_field(b.shell_closure, _ldexp(source, -e), _ldexp(t, -e))
-
-    def piece(coeff: _Coefficients, lo: float, hi: float) -> list[float]:
-        def densities(r: float) -> tuple[float, float]:
-            u, du = _combine(coeff, _shell_point(m, kp, r))
-            u_sq = abs(u) ** 2
-            return u_sq * r, (abs(du) ** 2 + (m / r) ** 2 * u_sq) * r
-
-        return _tanh_sinh_integral(densities, lo, hi)
-
-    try:
-        e_in, h_in = piece(inner, b.r_in, b.r_source)
-        e_out, h_out = piece(outer, b.r_source, b.r_out)
-        return math.ldexp(e_in + e_out, 2 * e), math.ldexp(h_in + h_out, 2 * e)
-    except OverflowError as exc:
-        raise SolverError(
-            f"shell norm quadrature of (source, t) = ({source!r}, {t!r}): a density or squared norm "
-            f"passes the largest float ({exc})"
-        ) from exc
+    q, ratio = (k.conjugate() - k) / k, k.conjugate() / k
+    g, size = [[0j, 0j], [0j, 0j]], [0.0, 0.0]
+    for r, sign, fields in ends:
+        for i, (a0, b0) in enumerate(fields):
+            sum_a, sum_b, total = _taylor_sums(m, k * r, q, a0, b0)
+            for j, (v0, v1) in enumerate(fields):
+                v0, v1 = v0.conjugate(), v1.conjugate()
+                g[i][j] += sign * r * (b0 * v0 + ratio * (sum_b * v0 - sum_a * v1))
+                size[i] += r * (abs(b0 * v0) + total * (abs(v0) + abs(v1))) if i == j else 0.0
+    scale = -0.5 / k.real
+    g_ff, g_nn = (_resolved(scale * g[i][i].real, -scale * size[i]) for i in (0, 1))
+    return g_ff, scale * 0.5 * (g[0][1] + g[1][0].conjugate()), g_nn
 
 
 def _shell_squares(b: CylinderBenchmark, source: complex, t: complex) -> tuple[float, float]:
-    """Squared shell norms of the field of (source, t); closed form unless Im(k_plus^2) is too small."""
-    k2 = b.k_plus * b.k_plus
-    if abs(k2.imag) < _LOMMEL_MIN_LOSS * abs(k2):
-        return _shell_squares_quadrature(b, source, t)
-    return _shell_squares_lommel(b, source, t)
+    """Squared electric and magnetic shell norms of the field of (source, t): Hermitian forms over
+    ``_shell_grams`` (g_NN alone with equal sources) of (source, t) divided by the power of two
+    2**e just above their moduli, times 4**e: a tiny Delta t forms no subnormal."""
+    e = math.frexp(max(abs(source), abs(t)))[1]
+    s, t = _ldexp(source, -e), _ldexp(t, -e)
+    try:
+        e_sq, h_sq = (
+            abs(t) ** 2 * g_nn + (abs(s) ** 2 * g_ff + 2.0 * (s * t.conjugate() * g_fn).real if s else 0.0)
+            for g_ff, g_fn, g_nn in b.shell_grams
+        )
+        return math.ldexp(e_sq, 2 * e), math.ldexp(h_sq, 2 * e)
+    except OverflowError as exc:
+        raise SolverError(f"shell norms of (source, t) = ({source!r}, {_ldexp(t, e)!r}) overflow") from exc
 
 
 def _shell_difference(a: ModalSolution, b: ModalSolution) -> tuple[CylinderBenchmark, complex, complex]:
@@ -686,29 +696,14 @@ def _shell_error(b: CylinderBenchmark, e_sq: float, h_sq: float) -> ShellError:
 
 
 def shell_l2_error(a: ModalSolution, b: ModalSolution) -> ShellError:
-    """Shell L2 norms of the field difference, split at the source ring.
+    """Shell L2 norms of the field difference, electric and magnetic (u' and (m/r)*u over omega*mu_plus).
 
-    The difference is formed from the differences of the two shell
-    coordinates, source and wall amplitude t (``_shell_difference``): for
-    models that share the ring source it is Delta t * N, so no large
-    coefficient cancels.  Against a 60-digit oracle fed the same double wall
-    coefficients, ibc0-2 and the order-2 expansion are within 2.5e-9 relative
-    on modes 0-30, eps 1e-3 to 0.1.  The magnetic part combines the azimuthal
-    u'-component with the radial (m/r)*u component, both divided by
-    omega*mu_plus.  Both norms come in closed form from the shell's energy
-    balance on (source, t) (``_shell_squares_lommel``): with equal sources
-    they are |Delta t| times a constant of the shell closure.  When
-    Im(k_plus^2)/|k_plus^2| < 1e-3 that form cancels too many digits and
-    tanh-sinh quadrature is used.
+    The difference is taken on the shell coordinates (source, t) (``_shell_difference``): for
+    models that share the ring source it is Delta t * N, so no large coefficient cancels, and
+    both norms are |Delta t| times constants of the shell's Gram matrices (``_shell_squares``).
     """
     bench, source, t = _shell_difference(a, b)
     return _shell_error(bench, *_shell_squares(bench, source, t))
-
-
-def _shell_l2_error_quadrature(a: ModalSolution, b: ModalSolution) -> ShellError:
-    """shell_l2_error by quadrature alone: the low-loss fallback's path and the test oracle."""
-    bench, source, t = _shell_difference(a, b)
-    return _shell_error(bench, *_shell_squares_quadrature(bench, source, t))
 
 
 def shell_l2_norm(sol: ModalSolution) -> float:
@@ -816,16 +811,20 @@ def model_errors(
 ) -> list[tuple[float, ShellError]]:
     """(eps, shell error of the model against the exact solution) at each eps in turn.
 
-    family "ibc" takes the impedance model of the given order, "expansion" the truncated expansion.
+    family "ibc" takes the impedance model of the given order, "expansion" the truncated expansion,
+    whose terms are solved once for the whole sweep.
     """
     if family not in ("ibc", "expansion"):
         raise ValueError(f"unknown study family {family!r}")
     b0.shell_closure  # basis points and closure, derived once and handed to every eps point by with_eps
+    terms = None
     out = []
     for eps in eps_values:
         bench = b0.with_eps(eps)
         exact = solve_exact(bench)
-        model = solve_ibc(bench, order) if family == "ibc" else truncated_expansion(bench, order)
+        if family == "expansion":  # the terms do not depend on eps: solved once, after the first exact solve
+            terms = terms or _expansion_terms(b0, order)
+        model = solve_ibc(bench, order) if terms is None else _truncation(bench, terms)
         out.append((eps, shell_l2_error(exact, model)))
     return out
 

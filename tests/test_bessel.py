@@ -993,8 +993,8 @@ def _h2_eval_mirror(m: int, z: complex) -> tuple[complex, complex, complex]:
         prev, cur, extra = _ascend(h0, h1v, z, m)
         return cur, prev - (m / z) * cur, e0 + extra
     jv = bessel_j(m, z)
-    h1 = _h1_eval(m, z)
-    jval, jder, h1val, h1der, exponent = _align((jv.value, jv.derivative, jv.exponent), h1)
+    h1val, h1der, _, h1exp = _h1_eval(m, z)
+    jval, jder, h1val, h1der, exponent = _align((jv.value, jv.derivative, jv.exponent), (h1val, h1der, h1exp))
     return 2.0 * jval - h1val, 2.0 * jder - h1der, exponent
 
 
@@ -1005,11 +1005,13 @@ def _bessel_h2_mirror(m: int, z: complex) -> tuple[complex, complex, complex]:
         jv = bessel_j(m, z)
         yv = bessel_y(m, z)
         f = cmath.exp(jv.exponent - yv.exponent)
+        # the mirror carries no order-(m-1) value: prev 0j
         ev = _maybe_fold(
-            m, z, jv.value * f - 1j * yv.value, jv.derivative * f - 1j * yv.derivative, yv.exponent
+            m, z, jv.value * f - 1j * yv.value, jv.derivative * f - 1j * yv.derivative, 0j, yv.exponent
         )
     else:
-        ev = _maybe_fold(m, z, *_h2_eval_mirror(m, z))
+        value, derivative, exponent = _h2_eval_mirror(m, z)
+        ev = _maybe_fold(m, z, value, derivative, 0j, exponent)
     return ev.value, ev.derivative, ev.exponent
 
 
@@ -1049,7 +1051,7 @@ def test_h2_by_reflection_equals_the_mirrored_code():
             jval, jder, h2val, h2der, exponent = _align(
                 (jv.value, jv.derivative, jv.exponent), _h2_eval_mirror(m, z)
             )
-            h1 = _maybe_fold(m, z, 2.0 * jval - h2val, 2.0 * jder - h2der, exponent)
+            h1 = _maybe_fold(m, z, 2.0 * jval - h2val, 2.0 * jder - h2der, 0j, exponent)
             assert close_eval(triple(bessel_h1(m, z)), triple(h1)), (m, z)
 
 
@@ -1137,19 +1139,68 @@ def test_k01_seeds_against_mpmath(z):
 def test_bessel_eval_is_an_immutable_named_tuple():
     # what callers may rely on: the named fields and properties, immutability,
     # value equality and hashing, and the tuple (order, argument, value,
-    # derivative, exponent) it unpacks to and compares equal with
+    # derivative, prev, exponent) it unpacks to and compares equal with
     ev = bessel_j(3, 40.0 + 35.0j)
     assert ev.is_scaled and ev.exponent != 0
-    order, argument, value, derivative, exponent = ev
+    order, argument, value, derivative, prev, exponent = ev
     assert (order, argument) == (3, 40.0 + 35.0j)
-    assert (value, derivative, exponent) == (ev.value, ev.derivative, ev.exponent)
-    assert ev == (order, argument, value, derivative, exponent) == bessel_j(3, 40.0 + 35.0j)
+    assert (value, derivative, prev, exponent) == (ev.value, ev.derivative, ev.prev, ev.exponent)
+    assert ev == (order, argument, value, derivative, prev, exponent) == bessel_j(3, 40.0 + 35.0j)
     assert hash(ev) == hash(bessel_j(3, 40.0 + 35.0j))
-    assert BesselEval(0, 1j, 2j, 3j) == (0, 1j, 2j, 3j, 0j)  # exponent defaults to 0j
+    assert BesselEval(0, 1j, 2j, 3j, 4j) == (0, 1j, 2j, 3j, 4j, 0j)  # exponent defaults to 0j
     with pytest.raises(AttributeError):
         ev.value = 0j
     assert ev.actual == value * cmath.exp(exponent)
     assert ev.actual_derivative == derivative * cmath.exp(exponent)
+
+
+def _prev_error(ev, ref_fn, m: int, z: complex, scale=None) -> float:
+    """|prev - Z_{m-1}(z)| (Z_{-1} = -Z_1) on the evaluation's scale, over ``scale`` or |Z_{m-1}|, 40 digits."""
+    with mp.workdps(40):
+        zm = mp.mpc(z)
+        ref = (ref_fn(m - 1, zm) if m else -ref_fn(1, zm)) * mp.exp(-mp.mpc(ev.exponent))
+        return float(abs(mp.mpc(ev.prev) - ref) / (abs(ref) if scale is None else scale))
+
+
+def test_order_m_minus_one_value_against_mpmath():
+    """``prev`` meets each route's existing bounds on the value: the series wedge (relative
+    to the larger of |Z_{m-1}| and |Z_m|: at J_0(11.9), next to a zero of J_0, the step down
+    from J_1 and J_2 reads 1.5e-11 of |J_0| itself), the forward ascent and Miller (relative
+    to the larger of |J_m| and |J_m'|), and arguments where 2m/|z| rounds away (relative)."""
+    worst = dict.fromkeys(WEDGE_WORST, 0.0)
+    for z in WEDGE_GRID:
+        for m in WEDGE_ORDERS:
+            for name, fn, ref_fn in (("J", bessel_j, mp.besselj), ("Y", bessel_y, mp.bessely), ("H1", bessel_h1, mp.hankel1)):
+                ev = fn(m, z)
+                with mp.workdps(40):
+                    size = float(abs(ref_fn(m, mp.mpc(z)) * mp.exp(-mp.mpc(ev.exponent))))
+                    size = max(size, float(abs((ref_fn(m - 1, mp.mpc(z)) if m else ref_fn(1, mp.mpc(z))) * mp.exp(-mp.mpc(ev.exponent)))))
+                worst[name] = max(worst[name], _prev_error(ev, ref_fn, m, z, size))
+    for name in ("J", "Y", "H1"):
+        assert worst[name] <= WEDGE_WORST[name], (name, worst[name])
+    for m, z in forward_route_grid() + miller_grid():
+        jv = bessel_j(m, z)
+        with mp.workdps(30):
+            f = mp.e ** (-mp.mpc(jv.exponent))
+            size = max(abs(mp.besselj(m, z) * f), abs(mp.besselj(m, z, derivative=1) * f))
+        assert _prev_error(jv, mp.besselj, m, z, size) <= (1e-13 if abs(z) >= 20.0 else 1e-10), (m, z)
+    for fn, ref_fn, zs in ((bessel_j, mp.besselj, (1e17, 1e20, 1e17 + 1e17j)), (bessel_y, mp.bessely, (1e17, 3e19 + 2e3j)), (bessel_h1, mp.hankel1, (1e17, 1e20))):
+        for m in (0, 1, 2, 50, 200):
+            for z in zs:
+                assert _prev_error(fn(m, z), ref_fn, m, z) <= 1e-14, (fn.__name__, m, z)
+
+
+def test_order_m_minus_one_value_at_zero_and_order_zero():
+    # J_{m-1}(0) is 1 at m = 1 and 0 otherwise; at m = 0 each function's prev is -Z_1,
+    # the negated order-1 value its own evaluation holds
+    assert [bessel_j(m, 0).prev for m in (0, 1, 2)] == [0j, 1.0 + 0j, 0j]
+    for z in (0.3 + 0.1j, 11.9 + 0j, 25.0 - 3.0j, 300.0 + 40.0j):
+        for fn in (bessel_j, bessel_y, bessel_h1):
+            ev, one = fn(0, z), fn(1, z)
+            with mp.workdps(30):
+                got = mp.mpc(ev.prev) * mp.exp(mp.mpc(ev.exponent))
+                want = mp.mpc(one.value) * mp.exp(mp.mpc(one.exponent))
+            assert abs(got + want) <= 1e-13 * abs(want), (fn.__name__, z)
 
 
 # --------------------------------------------------------------------------

@@ -21,9 +21,6 @@ from magskin.modal import (
     SolverError,
     _shell_difference,
     _shell_error,
-    _shell_l2_error_quadrature,
-    _shell_squares_lommel,
-    _tanh_sinh_integral,
     conductor_l2_norm,
     convergence_study,
     default_benchmark,
@@ -265,6 +262,67 @@ def test_conductor_value_is_the_value_of_the_full_evaluation(mode, eps):
         ibc.u(0.5)
 
 
+def test_conductor_u_prime_reads_no_bessel_j(monkeypatch):
+    # below r_in u' is k_minus*(J_{m-1} - (m/z) J_m) from two value-only calls: no second
+    # evaluation of J_m and no order above m, so mode 200 has a conductor u' too
+    for mode in (0, 5, 200):
+        b = default_benchmark(mode=mode, eps=1e-2)
+        b.conductor_ref
+        monkeypatch.setattr(modal, "bessel_j", lambda m, z: pytest.fail(f"bessel_j({m}, {z!r})"))
+        for r in (0.0, 1e-3, 0.3, 0.9, b.r_in * (1 - 2.0**-40)):
+            assert cmath.isfinite(modal._conductor_point(b, 1.0 + 0j, r)[1]), (mode, r)
+        monkeypatch.undo()
+    sol = solve_exact(default_benchmark(mode=5, eps=1e-2))
+    monkeypatch.setattr(modal, "bessel_j", lambda m, z: pytest.fail(f"bessel_j({m}, {z!r})"))
+    assert all(cmath.isfinite(sol.u_prime(r)) for r in (0.0, 0.5, 0.99))
+
+
+def _conductor_u_prime_worst(cases) -> tuple[float, float]:
+    """Worst relative error of the conductor u', as read now and as read from bessel_j's
+    derivative before, against 40-digit mpmath, over (benchmark, radii) cases."""
+    worst_now = worst_before = 0.0
+    amplitude = 1.0 + 0.5j
+    for b, radii in cases:
+        m, k, ref = abs(b.mode), b.k_minus, b.conductor_ref
+        with mp.workdps(40):
+            km = mp.mpc(k)
+            scale = mp.mpc(amplitude) * km / mp.besselj(m, km * b.r_in)
+        for r in radii:
+            jv = bessel_j(m, k * r)
+            before = amplitude * k * jv.derivative / ref.value * cmath.exp(jv.exponent - ref.exponent)
+            now = modal._conductor_point(b, amplitude, r)[1]
+            with mp.workdps(40):
+                want = scale * mp.besselj(m, km * r, derivative=1)
+                worst_now = max(worst_now, float(abs(now - want) / abs(want)))
+                worst_before = max(worst_before, float(abs(before - want) / abs(want)))
+    return worst_now, worst_before
+
+
+def test_conductor_u_prime_against_mpmath():
+    # measured worst (now, from bessel_j's derivative before): 2.2638e-13 / 2.2634e-13 over
+    # the skin-depth grid, 5.47e-12 / 5.60e-12 on the ring 12 < |k_minus r| < 20, where J_0
+    # reads its unsettled order-0 Hankel sums (5.5e-12 at |z| = 12.01, m = 1, against
+    # Miller's 1.2e-13), and 1.1020e-13 / 1.1011e-13 at mode 200
+    skin = []
+    for mu_r in (1e2, 1e3, 1e4, 1e5, 1e6, 1e7):
+        for mode in (0, 1, 2, 5, 30):
+            b = default_benchmark(mode).with_eps(1.0 / math.sqrt(mu_r))
+            depth = min(10.0 * b.params.ell_phi, 0.95 * b.r_in)
+            skin.append((b, [b.r_in - depth * 10.0 ** (-3.0 * (1 - i / 39)) for i in range(40)]))
+    ring = []
+    for mode in (0, 1, 2, 5, 30):
+        b = default_benchmark(mode).with_eps(1e-2)
+        ring.append((b, [x / abs(b.k_minus) for x in (12.01, 12.5, 14.0, 16.0, 18.0, 19.9)]))
+    top = [
+        (b, [b.r_in * f for f in (0.999, 0.99, 0.95, 0.9, 0.8, 0.5)])
+        for b in (default_benchmark(200).with_eps(1e-2), default_benchmark(200).with_eps(1e-3))
+    ]
+    for cases, bound in ((skin, 3e-13), (ring, 6e-12), (top, 2e-13)):
+        now, before = _conductor_u_prime_worst(cases)
+        # no worse than bessel_j's derivative, up to the last digits of the shared worst point
+        assert now <= bound and now <= 1.01 * before, (now, before)
+
+
 @pytest.mark.parametrize("mode", [0, 1, 2])
 @pytest.mark.parametrize("eps", [0.1, 1e-2])
 def test_conductor_field_at_the_axis(mode, eps):
@@ -427,6 +485,81 @@ def test_model_differences_match_the_wall_defect_error(mode, eps):
         assert abs(got - want) <= 1e-6 * want, (k, got, want)
 
 
+# --------------------------------------------------------------------------
+# the tanh-sinh rule: the integration oracle of the closed-form shell norms.
+# The library takes every norm in closed form; this rule integrates the same
+# (source, t) fields one shell point per node, at any loss and mode.
+
+# The tanh-sinh quadrature stops when two step sizes agree to this relative tolerance.
+_QUADRATURE_RTOL = 1e-12
+
+
+def _tanh_sinh_integral(fn, a: float, b: float, max_levels: int = 8) -> list[float]:
+    """Tanh-sinh rule for the densities fn(r) returns, halving its step h until two steps agree.
+
+    Nodes r = (a+b)/2 + half*tanh(pi/2*sinh t) at t = j*h, |t| <= 3.5, weights
+    half*h*(pi/2)*cosh t/cosh^2(pi/2*sinh t) (Takahashi & Mori 1974).  h halves from
+    1/2 and each level adds only the odd j, reusing every density value.  A node is formed
+    from its distance half*2/(1 + e^(2|u|)) to the nearer end, so it is rounded at that
+    end's spacing; one other than the centre that rounds onto a or b is skipped.
+    Raises SolverError after ``max_levels`` halvings (1 + 7*2^(max_levels+1) nodes at most).
+    """
+    half = 0.5 * (b - a)
+    terms: list[list[float]] = []  # weight/(half*h*pi/2) times each density, at every node so far
+    prev = None
+    for level in range(max_levels + 1):
+        h, n, step = 0.5 ** (level + 1), 7 * 2**level, 1 if level == 0 else 2
+        for j in range(step - 1 - n, n + 1, step):
+            u = 0.5 * math.pi * math.sinh(j * h)
+            d = 2.0 * half / (1.0 + math.exp(2.0 * abs(u)))
+            r = a + d if j <= 0 else b - d
+            if j == 0 or a < r < b:
+                w = math.cosh(j * h) / math.cosh(u) ** 2
+                terms.append([w * v for v in fn(r)])
+        vals = [half * h * 0.5 * math.pi * math.fsum(col) for col in zip(*terms)]
+        if prev is not None and all(
+            abs(val - old) <= _QUADRATURE_RTOL * max(abs(val), 1e-300) for val, old in zip(vals, prev)
+        ):
+            return vals
+        if level == max_levels:
+            raise SolverError(
+                f"quadrature on [{a}, {b}] did not reach rtol {_QUADRATURE_RTOL:.1e} in {max_levels} "
+                f"step halvings: last estimates {prev} and {vals}"
+            )
+        prev = vals
+
+
+def _shell_squares_quadrature(b: CylinderBenchmark, source: complex, t: complex) -> tuple[float, float]:
+    """Squared electric and magnetic shell norms by tanh-sinh quadrature, one basis point per node.
+
+    (source, t) are divided by the power of two 2**e nearest above the larger
+    of their moduli, and the squares multiplied back by 4**e, both exactly: a
+    tiny Delta t would otherwise make subnormal coefficients and lose digits.
+    """
+    m = abs(b.mode)
+    kp = b.k_plus
+    e = math.frexp(max(abs(source), abs(t)))[1]
+    inner, outer = modal._shell_field(b.shell_closure, modal._ldexp(source, -e), modal._ldexp(t, -e))
+
+    def piece(coeff, lo: float, hi: float) -> list[float]:
+        def densities(r: float) -> tuple[float, float]:
+            u, du = modal._combine(coeff, modal._basis_point(m, kp, r)[0])
+            u_sq = abs(u) ** 2
+            return u_sq * r, (abs(du) ** 2 + (m / r) ** 2 * u_sq) * r
+
+        return _tanh_sinh_integral(densities, lo, hi)
+
+    e_in, h_in = piece(inner, b.r_in, b.r_source)
+    e_out, h_out = piece(outer, b.r_source, b.r_out)
+    return math.ldexp(e_in + e_out, 2 * e), math.ldexp(h_in + h_out, 2 * e)
+
+
+def _shell_l2_error_quadrature(a: ModalSolution, b: ModalSolution) -> modal.ShellError:
+    """shell_l2_error by quadrature."""
+    bench, source, t = _shell_difference(a, b)
+    return _shell_error(bench, *_shell_squares_quadrature(bench, source, t))
+
+
 def test_composite_integral_against_closed_forms():
     (val,) = _tanh_sinh_integral(lambda r: (math.exp(-r),), 0.0, 3.0)
     assert abs(val - (1.0 - math.exp(-3.0))) <= 1e-13
@@ -479,7 +612,7 @@ def test_scalar_quadrature_matches_the_numpy_panel_sum(mode):
         for coeff, lo, hi in ((inner, b.r_in, b.r_source), (outer, b.r_source, b.r_out)):
 
             def density(r, coeff=coeff, b=b):
-                u, du = modal._combine(coeff, modal._shell_point(mode, b.k_plus, r))
+                u, du = modal._combine(coeff, modal._basis_point(mode, b.k_plus, r)[0])
                 return (abs(du) ** 2 + (mode / r) ** 2 * abs(u) ** 2) * r
 
             want = _numpy_composite_integral(density, lo, hi)
@@ -567,8 +700,8 @@ def _gauss_shell_squares(b: CylinderBenchmark, diffs) -> list[tuple[float, float
     + [pytest.param(m, 2e-11, id=f"{m}-1e-09") for m in (10, 30)],
 )
 def test_shell_closed_form_matches_quadrature(mode, tol, sigma_plus):
-    # measured worst 6.2e-13 on modes 0-5 and 7.7e-12 on modes 10/30 (the per-piece
-    # coefficient Lommel sums read 3.2e-12 and 1.5e-10)
+    # measured worst 5.8e-13 on modes 0-5 and 5.7e-14 on modes 10/30 (the unsplit form read
+    # 6.2e-13 and 7.7e-12, the per-piece coefficient Lommel sums 3.2e-12 and 1.5e-10)
     diffs = []
     for eps in (1e-1, 1e-2, 1e-3):
         b = _with_sigma_plus(default_benchmark(mode=mode, eps=eps), sigma_plus)
@@ -577,7 +710,7 @@ def test_shell_closed_form_matches_quadrature(mode, tol, sigma_plus):
     # k_plus does not depend on eps, so every difference lives on the same shell basis
     fields = [modal._shell_field(b.shell_closure, *diff) for diff in diffs]
     for diff, ref in zip(diffs, _gauss_shell_squares(b, fields)):
-        got = _shell_squares_lommel(b, *diff)
+        got = modal._shell_squares(b, *diff)
         assert max(abs(g - q) / q for g, q in zip(got, ref)) <= tol
 
 
@@ -599,7 +732,7 @@ def test_ring_term_of_the_shell_energy_balance_matches_quadrature(mode):
                 got, ref = shell_l2_error(exact, model), _shell_l2_error_quadrature(exact, model)
                 assert abs(got.error_e - ref.error_e) <= 1e-10 * ref.error_e, (eps, sigma_plus, model.kind)
                 assert abs(got.error_h - ref.error_h) <= 1e-10 * ref.error_h, (eps, sigma_plus, model.kind)
-            ref_e = math.sqrt(modal._shell_squares_quadrature(b, exact.source, exact.wall_amplitude)[0])
+            ref_e = math.sqrt(_shell_squares_quadrature(b, exact.source, exact.wall_amplitude)[0])
             assert abs(shell_l2_norm(exact) - ref_e) <= 1e-10 * ref_e, (eps, sigma_plus)
 
 
@@ -626,6 +759,18 @@ def _mp_field(points, gamma, datum, source):
     w = l_ring * dn_ring - dl_ring * n_ring
     c, c_out = source * n_ring / w, source * l_ring / w
     t = (datum - gamma * c * modal._combine(el, wall)[0]) / (dn_wall + gamma * n_wall)
+    return [(c * el[0] + t * n[0], c * el[1] + t * n[1]), ((c_out + t) * n[0], (c_out + t) * n[1])]
+
+
+def _mp_coordinate_field(points, source, t):
+    """Inner and outer coefficients of the field of double shell coordinates (source, t), in mpmath."""
+    wall, ring, outer = points
+    n, el = (outer[3], -outer[1]), (wall[3], -wall[1])
+    n_ring, dn_ring = modal._combine(n, ring)
+    l_ring, dl_ring = modal._combine(el, ring)
+    w = l_ring * dn_ring - dl_ring * n_ring
+    source, t = mp.mpc(source), mp.mpc(t)
+    c, c_out = source * n_ring / w, source * l_ring / w
     return [(c * el[0] + t * n[0], c * el[1] + t * n[1]), ((c_out + t) * n[0], (c_out + t) * n[1])]
 
 
@@ -671,8 +816,8 @@ def test_shell_error_against_a_60_digit_oracle(sigma_plus):
     # coefficients at 60 digits.  Measured worst 2.7e-9 (ibc2, mode 0, eps 1e-3), from the 1e-16
     # rounding of the inputs; subtracting the double coefficients read 3.0e-6 (truncated 2, mode 30).
     # At mode 140 the difference's H1_m coefficient Delta t*n[1] is subnormal (~3e-318 at eps 1e-4);
-    # the quadrature (sigma_plus < 1e-3) forms it from (source, t) scaled by a power of two.
-    # Measured worst there 2.8e-12 (ibc1, sigma_plus 1e-6, eps 1e-4); unscaled it read 1.1e-6
+    # the closed forms take (source, t) scaled by a power of two, as the quadrature did.
+    # Measured worst there 2.8e-12 (sigma_plus 1e-6) and 1.6e-12 (9e-4); unscaled it read 1.1e-6
     cases = {mode: ((1e-3, 1e-2, 0.1), 5e-9) for mode in (0, 3, 30)}
     if sigma_plus < 1e-3:
         cases[140] = ((1e-4, 1e-3), 1e-11)
@@ -692,6 +837,50 @@ def test_shell_error_against_a_60_digit_oracle(sigma_plus):
                 assert rel <= bound, (name, mode, eps, float(rel))
 
 
+def test_shell_squares_against_a_40_digit_oracle_at_every_loss_and_mode():
+    # both squared norms of the same double (source, t), the split form above an Im share
+    # of 1e-3 and the Taylor-shifted brackets below it, against 40-digit Lommel sums over
+    # 40-digit Bessel values.  Measured worst 1.4e-13 (mode 140, sigma_plus 9e-4); the
+    # former Lommel form read 1.1e-9 at mode 140, sigma_plus 5e-3.  A solution's own norm,
+    # whose ring brackets cancel ~2m^2/|k_plus r_source|^2, read 2.0e-10 on modes 0-100
+    # (the former forms 3.3e-10) and 5.1e-10 at mode 140
+    worst = (0.0, None)
+    worst_norm = {True: 0.0, False: 0.0}  # a solution's own shell norm, on modes 0-100 and above
+    for mode in (0, 1, 5, 30, 60, 100, 140):
+        for sigma_plus in (1e-6, 1e-4, 9e-4, 2e-3, 5e-3, 1e-2):
+            b0 = _with_sigma_plus(default_benchmark(mode=mode), sigma_plus)
+            with mp.workdps(40):
+                points = _mp_basis(b0)
+            for eps in (1e-3, 0.1):
+                b = b0.with_eps(eps)
+                exact = solve_exact(b)
+                with mp.workdps(40):
+                    field = _mp_coordinate_field(points, exact.source, exact.wall_amplitude)
+                    ref = _mp_shell_error(b, points, field, [(0, 0), (0, 0)])[0]
+                rel = float(abs(shell_l2_norm(exact) - ref) / ref)
+                worst_norm[mode <= 100] = max(worst_norm[mode <= 100], rel)
+                for model in (solve_ibc(b, 0), solve_ibc(b, 2), truncated_expansion(b, 2)):
+                    _, source, t = _shell_difference(exact, model)
+                    got = modal._shell_squares(b, source, t)
+                    with mp.workdps(40):
+                        field = _mp_coordinate_field(points, source, t)
+                        ref_e, ref_h = _mp_shell_error(b, points, field, [(0, 0), (0, 0)])
+                        refs = (ref_e**2, (ref_h * b.cfg.omega * b.cfg.mu_plus) ** 2)
+                    rel = max(float(abs(g - w) / w) for g, w in zip(got, refs))
+                    worst = max(worst, (rel, (mode, sigma_plus, eps, model.kind)), key=lambda x: x[0])
+    print(f"worst relative error of the squared shell norms: {worst[0]:.2e} at {worst[1]}")
+    print(f"worst relative error of shell_l2_norm: {worst_norm[True]:.2e} (modes 0-100), "
+          f"{worst_norm[False]:.2e} (mode 140)")
+    assert worst[0] <= 1e-12, worst
+    assert worst_norm[True] <= 3.3e-10 and worst_norm[False] <= 1e-9, worst_norm
+
+
+def test_taylor_sums_that_do_not_settle_are_a_named_solver_error():
+    # h = q*x0 = 1000i: the terms peak near n = 1000, past the cap of 200
+    with pytest.raises(SolverError, match=r"^shell norms at mode 0: the Taylor-shifted Lommel series .* did not settle"):
+        modal._taylor_sums(0, 1e4 + 0j, 0.1j, 1.0 + 0j, 1.0 + 0j)
+
+
 @pytest.mark.parametrize("mode", [0, 5, 30])
 def test_shell_error_agrees_with_quadrature_oracle(mode):
     b = default_benchmark(mode=mode, eps=1e-2)
@@ -702,42 +891,38 @@ def test_shell_error_agrees_with_quadrature_oracle(mode):
         assert abs(got.error_h - ref.error_h) <= 1e-11 * ref.error_h
 
 
-def test_low_loss_shell_error_falls_back_to_quadrature():
-    b = _with_sigma_plus(default_benchmark(mode=2, eps=1e-2), 1e-6)
+def test_low_loss_shell_error_takes_the_taylor_route(monkeypatch):
+    # at sigma_plus 1e-6 Im of the split wall bracket is 2e-6 of it (mode 0), below
+    # _SPLIT_MIN_IM: the Gram matrices come from the Taylor-shifted brackets, which
+    # meet the quadrature where the split quotient alone is off by 3e-10
+    b = _with_sigma_plus(default_benchmark(mode=0, eps=1e-2), 1e-6)
     exact, model = solve_exact(b), solve_ibc(b, 1)
+    assert b.shell_grams[0] == modal._taylor_gram(b)
     ref = _shell_l2_error_quadrature(exact, model)
-    assert shell_l2_error(exact, model) == ref
-    # the closed form alone would differ here, so equality shows the quadrature ran
-    assert _shell_error(b, *_shell_squares_lommel(*_shell_difference(exact, model))) != ref
+    got = shell_l2_error(exact, model)
+    assert abs(got.error_e - ref.error_e) <= 1e-12 * ref.error_e
+    assert abs(got.error_h - ref.error_h) <= 1e-12 * ref.error_h
+    monkeypatch.setattr(modal, "_SPLIT_MIN_IM", 0.0)
+    split = modal._shell_grams(b)[0]
+    _, _, t = _shell_difference(exact, model)
+    assert abs(abs(t) * math.sqrt(split[2]) - ref.error_e) > 1e-11 * ref.error_e
 
 
-def test_low_loss_quadrature_evaluates_one_shell_point_per_node(monkeypatch):
-    # two pieces of the tanh-sinh rule, one basis point per node for both densities
-    # (288 with the former 48-point Gauss rule, each piece converged at 2 panels after 1)
+def test_low_loss_shell_norms_evaluate_no_shell_point(monkeypatch):
+    # the Taylor route reads the closure's wall and ring values and nothing else (the
+    # quadrature it replaced took up to 202 shell points per norm), once per shell
     b = _with_sigma_plus(default_benchmark(mode=1, eps=1e-2), 1e-6)
-    _, source, t = _shell_difference(solve_exact(b), solve_ibc(b, 1))
-    inner, outer = modal._shell_field(b.shell_closure, source, t)
-    radii = []
-    point = modal._shell_point
-    monkeypatch.setattr(modal, "_shell_point", lambda m, k, r: radii.append(r) or point(m, k, r))
-    e_sq, h_sq = modal._shell_squares_quadrature(b, source, t)
-    assert len(radii) <= 202 and len(set(radii)) == len(radii)
-    monkeypatch.undo()
-
-    # against one quadrature run per density, within the stop tolerance
-    def alone(density) -> float:
-        total = 0.0
-        for coeff, lo, hi in ((inner, b.r_in, b.r_source), (outer, b.r_source, b.r_out)):
-
-            def one(r, coeff=coeff):
-                return (density(*modal._combine(coeff, point(1, b.k_plus, r)), r),)
-
-            total += _tanh_sinh_integral(one, lo, hi)[0]
-        return total
-
-    ref_e = alone(lambda u, du, r: abs(u) ** 2 * r)
-    ref_h = alone(lambda u, du, r: (abs(du) ** 2 + (1 / r) ** 2 * abs(u) ** 2) * r)
-    assert abs(e_sq - ref_e) <= 1e-12 * ref_e and abs(h_sq - ref_h) <= 1e-12 * ref_h
+    exact, model = solve_exact(b), solve_ibc(b, 1)
+    monkeypatch.setattr(modal, "_eval_pair", lambda m, z: pytest.fail(f"a shell point at {z!r}"))
+    taylor = modal._taylor_gram
+    grams = []
+    monkeypatch.setattr(modal, "_taylor_gram", lambda bench: grams.append(bench) or taylor(bench))
+    shell_l2_error(exact, model)
+    shell_l2_norm(exact)
+    for eps in (0.1, 1e-3):
+        other = b.with_eps(eps)
+        shell_l2_error(solve_exact(other), solve_ibc(other, 2))
+    assert grams == [b]
 
 
 def test_conductor_norm_matches_graded_quadrature():
@@ -1135,10 +1320,10 @@ def test_exact_solve_matches_the_6x6_reference(eps):
 
 @pytest.mark.parametrize("sigma_plus", [1e-2, 2e-3])
 def test_shell_energy_balance_matches_the_per_piece_lommel_sums(sigma_plus):
-    # the (source, t) form of W against the per-piece sums over the solution's coefficients, on a
-    # solution's own norm and on model differences.  Measured worst 2.5e-10 (sigma_plus 1e-2) and
-    # 1.1e-9 (2e-3), both at modes 95-100 on truncated 2, where the per-piece sums are the less
-    # accurate side (test_shell_closed_form_matches_quadrature)
+    # the Gram forms over (source, t) against the per-piece sums over the solution's coefficients, on
+    # a solution's own norm and on model differences.  Measured worst 3.9e-10 (sigma_plus 1e-2) and
+    # 9.9e-10 (2e-3), both at modes 90-100 on model differences, where the per-piece sums are the
+    # less accurate side (test_shell_closed_form_matches_quadrature)
     for mode in range(0, 101, 5):
         for eps in (0.1, 1e-3):
             b = _with_sigma_plus(default_benchmark(mode=mode, eps=eps), sigma_plus)
@@ -1146,7 +1331,7 @@ def test_shell_energy_balance_matches_the_per_piece_lommel_sums(sigma_plus):
             cases = [(exact.source, exact.wall_amplitude)]
             cases += [_shell_difference(exact, model)[1:] for model in _models(b)]
             for source, t in cases:
-                got = _shell_squares_lommel(b, source, t)
+                got = modal._shell_squares(b, source, t)
                 want = _coefficient_squares(b, *modal._shell_field(b.shell_closure, source, t))
                 rel = max(abs(g - w) / w for g, w in zip(got, want))
                 assert rel <= 2e-9, (mode, eps, source, rel)
@@ -1346,6 +1531,24 @@ def test_conductor_norm_of_a_model_is_a_solver_error():
             conductor_l2_norm(model)
 
 
+def test_expansion_sweep_solves_its_terms_once(monkeypatch):
+    # the expansion terms do not depend on eps: a 3-eps order-2 sweep solves 3 exact
+    # shells and the 3 terms once (3 + 9 before), with every error equal in hex to the
+    # one from a per-eps truncated_expansion
+    b0 = default_benchmark(mode=10, eps=0.1)
+    eps_values = [1e-3, 0.0123, 0.1]
+    solve = modal._solve_shell
+    kinds = []
+    monkeypatch.setattr(modal, "_solve_shell", lambda kind, *args, **kw: kinds.append(kind) or solve(kind, *args, **kw))
+    got = model_errors(b0, "expansion", 2, eps_values)
+    assert sorted(kinds) == ["exact"] * 3 + ["expansion"] * 3
+    monkeypatch.undo()
+    for (eps, err), want_eps in zip(got, eps_values):
+        bench = b0.with_eps(want_eps)
+        want = shell_l2_error(solve_exact(bench), truncated_expansion(bench, 2))
+        assert eps == want_eps and bits(err.error_e, err.error_h) == bits(want.error_e, want.error_h)
+
+
 def test_convergence_study_rejects_eps_outside_the_unit_interval():
     with pytest.raises(ValueError, match=r"eps values must lie in \(0, 1\)"):
         convergence_study(default_benchmark(mode=0), "ibc", 1, [0.001, 0.01, 0.1, 0.5, 1.0])
@@ -1372,15 +1575,18 @@ def _solved_at(radii, mode: int, eps: float, sigma_plus: float = 1e-2) -> tuple[
 
 
 def test_a_negative_closed_form_square_of_a_shell_error_is_a_solver_error():
-    # math.sqrt of the magnetic square raised a bare math domain error
+    # math.sqrt of the magnetic square raised a bare math domain error.  The magnetic
+    # square of N is 6e-81 of the O(1) terms it is summed from: a Gram diagonal lost
+    # to round-off is nan, and the norm that reads it names itself
     exact, model = _solved_at(_TINY_RADII, 0, 0.3)
-    with pytest.raises(SolverError, match=r"^magnetic shell error: squared norm -\S+ is not a finite non-negative"):
+    with pytest.raises(SolverError, match=r"^magnetic shell error: squared norm nan is not a finite non-negative"):
         shell_l2_error(exact, model)
 
 
 def test_a_negative_closed_form_square_of_a_shell_norm_is_a_solver_error():
+    # at |k_plus r| ~ 1e-20 the Taylor-shifted brackets cancel about 40 digits
     exact, _ = _solved_at(_SMALL_RADII, 3, 0.3)
-    with pytest.raises(SolverError, match=r"^shell norm: squared norm -\S+ is not a finite non-negative"):
+    with pytest.raises(SolverError, match=r"^shell norm: squared norm nan is not a finite non-negative"):
         shell_l2_norm(exact)
 
 
@@ -1391,9 +1597,26 @@ def test_a_negative_square_of_a_conductor_norm_is_a_solver_error():
 
 
 @pytest.mark.parametrize("eps", [0.3, 1e-3])
-@pytest.mark.parametrize("norm", ["error", "norm"])
+@pytest.mark.parametrize("norm", ["error"])
 def test_an_overflowing_low_loss_quadrature_is_a_solver_error(norm, eps):
-    # abs(u) ** 2 raised a bare OverflowError
+    # abs(u) ** 2 raised a bare OverflowError in the quadrature the closed forms replaced;
+    # the magnetic square of N is lost to round-off here (test_a_low_loss_shell_norm_at_tiny_radii_matches_mpmath)
     exact, model = _solved_at(_TINY_RADII, 0, eps, sigma_plus=1e-6)
-    with pytest.raises(SolverError, match=r"^shell norm quadrature .* passes the largest float"):
-        shell_l2_error(exact, model) if norm == "error" else shell_l2_norm(exact)
+    with pytest.raises(SolverError, match=r"^magnetic shell error: squared norm nan is not a finite non-negative"):
+        shell_l2_error(exact, model)
+
+
+@pytest.mark.parametrize("eps", [0.3, 1e-3])
+def test_a_low_loss_shell_norm_at_tiny_radii_matches_mpmath(eps):
+    # the electric squares stay resolved at |k_plus r| ~ 1e-300: the solution's own norm
+    # (the quadrature overflowed here) and the error's electric part match 80-digit mpmath
+    exact, model = _solved_at(_TINY_RADII, 0, eps, sigma_plus=1e-6)
+    b = exact.benchmark
+    with mp.workdps(80):
+        points = _mp_basis(b)
+        zero = [(0, 0), (0, 0)]
+        ref_norm = _mp_shell_error(b, points, _mp_coordinate_field(points, exact.source, exact.wall_amplitude), zero)[0]
+        _, source, t = _shell_difference(exact, model)
+        ref_e = _mp_shell_error(b, points, _mp_coordinate_field(points, source, t), zero)[0]
+    assert abs(shell_l2_norm(exact) - ref_norm) <= 1e-14 * ref_norm
+    assert abs(math.sqrt(modal._shell_squares(b, source, t)[0]) - ref_e) <= 1e-14 * ref_e
