@@ -7,7 +7,6 @@ per-mode solutions of the layered-cylinder transmission problem.
 
 from .bessel import BesselEval, bessel_h1, bessel_j, bessel_y, wronskian_jh1, wronskian_jy
 from .geometry import (
-    ShiftedInverseMetric,
     Surface,
     SurfaceKind,
     TangentVector,
@@ -17,7 +16,6 @@ from .geometry import (
     mean_curvature,
     mean_minus_curvature_apply,
     metric_modulus_sq,
-    shifted_inverse_metric,
 )
 from .ibc import (
     ImpedanceOperator,
@@ -33,8 +31,6 @@ from .modal import (
     ConvergenceFit,
     CylinderBenchmark,
     ModalSolution,
-    PlaneBenchmark,
-    PlaneSolution,
     ShellError,
     SolverError,
     conductor_l2_norm,
@@ -48,7 +44,6 @@ from .modal import (
     solve_expansion_term,
     solve_ibc,
     solve_ibc_with_gamma,
-    solve_plane_exact,
     truncated_expansion,
 )
 from .params import (

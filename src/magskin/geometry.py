@@ -111,20 +111,6 @@ def mean_minus_curvature_apply(s: Surface, v: TangentVector) -> TangentVector:
     return TangentVector(h * v.c1 - cv.c1, h * v.c2 - cv.c2)
 
 
-@dataclass(frozen=True)
-class ShiftedInverseMetric:
-    """Inverse metric of the parallel surface at depth h, as its principal-frame diagonal.
-
-    The shifted metric diag((1-kappa_a*h)^2) is diagonal in the principal frame,
-    so each field is the pair (a11, a22).  ``exact`` is its inverse,
-    ``inverse_metric_diagonal(s, h)``; ``first_order`` is the linearisation
-    (1 + 2*kappa_1*h, 1 + 2*kappa_2*h).  Their difference is O(h^2).
-    """
-
-    exact: tuple[float, float]
-    first_order: tuple[float, float]
-
-
 def inverse_metric_diagonal(s: Surface, h: float) -> tuple[float, float]:
     """Diagonal 1/(1 - kappa_a*h)^2 of the exact inverse metric at depth h, 0 <= h < tubular radius."""
     return curvature_metric_diagonal(s.principal_curvatures, s.tubular_radius, h)
@@ -138,15 +124,6 @@ def curvature_metric_diagonal(
         raise ValueError(f"depth h={h!r} outside the tubular neighborhood [0, {tubular_radius!r})")
     k1, k2 = curvatures
     return 1.0 / (1.0 - k1 * h) ** 2, 1.0 / (1.0 - k2 * h) ** 2
-
-
-def shifted_inverse_metric(s: Surface, h: float) -> ShiftedInverseMetric:
-    """Inverse metric at depth h into the conductor, 0 <= h < tubular radius."""
-    k1, k2 = s.principal_curvatures
-    return ShiftedInverseMetric(
-        exact=inverse_metric_diagonal(s, h),
-        first_order=(1.0 + 2.0 * k1 * h, 1.0 + 2.0 * k2 * h),
-    )
 
 
 def metric_modulus_sq(s: Surface, v: TangentVector, h: float = 0.0) -> float:

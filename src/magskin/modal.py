@@ -106,14 +106,15 @@ class _ShellClosure(NamedTuple):
     N = f2'(outer)*f1 - f1'(outer)*f2 and L = f2'(wall)*f1 - f1'(wall)*f2 as
     coefficient pairs over (f1, f2); N and N' at the wall, N and L at the
     ring, L at the wall, W = L*N' - L'*N at the ring and |k*N| + |N'| at the
-    wall.  Where the basis is not finite only the points and ``finite`` are
-    set, and ``_shell_green`` raises on it.
+    wall.  Where the basis is not finite only the points, ``low`` and ``finite``
+    are set, and ``_shell_green`` raises on it.
     """
 
     k: complex
     wall: _Point
     ring: _Point
     outer: _Point
+    low: tuple[_Coefficients, _Coefficients]
     finite: bool
     n: _Coefficients | None = None
     el: _Coefficients | None = None
@@ -124,26 +125,21 @@ class _ShellClosure(NamedTuple):
     l_wall: complex | None = None
     w: complex | None = None
     size: float | None = None
-    low: tuple[_Coefficients, _Coefficients] | None = None
 
 
-def _shell_closure(k: complex, wall: _Point, ring: _Point, outer: _Point, low: tuple | None = None) -> _ShellClosure:
+def _shell_closure(
+    k: complex, wall: _Point, ring: _Point, outer: _Point, low: tuple[_Coefficients, _Coefficients]
+) -> _ShellClosure:
     """The shell's Green's-function closure over the basis points at the wall, ring and outer wall."""
     if not all(cmath.isfinite(v) for v in (*wall, *ring, *outer)):
-        return _ShellClosure(k, wall, ring, outer, False, low=low)
+        return _ShellClosure(k, wall, ring, outer, low, False)
     n, el = (outer[3], -outer[1]), (wall[3], -wall[1])
     n_wall, dn_wall = _combine(n, wall)
     n_ring, dn_ring = _combine(n, ring)
     l_ring, dl_ring = _combine(el, ring)
     w = l_ring * dn_ring - dl_ring * n_ring
     size, l_wall = abs(k * n_wall) + abs(dn_wall), _combine(el, wall)[0]
-    return _ShellClosure(k, wall, ring, outer, True, n, el, n_wall, dn_wall, n_ring, l_ring, l_wall, w, size, low)
-
-
-def _check_source_amplitude(amplitude: complex) -> None:
-    """A zero source drives no field, and every error relative to it divides by zero."""
-    if not (cmath.isfinite(amplitude) and amplitude != 0):
-        raise ValueError(f"source_amplitude must be finite and nonzero, got {amplitude!r}")
+    return _ShellClosure(k, wall, ring, outer, low, True, n, el, n_wall, dn_wall, n_ring, l_ring, l_wall, w, size)
 
 
 @dataclass(frozen=True)
@@ -168,7 +164,9 @@ class CylinderBenchmark:
             raise ValueError(f"mode must be an integer, got {self.mode!r}")
         if abs(self.mode) > 200:
             raise ValueError(f"|mode| must be <= 200, got {self.mode}")
-        _check_source_amplitude(self.source_amplitude)
+        # a zero source drives no field, and every error relative to it divides by zero
+        if not (cmath.isfinite(self.source_amplitude) and self.source_amplitude != 0):
+            raise ValueError(f"source_amplitude must be finite and nonzero, got {self.source_amplitude!r}")
 
     @functools.cached_property
     def params(self) -> DerivedParams:
@@ -235,8 +233,8 @@ class CylinderBenchmark:
         """Same benchmark with mu_minus = mu_plus/eps^2; everything else fixed.
 
         k_plus does not depend on mu_minus, so the shell closure, basis points
-        included, and the wall surface this instance has already derived serve
-        the copy too; neither is derived again for it.  Raises ValueError naming eps
+        included, the Gram matrices and the wall surface this instance has already
+        derived serve the copy too; none is derived again for it.  Raises ValueError naming eps
         unless eps and mu_plus/eps^2 are finite and positive.
         """
         cfg = self.cfg
@@ -819,8 +817,10 @@ def model_errors(
     b0.shell_closure  # basis points and closure, derived once and handed to every eps point by with_eps
     terms = None
     out = []
+    bench = b0
     for eps in eps_values:
-        bench = b0.with_eps(eps)
+        # from the previous point: its Gram matrices, derived by its shell_l2_error, are handed on too
+        bench = bench.with_eps(eps)
         exact = solve_exact(bench)
         if family == "expansion":  # the terms do not depend on eps: solved once, after the first exact solve
             terms = terms or _expansion_terms(b0, order)
@@ -835,83 +835,3 @@ def require_decreasing_errors(points: list[tuple[float, float]], label: str) -> 
         if err1 <= err0:
             table = ", ".join(f"eps={e:.3e}: err={v:.6e}" for e, v in points)
             raise ConvergenceError(f"errors do not decrease with eps for {label}: {table}")
-
-
-@dataclass(frozen=True)
-class PlaneBenchmark:
-    """Flat-interface analogue: conductor x < 0, shell 0 < x < thickness."""
-
-    thickness: float
-    x_source: float
-    cfg: PhysicalConfig
-    source_amplitude: complex = 1.0 + 0j
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.x_source < self.thickness):
-            raise ValueError("need 0 < x_source < thickness")
-        if not math.isfinite(self.thickness):
-            raise ValueError(f"thickness must be finite, got {self.thickness!r}")
-        _check_source_amplitude(self.source_amplitude)
-
-    @functools.cached_property
-    def params(self) -> DerivedParams:
-        return derive_params(self.cfg)
-
-
-@dataclass(frozen=True)
-class PlaneSolution:
-    """Exact one-dimensional transmission solution at normal incidence."""
-
-    benchmark: PlaneBenchmark
-    conductor_amplitude: complex
-    shell_inner: tuple[complex, complex]
-    shell_outer: tuple[complex, complex]
-    k_plus: complex
-    k_minus: complex
-    residuals: dict[str, float]
-
-    def u(self, x: float) -> complex:
-        b = self.benchmark
-        if not (-math.inf < x <= b.thickness * (1 + 1e-12)):
-            raise ValueError(f"coordinate x={x!r} not finite or beyond the thickness {b.thickness!r}")
-        if x <= 0:
-            return self.conductor_amplitude * cmath.exp(-1j * self.k_minus * x)
-        coeff = self.shell_inner if x <= b.x_source else self.shell_outer
-        return _combine(coeff, _exp_point(self.k_plus, x))[0]
-
-
-def _exp_point(k: complex, x: float) -> _Point:
-    """(exp(ikx), ik*exp(ikx), exp(-ikx), -ik*exp(-ikx)): the plane's shell basis at x."""
-    try:
-        ep, em = cmath.exp(1j * k * x), cmath.exp(-1j * k * x)
-    except (OverflowError, ValueError):  # an exponential overflows, or k*x does (a domain error)
-        return _OVERFLOW
-    return ep, 1j * k * ep, em, -1j * k * em
-
-
-def solve_plane_exact(b: PlaneBenchmark) -> PlaneSolution:
-    """Solve the plane-layer transmission problem (normal incidence only).
-
-    The conductor field A*exp(-i k_minus x), A = u(0), is the wall condition
-    gamma = i*(mu_plus/mu_minus)*k_minus of ``_shell_green`` over exp(+-i k_plus x),
-    checked by the shell's own residuals.
-    """
-    dp = b.params
-    kp = dp.kappa_plus * cmath.sqrt(dp.alpha_plus)
-    km = dp.kappa_plus * cmath.sqrt(dp.alpha_minus) / dp.eps_small
-
-    gamma = 1j * (b.cfg.mu_plus / b.cfg.mu_minus) * km
-    closure = _shell_closure(kp, *(_exp_point(kp, x) for x in (0.0, b.x_source, b.thickness)))
-    t, _ = _shell_green("plane", closure, gamma, 0j, b.source_amplitude)
-    inner, outer = _shell_field(closure, b.source_amplitude, t)
-    res = _shell_residuals(closure, inner, outer, gamma, 0j, b.source_amplitude)
-    _check_residuals("plane", res)
-    return PlaneSolution(
-        benchmark=b,
-        conductor_amplitude=inner[0] + inner[1],
-        shell_inner=inner,
-        shell_outer=outer,
-        k_plus=kp,
-        k_minus=km,
-        residuals=res,
-    )
