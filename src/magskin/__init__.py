@@ -39,9 +39,7 @@ from .modal import (
     default_config,
     fit_convergence,
     shell_l2_error,
-    shell_l2_norm,
     solve_exact,
-    solve_expansion_term,
     solve_ibc,
     solve_ibc_with_gamma,
     truncated_expansion,

@@ -67,7 +67,6 @@ def default_config(eps: float = 0.1) -> PhysicalConfig:
 
 _Coefficients = tuple[complex, complex]
 _Point = tuple[complex, complex, complex, complex]  # f1, f1', f2, f2' at one point
-_Gram = tuple[float, complex, float]  # (g_FF, g_FN, g_NN): a Hermitian form over (source, t)
 _OVERFLOW: _Point = (complex(math.inf),) * 4  # a point beyond the float range: not finite
 
 
@@ -102,7 +101,7 @@ class _ShellClosure(NamedTuple):
     ``_shell_field`` and the closed-form norms read of it, computed once per shell.
 
     ``k`` is the shell's wavenumber; ``wall``, ``ring`` and ``outer`` are
-    (f1, f1', f2, f2') at the three radii, ``low`` (J_{m-1}, H1_{m-1}) at the first two.
+    (f1, f1', f2, f2') at the three radii, ``low`` (J_{m-1}, H1_{m-1}) at the wall.
     N = f2'(outer)*f1 - f1'(outer)*f2 and L = f2'(wall)*f1 - f1'(wall)*f2 as
     coefficient pairs over (f1, f2); N and N' at the wall, N and L at the
     ring, L at the wall, W = L*N' - L'*N at the ring and |k*N| + |N'| at the
@@ -114,7 +113,7 @@ class _ShellClosure(NamedTuple):
     wall: _Point
     ring: _Point
     outer: _Point
-    low: tuple[_Coefficients, _Coefficients]
+    low: _Coefficients
     finite: bool
     n: _Coefficients | None = None
     el: _Coefficients | None = None
@@ -128,7 +127,7 @@ class _ShellClosure(NamedTuple):
 
 
 def _shell_closure(
-    k: complex, wall: _Point, ring: _Point, outer: _Point, low: tuple[_Coefficients, _Coefficients]
+    k: complex, wall: _Point, ring: _Point, outer: _Point, low: _Coefficients
 ) -> _ShellClosure:
     """The shell's Green's-function closure over the basis points at the wall, ring and outer wall."""
     if not all(cmath.isfinite(v) for v in (*wall, *ring, *outer)):
@@ -191,11 +190,11 @@ class CylinderBenchmark:
         """
         m, kp = abs(self.mode), self.k_plus
         points, lows = zip(*(_basis_point(m, kp, r) for r in (self.r_in, self.r_source, self.r_out)))
-        return _shell_closure(kp, *points, lows[:2])
+        return _shell_closure(kp, *points, lows[0])
 
     @functools.cached_property
-    def shell_grams(self) -> tuple[_Gram, _Gram]:
-        """The shell's electric and magnetic Gram matrices over (source, t) (``_shell_grams``)."""
+    def shell_grams(self) -> tuple[float, float]:
+        """The squared electric and magnetic shell norms of N (``_shell_grams``)."""
         return _shell_grams(self)
 
     @functools.cached_property
@@ -233,7 +232,7 @@ class CylinderBenchmark:
         """Same benchmark with mu_minus = mu_plus/eps^2; everything else fixed.
 
         k_plus does not depend on mu_minus, so the shell closure, basis points
-        included, the Gram matrices and the wall surface this instance has already
+        included, N's squared norms and the wall surface this instance has already
         derived serve the copy too; none is derived again for it.  Raises ValueError naming eps
         unless eps and mu_plus/eps^2 are finite and positive.
         """
@@ -515,11 +514,6 @@ def _expansion_terms(b: CylinderBenchmark, order: int) -> list[ModalSolution]:
     return terms
 
 
-def solve_expansion_term(b: CylinderBenchmark, j: int) -> ModalSolution:
-    """Order-j expansion term; terms below j are solved first for their traces."""
-    return _expansion_terms(b, j)[j]
-
-
 def truncated_expansion(b: CylinderBenchmark, order: int) -> ModalSolution:
     """Shell field of the eps-weighted sum of expansion terms up to ``order``.
 
@@ -558,37 +552,31 @@ _ROUNDOFF = 64.0 * sys.float_info.epsilon  # a square at or below this share of 
 
 
 def _resolved(value: float, scale: float) -> float:
-    """A Gram diagonal, or nan where it is round-off of terms of total modulus ``scale``."""
+    """A squared norm, or nan where it is round-off of terms of total modulus ``scale``."""
     return value if value > _ROUNDOFF * scale else math.nan
 
 
-def _shell_grams(b: CylinderBenchmark) -> tuple[_Gram, _Gram]:
-    """Electric and magnetic Gram matrices (g_FF, g_FN, g_NN) of the fields of every shell solution
-    source*F + t*N, F the Neumann-wall field of a unit source.
+def _shell_grams(b: CylinderBenchmark) -> tuple[float, float]:
+    """Squared electric and magnetic shell norms of N, the field every model error is a multiple of.
 
-    Lommel's integrals (DLMF 10.22(ii)) over each piece's ends: int r u conj(v) dr =
+    Lommel's integrals (DLMF 10.22(ii)) over the shell's ends: int r u conj(v) dr =
     [r (u' conj(v) - u conj(v'))] / (conj(k)^2 - k^2), and the magnetic form is
-    [r u' conj(v)] + k^2 times that; F' = 0 at the wall and jumps by 1 at the ring, u' = 0 at
-    r_out.  N's wall bracket is split by u' = k*U - (m/r)*u, U of order m-1 (DLMF 10.6.2): the
-    real m|N|^2 drops before Im is taken.  Where that keeps too few digits the electric matrix
-    is ``_taylor_gram``'s.  A diagonal lost to round-off (|k*r| << 1) is nan.
+    [r u' conj(v)] + k^2 times that.  N is smooth across the ring and N' = 0 at r_out, so the wall
+    bracket alone is left.  It is split by u' = k*U - (m/r)*u, U of order m-1 (DLMF 10.6.2): the
+    real m|N|^2 drops before Im is taken.  Where that keeps too few digits the electric square
+    is ``_taylor_gram``'s.  A square lost to round-off (|k*r| << 1) is nan.
     """
-    cl, k, r_in, r_source = b.shell_closure, b.k_plus, b.r_in, b.r_source
-    k2, c, n_bar = k * k, cl.n_ring / cl.w, cl.n_wall.conjugate()
-    w_ff, w_fn = -r_source * (c * cl.l_ring).conjugate(), -r_source * cl.n_ring.conjugate()
-    w_nf, w_nn = -r_in * cl.dn_wall * (c * cl.l_wall).conjugate(), -r_in * cl.dn_wall * n_bar
-    (j_low, h_low), n = cl.low[0], cl.n
+    cl, k, r_in = b.shell_closure, b.k_plus, b.r_in
+    k2, n_bar = k * k, cl.n_wall.conjugate()
+    w_nn = -r_in * cl.dn_wall * n_bar
+    (j_low, h_low), n = cl.low, cl.n
     s_nn = -r_in * k * (n[0] * j_low + n[1] * h_low) * n_bar
     if abs(s_nn.imag) >= _SPLIT_MIN_IM * abs(s_nn):
-        g_ff = _resolved(-w_ff.imag / k2.imag, abs(w_ff) / abs(k2.imag))
-        g_fn = (w_fn - w_nf.conjugate()) / (-2j * k2.imag)
         g_nn = _resolved(-s_nn.imag / k2.imag, abs(s_nn) / abs(k2.imag))
     else:
-        g_ff, g_fn, g_nn = _taylor_gram(b)
-    # the magnetic form: Re [r u' conj(v)] + Re(k^2) int r u conj(v) dr, Hermitian
-    h_ff = _resolved(w_ff.real + k2.real * g_ff, abs(w_ff.real) + abs(k2.real * g_ff))
-    h_nn = _resolved(w_nn.real + k2.real * g_nn, abs(w_nn.real) + abs(k2.real * g_nn))
-    return (g_ff, g_fn, g_nn), (h_ff, 0.5 * (w_fn + w_nf.conjugate()) + k2.real * g_fn, h_nn)
+        g_nn = _taylor_gram(b)
+    # the magnetic form: Re [r u' conj(u)] + Re(k^2) int r |u|^2 dr
+    return g_nn, _resolved(w_nn.real + k2.real * g_nn, abs(w_nn.real) + abs(k2.real * g_nn))
 
 
 def _taylor_sums(m: int, x0: complex, q: complex, a0: complex, b0: complex) -> tuple[complex, complex, float]:
@@ -616,67 +604,60 @@ def _taylor_sums(m: int, x0: complex, q: complex, a0: complex, b0: complex) -> t
                       f"settle in {_TAYLOR_MAX_TERMS} terms (delta/k = {q!r})")
 
 
-def _taylor_gram(b: CylinderBenchmark) -> _Gram:
-    """The electric Gram matrix of ``_shell_grams`` from Taylor-shifted Lommel brackets.
+def _taylor_gram(b: CylinderBenchmark) -> float:
+    """The electric square of ``_shell_grams`` from Taylor-shifted Lommel brackets.
 
-    With (A, B) = (U_m, U_{m-1}) of u and (v0, v1) = (V_m, V_{m-1})(k r) of v, H(kappa) =
+    With (A, B) = (N_m, N_{m-1}) and (v0, v1) = (N_m, N_{m-1})(k r), H(kappa) =
     r*(kappa*B(kappa r)*conj(v0) - conj(k)*A(kappa r)*conj(v1)) has [H(conj k)] = 0 (a
-    Wronskian), so int r u conj(v) dr = -[r (b0 conj(v0) + (conj(k)/k)(sum_b conj(v0) -
+    Wronskian), so int r |N|^2 dr = -[r (b0 conj(v0) + (conj(k)/k)(sum_b conj(v0) -
     sum_a conj(v1)))] / (2 Re k), the sums ``_taylor_sums``'s at q = (conj(k) - k)/k: no
-    quotient by the loss.  U_{m-1} = (m/(k r)) U_m where u' = 0: F at the wall, both at r_out.
+    quotient by the loss.  N is smooth across the ring, so the brackets are at r_in and r_out;
+    at r_out N' = 0 gives N_{m-1} = (m/(k r_out)) N_m.
     """
     cl, k, m = b.shell_closure, b.k_plus, abs(b.mode)
-    n, el, ((j_wall, h_wall), (j_ring, h_ring)) = cl.n, cl.el, cl.low
-    c, c_out = cl.n_ring / cl.w, cl.l_ring / cl.w
-    n_out, n1_ring = n[0] * cl.outer[0] + n[1] * cl.outer[2], n[0] * j_ring + n[1] * h_ring
-    f_wall, low_wall, low_out = c * cl.l_wall, m / (k * b.r_in), m / (k * b.r_out)
-    ends = (  # (r, sign, ((F, F_{m-1}), (N, N_{m-1}))) at the ends of the two pieces
-        (b.r_in, -1.0, ((f_wall, low_wall * f_wall), (cl.n_wall, n[0] * j_wall + n[1] * h_wall))),
-        (b.r_source, 1.0, ((c * cl.l_ring, c * (el[0] * j_ring + el[1] * h_ring)), (cl.n_ring, n1_ring))),
-        (b.r_source, -1.0, ((c_out * cl.n_ring, c_out * n1_ring), (cl.n_ring, n1_ring))),
-        (b.r_out, 1.0, ((c_out * n_out, low_out * c_out * n_out), (n_out, low_out * n_out))),
+    n, (j_wall, h_wall) = cl.n, cl.low
+    n_out = n[0] * cl.outer[0] + n[1] * cl.outer[2]
+    ends = (  # (r, sign, N, N_{m-1}) at the shell's two ends
+        (b.r_in, -1.0, cl.n_wall, n[0] * j_wall + n[1] * h_wall),
+        (b.r_out, 1.0, n_out, m / (k * b.r_out) * n_out),
     )
     q, ratio = (k.conjugate() - k) / k, k.conjugate() / k
-    g, size = [[0j, 0j], [0j, 0j]], [0.0, 0.0]
-    for r, sign, fields in ends:
-        for i, (a0, b0) in enumerate(fields):
-            sum_a, sum_b, total = _taylor_sums(m, k * r, q, a0, b0)
-            for j, (v0, v1) in enumerate(fields):
-                v0, v1 = v0.conjugate(), v1.conjugate()
-                g[i][j] += sign * r * (b0 * v0 + ratio * (sum_b * v0 - sum_a * v1))
-                size[i] += r * (abs(b0 * v0) + total * (abs(v0) + abs(v1))) if i == j else 0.0
+    g, size = 0j, 0.0
+    for r, sign, a0, b0 in ends:
+        sum_a, sum_b, total = _taylor_sums(m, k * r, q, a0, b0)
+        v0, v1 = a0.conjugate(), b0.conjugate()
+        g += sign * r * (b0 * v0 + ratio * (sum_b * v0 - sum_a * v1))
+        size += r * (abs(b0 * v0) + total * (abs(v0) + abs(v1)))
     scale = -0.5 / k.real
-    g_ff, g_nn = (_resolved(scale * g[i][i].real, -scale * size[i]) for i in (0, 1))
-    return g_ff, scale * 0.5 * (g[0][1] + g[1][0].conjugate()), g_nn
+    return _resolved(scale * g.real, -scale * size)
 
 
-def _shell_squares(b: CylinderBenchmark, source: complex, t: complex) -> tuple[float, float]:
-    """Squared electric and magnetic shell norms of the field of (source, t): Hermitian forms over
-    ``_shell_grams`` (g_NN alone with equal sources) of (source, t) divided by the power of two
-    2**e just above their moduli, times 4**e: a tiny Delta t forms no subnormal."""
-    e = math.frexp(max(abs(source), abs(t)))[1]
-    s, t = _ldexp(source, -e), _ldexp(t, -e)
+def _shell_squares(b: CylinderBenchmark, t: complex) -> tuple[float, float]:
+    """Squared electric and magnetic shell norms of t*N: |t|^2 times ``_shell_grams``'s, t divided
+    by the power of two 2**e just above |t| and the squares multiplied by 4**e: a tiny Delta t
+    forms no subnormal."""
+    e = math.frexp(abs(t))[1]
+    t = _ldexp(t, -e)
     try:
-        e_sq, h_sq = (
-            abs(t) ** 2 * g_nn + (abs(s) ** 2 * g_ff + 2.0 * (s * t.conjugate() * g_fn).real if s else 0.0)
-            for g_ff, g_fn, g_nn in b.shell_grams
-        )
+        e_sq, h_sq = (abs(t) ** 2 * g for g in b.shell_grams)
         return math.ldexp(e_sq, 2 * e), math.ldexp(h_sq, 2 * e)
     except OverflowError as exc:
-        raise SolverError(f"shell norms of (source, t) = ({source!r}, {_ldexp(t, e)!r}) overflow") from exc
+        raise SolverError(f"shell norms of t*N, t = {_ldexp(t, e)!r}, overflow") from exc
 
 
-def _shell_difference(a: ModalSolution, b: ModalSolution) -> tuple[CylinderBenchmark, complex, complex]:
-    """The shared benchmark and the shell coordinates (source, t) of a - b.
+def _shell_difference(a: ModalSolution, b: ModalSolution) -> tuple[CylinderBenchmark, complex]:
+    """The shared benchmark and the wall amplitude Delta t of a - b, whose field is Delta t * N.
 
-    Two solutions compare when they live on the same shell closure.  With equal
-    sources the difference is (a.t - b.t)*N exactly, so the Neumann part never cancels.
+    Two solutions compare when they live on the same shell closure and carry the same ring
+    source; then the Neumann part cancels exactly.
     """
     closure = a.benchmark.shell_closure
     other = b.benchmark.shell_closure
     if other is not closure and other != closure:
         raise SolverError("solutions live on different benchmarks; cannot compare")
-    return a.benchmark, a.source - b.source, a.wall_amplitude - b.wall_amplitude
+    if a.source != b.source:
+        raise SolverError(f"solutions carry different ring sources {a.source!r} and {b.source!r}; cannot compare")
+    return a.benchmark, a.wall_amplitude - b.wall_amplitude
 
 
 def _norm_root(what: str, square: float) -> float:
@@ -696,17 +677,11 @@ def _shell_error(b: CylinderBenchmark, e_sq: float, h_sq: float) -> ShellError:
 def shell_l2_error(a: ModalSolution, b: ModalSolution) -> ShellError:
     """Shell L2 norms of the field difference, electric and magnetic (u' and (m/r)*u over omega*mu_plus).
 
-    The difference is taken on the shell coordinates (source, t) (``_shell_difference``): for
-    models that share the ring source it is Delta t * N, so no large coefficient cancels, and
-    both norms are |Delta t| times constants of the shell's Gram matrices (``_shell_squares``).
+    Two models of one ring source differ by Delta t * N (``_shell_difference``), so no large
+    coefficient cancels, and both norms are |Delta t| times N's (``_shell_squares``).
     """
-    bench, source, t = _shell_difference(a, b)
-    return _shell_error(bench, *_shell_squares(bench, source, t))
-
-
-def shell_l2_norm(sol: ModalSolution) -> float:
-    """Weighted-L2 norm of the solution's own electric field over the shell."""
-    return _norm_root("shell norm", _shell_squares(sol.benchmark, sol.source, sol.wall_amplitude)[0])
+    bench, t = _shell_difference(a, b)
+    return _shell_error(bench, *_shell_squares(bench, t))
 
 
 def conductor_l2_norm(sol: ModalSolution) -> float:
@@ -819,7 +794,7 @@ def model_errors(
     out = []
     bench = b0
     for eps in eps_values:
-        # from the previous point: its Gram matrices, derived by its shell_l2_error, are handed on too
+        # from the previous point: N's squared norms, derived by its shell_l2_error, are handed on too
         bench = bench.with_eps(eps)
         exact = solve_exact(bench)
         if family == "expansion":  # the terms do not depend on eps: solved once, after the first exact solve

@@ -82,18 +82,18 @@ def layer_trace(
     return DecayTrace(sampler=sampler, max_depth=max_depth, floor=floor)
 
 
-def _e0_trace(s: Surface, dp: DerivedParams, amplitude: float) -> DecayTrace:
-    """``layer_trace`` on s of the constant tangential trace (amplitude, 0), with no first-order trace."""
+def _e0_trace(s: Surface, dp: DerivedParams) -> DecayTrace:
+    """``layer_trace`` on s of the constant tangential trace (1, 0), with no first-order trace."""
     tr = TraceData(
-        e0_trace=HarmonicTangentField(s, TangentVector(amplitude + 0j, 0j)),
+        e0_trace=HarmonicTangentField(s, TangentVector(1 + 0j, 0j)),
         e1_trace=HarmonicTangentField(s, TangentVector.zero()),
     )
     return layer_trace(s, tr, dp)
 
 
-def w0_plane_trace(dp: DerivedParams, amplitude: float = 1.0) -> DecayTrace:
+def w0_plane_trace(dp: DerivedParams) -> DecayTrace:
     """Pure leading-profile trace on a plane: a single decaying exponential."""
-    return _e0_trace(Surface.plane(), dp, amplitude)
+    return _e0_trace(Surface.plane(), dp)
 
 
 # The bracketed solve ends at a step below _ROOT_RTOL of max(scale, depth).
@@ -276,7 +276,7 @@ def comparison_report(
     """
     mean_curv = mean_curvature(s)
     if numeric_trace is None:
-        numeric_trace = _e0_trace(s, dp, 1.0)
+        numeric_trace = _e0_trace(s, dp)
     numeric = skin_depth_numeric(numeric_trace, dp.ell_phi)
     ell = dp.ell
     return SkinDepthReport(

@@ -5,6 +5,7 @@ a failed assertion reads as the criterion's FAIL.
 """
 
 import cmath
+import dataclasses
 import math
 import time
 
@@ -23,7 +24,7 @@ from magskin.modal import (
     truncated_expansion,
 )
 from magskin.params import PhysicalConfig, derive_params, phi
-from magskin.profiles import HarmonicTangentField, TraceData, make_w0, make_w1
+from magskin.profiles import HarmonicTangentField, LayerField, TraceData, make_w0, make_w1
 from magskin.skin import DecayTrace, skin_depth_asymptotic, skin_depth_numeric, w0_plane_trace
 
 from conftest import log_grid, loglog_slope
@@ -269,3 +270,50 @@ def test_criterion_11_special_function_health(rng):
         )
         assert jv.is_scaled and hv.is_scaled
     _report(11, f"worst Wronskian gap {worst_w:.2e}, worst recurrence gap {worst_rec:.2e}")
+
+
+def _layer_error_slopes(mode: int) -> dict[str, list[float]]:
+    """Local log-log slopes in eps of the worst gap between layer fields and the exact conductor field.
+
+    The layer field is W0 + eps*W1 of the axial unit trace of the mode on the unit cylinder,
+    with e1 = 0; the exact field is u(r_in - y3)/u(r_in).  Each gap is the maximum over
+    Y3 = y3/eps in (0, 10] at 100 depths.  The controls are W0 alone and W1's curvature
+    term Y3*(H - C)e0 with its sign flipped.
+    """
+    s = Surface.cylinder(1.0)
+    tr = TraceData(
+        e0_trace=HarmonicTangentField.cylinder_mode(s, TangentVector(0j, 1 + 0j), mode),
+        e1_trace=HarmonicTangentField.cylinder_mode(s, TangentVector.zero(), mode),
+    )
+    b0 = default_benchmark(mode=mode)
+    gaps = {"w0+eps*w1": [], "w0": [], "flipped curvature": []}
+    for eps in (1e-2, 3e-3, 1e-3, 3e-4):
+        bench = b0.with_eps(eps)
+        dp, exact = bench.params, solve_exact(bench)
+        field = LayerField.at(s, tr, dp.lam, dp.eps_small, (0.0, 0.0))
+        fields = (
+            field,
+            dataclasses.replace(field, curvature=TangentVector.zero()),
+            dataclasses.replace(field, curvature=field.curvature.scale(-1.0)),
+        )
+        depths = [dp.eps_small * 0.1 * j for j in range(1, 101)]
+        ref = [exact.u(bench.r_in - y3) / exact.conductor_amplitude for y3 in depths]
+        for name, f in zip(gaps, fields):
+            gaps[name].append((eps, max(abs(f.fields(y3)[0].c2 - u) for y3, u in zip(depths, ref))))
+    return {
+        name: [math.log(e1 / e0) / math.log(x1 / x0) for (x0, e0), (x1, e1) in zip(pts, pts[1:])]
+        for name, pts in gaps.items()
+    }
+
+
+def test_criterion_14_layer_field_against_the_exact_conductor_field():
+    # measured local slopes 2.02/2.01/2.00 on each of modes 0-2 (worst gap 1.1e-7 at mode 2,
+    # eps 3e-4); both controls read 1.00 +- 0.02, so the criterion pins W1's curvature term and its sign
+    text = []
+    for mode in (0, 1, 2):
+        slopes = _layer_error_slopes(mode)
+        assert all(abs(p - 2.0) <= 0.1 for p in slopes["w0+eps*w1"]), (mode, slopes)
+        for control in ("w0", "flipped curvature"):
+            assert all(abs(p - 1.0) <= 0.2 for p in slopes[control]), (mode, control, slopes)
+        text.append(f"m={mode}: " + "/".join(f"{p:.2f}" for p in slopes["w0+eps*w1"]))
+    _report(14, "layer-field gap local slopes " + "; ".join(text))

@@ -28,9 +28,7 @@ from magskin.modal import (
     model_errors,
     require_decreasing_errors,
     shell_l2_error,
-    shell_l2_norm,
     solve_exact,
-    solve_expansion_term,
     solve_ibc,
     solve_ibc_with_gamma,
     truncated_expansion,
@@ -145,10 +143,10 @@ def test_convex_conductor_deepens_the_skin_depth():
 
 
 def test_shell_energy_bounded_in_contrast():
-    norms = [
-        shell_l2_norm(solve_exact(default_benchmark(mode=0, eps=1.0 / math.sqrt(mu))))
-        for mu in (1e2, 1e3, 1e4, 1e5, 1e6)
-    ]
+    norms = []
+    for mu in (1e2, 1e3, 1e4, 1e5, 1e6):
+        exact = solve_exact(default_benchmark(mode=0, eps=1.0 / math.sqrt(mu)))
+        norms.append(math.sqrt(_shell_squares_quadrature(exact.benchmark, exact.source, exact.wall_amplitude)[0]))
     assert max(norms) / min(norms) <= 1.5
 
 
@@ -163,7 +161,7 @@ def test_conductor_norm_scales_like_sqrt_eps():
 def test_ibc0_equals_order0_expansion_term():
     b = default_benchmark(mode=1, eps=0.05)
     a = solve_ibc(b, 0)
-    c = solve_expansion_term(b, 0)
+    c = modal._expansion_terms(b, 2)[0]
     for x, y in zip(a.shell_inner + a.shell_outer, c.shell_inner + c.shell_outer):
         assert abs(x - y) <= 1e-14 * max(abs(x), 1.0)
 
@@ -185,8 +183,7 @@ def test_dirichlet_limit_is_stable():
 def test_expansion_order1_datum_matches_boundary_operator():
     b = default_benchmark(mode=2, eps=0.05)
     lam = b.params.lam
-    term0 = solve_expansion_term(b, 0)
-    term1 = solve_expansion_term(b, 1)
+    term0, term1, _ = modal._expansion_terms(b, 2)
     u0 = term0.u(b.r_in)
     s = Surface.cylinder(b.r_in)
     tr = TraceData(
@@ -201,9 +198,7 @@ def test_expansion_order1_datum_matches_boundary_operator():
 def test_expansion_order2_datum_matches_boundary_operator():
     b = default_benchmark(mode=1, eps=0.05)
     lam = b.params.lam
-    term0 = solve_expansion_term(b, 0)
-    term1 = solve_expansion_term(b, 1)
-    term2 = solve_expansion_term(b, 2)
+    term0, term1, term2 = modal._expansion_terms(b, 2)
     u0, u1 = term0.u(b.r_in), term1.u(b.r_in)
     s = Surface.cylinder(b.r_in)
     tr = TraceData(
@@ -435,7 +430,7 @@ def test_near_singular_system_warns():
     with pytest.warns(UserWarning, match="near-singular: resonance number"):
         modal._shell_green("demo", b.shell_closure, gamma * (1 + 1e-13), 0j, 1.0)
     # a basis where N' + gamma*N vanishes exactly: N = f1 with f1 = f1' = 1 at the wall, gamma = -1
-    low = ((0j, 0j), (0j, 0j))  # the order-(m-1) values, which only the shell norms read
+    low = (0j, 0j)  # the order-(m-1) values at the wall, which only the shell norms read
     closure = modal._shell_closure(1.0, (1.0, 1.0, 0.0, 1.0), (2.0, 1.0, 1.0, 3.0), (1.0, 0.0, 0.0, 1.0), low)
     with pytest.raises(SolverError, match="resonant"):
         modal._shell_green("demo", closure, -1.0, 0j, 1.0)
@@ -462,7 +457,7 @@ def test_model_differences_match_the_wall_defect_error(mode, eps):
     for k in (0, 1, 2):
         gamma = robin_coefficient(k, b.mode, Surface.cylinder(b.r_in), b.cfg).gamma
         t = (gamma - b.conductor_gamma) * exact.u(b.r_in) / (dn_wall + gamma * n_wall)
-        want = _shell_error(b, *modal._shell_squares(b, 0j, t)).total
+        want = _shell_error(b, *modal._shell_squares(b, t)).total
         got = shell_l2_error(exact, solve_ibc(b, k)).total
         assert abs(got - want) <= 1e-6 * want, (k, got, want)
 
@@ -538,8 +533,8 @@ def _shell_squares_quadrature(b: CylinderBenchmark, source: complex, t: complex)
 
 def _shell_l2_error_quadrature(a: ModalSolution, b: ModalSolution) -> modal.ShellError:
     """shell_l2_error by quadrature."""
-    bench, source, t = _shell_difference(a, b)
-    return _shell_error(bench, *_shell_squares_quadrature(bench, source, t))
+    bench, t = _shell_difference(a, b)
+    return _shell_error(bench, *_shell_squares_quadrature(bench, 0j, t))
 
 
 def test_composite_integral_against_closed_forms():
@@ -589,8 +584,8 @@ def test_scalar_quadrature_matches_the_numpy_panel_sum(mode):
     # the tanh-sinh rule against the former panel-doubled Gauss rule, on the low-loss densities
     for sigma_plus in (1e-6, 9e-4):
         b = _with_sigma_plus(default_benchmark(mode=mode, eps=0.01), sigma_plus)
-        diff = _shell_difference(solve_exact(b), solve_ibc(b, 1))
-        inner, outer = modal._shell_field(b.shell_closure, *diff[1:])
+        _, t = _shell_difference(solve_exact(b), solve_ibc(b, 1))
+        inner, outer = modal._shell_field(b.shell_closure, 0j, t)
         for coeff, lo, hi in ((inner, b.r_in, b.r_source), (outer, b.r_source, b.r_out)):
 
             def density(r, coeff=coeff, b=b):
@@ -682,34 +677,27 @@ def test_shell_closed_form_matches_quadrature(mode, tol, sigma_plus):
     for eps in (1e-1, 1e-2, 1e-3):
         b = _with_sigma_plus(default_benchmark(mode=mode, eps=eps), sigma_plus)
         exact = solve_exact(b)
-        diffs += [_shell_difference(exact, model)[1:] for model in _models(b)]
+        diffs += [_shell_difference(exact, model)[1] for model in _models(b)]
     # k_plus does not depend on eps, so every difference lives on the same shell basis
-    fields = [modal._shell_field(b.shell_closure, *diff) for diff in diffs]
-    for diff, ref in zip(diffs, _gauss_shell_squares(b, fields)):
-        got = modal._shell_squares(b, *diff)
+    fields = [modal._shell_field(b.shell_closure, 0j, t) for t in diffs]
+    for t, ref in zip(diffs, _gauss_shell_squares(b, fields)):
+        got = modal._shell_squares(b, t)
         assert max(abs(g - q) / q for g, q in zip(got, ref)) <= tol
 
 
 @pytest.mark.parametrize("mode", [0, 3, 30, 100])
-def test_ring_term_of_the_shell_energy_balance_matches_quadrature(mode):
-    # a solution's own norm and a difference of two sources are the only norms whose ring
-    # term -r_source*source*conj(u(ring)) is nonzero.  Measured worst 7.3e-11 (mode 100, sigma_plus
-    # 1e-2) and 1.7e-11 on modes 0-30: Im(W) is about Im(k^2)*r_source^2/(2m^2) of |W| at high
-    # modes, and the per-piece coefficient sums sit on the same floor (4.3e-11 at mode 100)
+def test_a_difference_of_two_ring_sources_is_a_solver_error(mode):
+    # a model error compares two models driven by one source, so it is Delta t * N; solutions
+    # of different ring sources have no such difference, and comparing them names both sources
     for eps in (0.1, 1e-3):
         for sigma_plus in (1e-2, 2e-3):
             b = _with_sigma_plus(default_benchmark(mode=mode, eps=eps), sigma_plus)
             other = dataclasses.replace(b, source_amplitude=0.3 - 1.7j)
             exact = solve_exact(b)
-            models = [solve_exact(other), solve_ibc(other, 1), truncated_expansion(other, 2)]
-            _, source, _ = _shell_difference(exact, models[0])
-            assert source == b.source_amplitude - other.source_amplitude
-            for model in models:
-                got, ref = shell_l2_error(exact, model), _shell_l2_error_quadrature(exact, model)
-                assert abs(got.error_e - ref.error_e) <= 1e-10 * ref.error_e, (eps, sigma_plus, model.kind)
-                assert abs(got.error_h - ref.error_h) <= 1e-10 * ref.error_h, (eps, sigma_plus, model.kind)
-            ref_e = math.sqrt(_shell_squares_quadrature(b, exact.source, exact.wall_amplitude)[0])
-            assert abs(shell_l2_norm(exact) - ref_e) <= 1e-10 * ref_e, (eps, sigma_plus)
+            for model in (solve_exact(other), solve_ibc(other, 1), truncated_expansion(other, 2)):
+                message = r"^solutions carry different ring sources \(1\+0j\) and \(0\.3-1\.7j\)"
+                with pytest.raises(SolverError, match=message):
+                    shell_l2_error(exact, model)
 
 
 def _mp_basis(b: CylinderBenchmark) -> list[list]:
@@ -738,16 +726,10 @@ def _mp_field(points, gamma, datum, source):
     return [(c * el[0] + t * n[0], c * el[1] + t * n[1]), ((c_out + t) * n[0], (c_out + t) * n[1])]
 
 
-def _mp_coordinate_field(points, source, t):
-    """Inner and outer coefficients of the field of double shell coordinates (source, t), in mpmath."""
-    wall, ring, outer = points
-    n, el = (outer[3], -outer[1]), (wall[3], -wall[1])
-    n_ring, dn_ring = modal._combine(n, ring)
-    l_ring, dl_ring = modal._combine(el, ring)
-    w = l_ring * dn_ring - dl_ring * n_ring
-    source, t = mp.mpc(source), mp.mpc(t)
-    c, c_out = source * n_ring / w, source * l_ring / w
-    return [(c * el[0] + t * n[0], c * el[1] + t * n[1]), ((c_out + t) * n[0], (c_out + t) * n[1])]
+def _mp_n_field(points, t):
+    """Inner and outer coefficients of the field t*N of a double wall amplitude t, in mpmath."""
+    outer, t = points[2], mp.mpc(t)
+    return [(t * outer[3], -t * outer[1])] * 2
 
 
 def _mp_shell_error(b: CylinderBenchmark, points, a, c) -> tuple:
@@ -792,7 +774,7 @@ def test_shell_error_against_a_60_digit_oracle(sigma_plus):
     # coefficients at 60 digits.  Measured worst 2.7e-9 (ibc2, mode 0, eps 1e-3), from the 1e-16
     # rounding of the inputs; subtracting the double coefficients read 3.0e-6 (truncated 2, mode 30).
     # At mode 140 the difference's H1_m coefficient Delta t*n[1] is subnormal (~3e-318 at eps 1e-4);
-    # the closed forms take (source, t) scaled by a power of two, as the quadrature did.
+    # the closed forms take Delta t scaled by a power of two, as the quadrature did.
     # Measured worst there 2.8e-12 (sigma_plus 1e-6) and 1.6e-12 (9e-4); unscaled it read 1.1e-6
     cases = {mode: ((1e-3, 1e-2, 0.1), 5e-9) for mode in (0, 3, 30)}
     if sigma_plus < 1e-3:
@@ -814,15 +796,11 @@ def test_shell_error_against_a_60_digit_oracle(sigma_plus):
 
 
 def test_shell_squares_against_a_40_digit_oracle_at_every_loss_and_mode():
-    # both squared norms of the same double (source, t), the split form above an Im share
+    # both squared norms of the same double Delta t, the split form above an Im share
     # of 1e-3 and the Taylor-shifted brackets below it, against 40-digit Lommel sums over
     # 40-digit Bessel values.  Measured worst 1.4e-13 (mode 140, sigma_plus 9e-4); the
-    # former Lommel form read 1.1e-9 at mode 140, sigma_plus 5e-3.  A solution's own norm read
-    # 2.0e-10 on modes 0-100 (the former forms 3.3e-10) and 5.1e-10 at mode 140: its g_FF is
-    # ill-conditioned in the closure values, whose rounding to double alone moves it 4.5e-11
-    # at mode 100, sigma_plus 1e-6
+    # former Lommel form read 1.1e-9 at mode 140, sigma_plus 5e-3
     worst = (0.0, None)
-    worst_norm = {True: 0.0, False: 0.0}  # a solution's own shell norm, on modes 0-100 and above
     for mode in (0, 1, 5, 30, 60, 100, 140):
         for sigma_plus in (1e-6, 1e-4, 9e-4, 2e-3, 5e-3, 1e-2):
             b0 = _with_sigma_plus(default_benchmark(mode=mode), sigma_plus)
@@ -831,25 +809,17 @@ def test_shell_squares_against_a_40_digit_oracle_at_every_loss_and_mode():
             for eps in (1e-3, 0.1):
                 b = b0.with_eps(eps)
                 exact = solve_exact(b)
-                with mp.workdps(40):
-                    field = _mp_coordinate_field(points, exact.source, exact.wall_amplitude)
-                    ref = _mp_shell_error(b, points, field, [(0, 0), (0, 0)])[0]
-                rel = float(abs(shell_l2_norm(exact) - ref) / ref)
-                worst_norm[mode <= 100] = max(worst_norm[mode <= 100], rel)
                 for model in (solve_ibc(b, 0), solve_ibc(b, 2), truncated_expansion(b, 2)):
-                    _, source, t = _shell_difference(exact, model)
-                    got = modal._shell_squares(b, source, t)
+                    _, t = _shell_difference(exact, model)
+                    got = modal._shell_squares(b, t)
                     with mp.workdps(40):
-                        field = _mp_coordinate_field(points, source, t)
+                        field = _mp_n_field(points, t)
                         ref_e, ref_h = _mp_shell_error(b, points, field, [(0, 0), (0, 0)])
                         refs = (ref_e**2, (ref_h * b.cfg.omega * b.cfg.mu_plus) ** 2)
                     rel = max(float(abs(g - w) / w) for g, w in zip(got, refs))
                     worst = max(worst, (rel, (mode, sigma_plus, eps, model.kind)), key=lambda x: x[0])
     print(f"worst relative error of the squared shell norms: {worst[0]:.2e} at {worst[1]}")
-    print(f"worst relative error of shell_l2_norm: {worst_norm[True]:.2e} (modes 0-100), "
-          f"{worst_norm[False]:.2e} (mode 140)")
     assert worst[0] <= 1e-12, worst
-    assert worst_norm[True] <= 3.3e-10 and worst_norm[False] <= 1e-9, worst_norm
 
 
 def test_taylor_sums_that_do_not_settle_are_a_named_solver_error():
@@ -870,7 +840,7 @@ def test_shell_error_agrees_with_quadrature_oracle(mode):
 
 def test_low_loss_shell_error_takes_the_taylor_route(monkeypatch):
     # at sigma_plus 1e-6 Im of the split wall bracket is 2e-6 of it (mode 0), below
-    # _SPLIT_MIN_IM: the Gram matrices come from the Taylor-shifted brackets, which
+    # _SPLIT_MIN_IM: the electric square of N comes from the Taylor-shifted brackets, which
     # meet the quadrature where the split quotient alone is off by 3e-10
     b = _with_sigma_plus(default_benchmark(mode=0, eps=1e-2), 1e-6)
     exact, model = solve_exact(b), solve_ibc(b, 1)
@@ -881,8 +851,8 @@ def test_low_loss_shell_error_takes_the_taylor_route(monkeypatch):
     assert abs(got.error_h - ref.error_h) <= 1e-12 * ref.error_h
     monkeypatch.setattr(modal, "_SPLIT_MIN_IM", 0.0)
     split = modal._shell_grams(b)[0]
-    _, _, t = _shell_difference(exact, model)
-    assert abs(abs(t) * math.sqrt(split[2]) - ref.error_e) > 1e-11 * ref.error_e
+    _, t = _shell_difference(exact, model)
+    assert abs(abs(t) * math.sqrt(split) - ref.error_e) > 1e-11 * ref.error_e
 
 
 def test_low_loss_shell_norms_evaluate_no_shell_point(monkeypatch):
@@ -895,7 +865,6 @@ def test_low_loss_shell_norms_evaluate_no_shell_point(monkeypatch):
     grams = []
     monkeypatch.setattr(modal, "_taylor_gram", lambda bench: grams.append(bench) or taylor(bench))
     shell_l2_error(exact, model)
-    shell_l2_norm(exact)
     for eps in (0.1, 1e-3):
         other = b.with_eps(eps)
         shell_l2_error(solve_exact(other), solve_ibc(other, 2))
@@ -1050,7 +1019,6 @@ def test_one_benchmark_evaluates_each_bessel_value_once(monkeypatch):
     assert len(set(calls)) == 7
     assert [c for c in calls if c[2] == b.k_minus * b.r_in] == [("j", 2, b.k_minus * b.r_in)]
     conductor_l2_norm(exact)
-    shell_l2_norm(exact)
     for r in (b.r_in, b.r_source, b.r_out):
         exact.u(r)
     assert len(calls) == 7
@@ -1075,7 +1043,7 @@ def test_truncated_expansion_is_the_weighted_sum_of_its_terms():
     b = default_benchmark(mode=3, eps=0.02)
     sol = truncated_expansion(b, 2)
     # each term on its own benchmark instance, so nothing is shared with sol
-    terms = [solve_expansion_term(dataclasses.replace(b), j) for j in (0, 1, 2)]
+    terms = modal._expansion_terms(dataclasses.replace(b), 2)
     eps = b.params.eps_small
     # only term 0 carries the ring source; the wall amplitudes sum, and the field is formed from the two
     assert [t.source for t in terms] == [b.source_amplitude, 0j, 0j] and sol.source == b.source_amplitude
@@ -1086,13 +1054,13 @@ def test_truncated_expansion_is_the_weighted_sum_of_its_terms():
         with pytest.raises(ValueError, match=f"expansion order must be 0, 1 or 2, got {order!r}"):
             truncated_expansion(b, order)
         with pytest.raises(ValueError, match=f"expansion order must be 0, 1 or 2, got {order!r}"):
-            solve_expansion_term(b, order)
+            modal._expansion_terms(b, order)
 
 
 def test_truncated_expansion_reports_the_worst_residual_of_its_terms():
     b = default_benchmark(mode=0, eps=0.1)
     sol = truncated_expansion(b, 2)
-    terms = [solve_expansion_term(dataclasses.replace(b), j) for j in (0, 1, 2)]
+    terms = modal._expansion_terms(dataclasses.replace(b), 2)
     assert set(sol.residuals) == set(terms[0].residuals)
     for key, worst in sol.residuals.items():
         assert worst == max(t.residuals[key] for t in terms)
@@ -1192,7 +1160,7 @@ def _coefficient_squares(b: CylinderBenchmark, inner, outer) -> tuple[float, flo
     """Reference: squared shell norms of coefficient pairs, by Lommel's integrals piece by piece.
 
     W = [r u' conj(u)] is taken between each piece's ends from the coefficients and the
-    basis points at r_in, r_source and r_out, independently of the (source, t) form.
+    basis points at r_in, r_source and r_out, independently of the closed form over N.
     """
     k2 = b.k_plus * b.k_plus
     closure = b.shell_closure
@@ -1239,21 +1207,19 @@ def test_exact_solve_matches_the_6x6_reference(eps):
 
 @pytest.mark.parametrize("sigma_plus", [1e-2, 2e-3])
 def test_shell_energy_balance_matches_the_per_piece_lommel_sums(sigma_plus):
-    # the Gram forms over (source, t) against the per-piece sums over the solution's coefficients, on
-    # a solution's own norm and on model differences.  Measured worst 3.9e-10 (sigma_plus 1e-2) and
-    # 9.9e-10 (2e-3), both at modes 90-100 on model differences, where the per-piece sums are the
-    # less accurate side (test_shell_closed_form_matches_quadrature)
+    # |Delta t|^2 times N's squares against the per-piece sums over the model differences'
+    # coefficients.  Measured worst 3.9e-10 (sigma_plus 1e-2) and 9.9e-10 (2e-3), both at modes
+    # 90-100, where the per-piece sums are the less accurate side (test_shell_closed_form_matches_quadrature)
     for mode in range(0, 101, 5):
         for eps in (0.1, 1e-3):
             b = _with_sigma_plus(default_benchmark(mode=mode, eps=eps), sigma_plus)
             exact = solve_exact(b)
-            cases = [(exact.source, exact.wall_amplitude)]
-            cases += [_shell_difference(exact, model)[1:] for model in _models(b)]
-            for source, t in cases:
-                got = modal._shell_squares(b, source, t)
-                want = _coefficient_squares(b, *modal._shell_field(b.shell_closure, source, t))
+            for model in _models(b):
+                _, t = _shell_difference(exact, model)
+                got = modal._shell_squares(b, t)
+                want = _coefficient_squares(b, *modal._shell_field(b.shell_closure, 0j, t))
                 rel = max(abs(g - w) / w for g, w in zip(got, want))
-                assert rel <= 2e-9, (mode, eps, source, rel)
+                assert rel <= 2e-9, (mode, eps, model.kind, rel)
 
 
 # --------------------------------------------------------------------------
@@ -1415,12 +1381,12 @@ def test_one_shell_closure_per_benchmark(monkeypatch):
 def test_shell_difference_of_one_benchmark_skips_the_comparison():
     b = default_benchmark(mode=1, eps=0.1)
     exact, model = solve_exact(b), solve_ibc(b, 1)
-    bench, source, t = _shell_difference(exact, model)
+    bench, t = _shell_difference(exact, model)
     assert bench is b
     # equal sources: the difference is the field of (0, t_a - t_b), Delta t * N exactly
-    assert source == 0 and t == exact.wall_amplitude - model.wall_amplitude
+    assert t == exact.wall_amplitude - model.wall_amplitude
     n = b.shell_closure.n
-    assert modal._shell_field(b.shell_closure, source, t) == ((t * n[0], t * n[1]),) * 2
+    assert modal._shell_field(b.shell_closure, 0j, t) == ((t * n[0], t * n[1]),) * 2
     # the same shell closure compares: handed on by with_eps (is), or derived again (==); another shell raises
     assert _shell_difference(exact, solve_ibc(b.with_eps(0.01), 1))[0] is b
     fresh = default_benchmark(mode=-1, eps=0.01)
@@ -1469,7 +1435,7 @@ def test_expansion_sweep_solves_its_terms_once(monkeypatch):
 
 
 def test_a_sweep_derives_its_gram_matrices_once(monkeypatch):
-    # each eps point is derived from the previous one, so the first point's Gram matrices serve
+    # each eps point is derived from the previous one, so the first point's squares of N serve
     # the rest (one derivation per sweep, was one per eps point) and every error stays equal in
     # hex to the one from a fresh benchmark
     grams, calls = modal._shell_grams, []
@@ -1516,18 +1482,11 @@ def _solved_at(radii, mode: int, eps: float, sigma_plus: float = 1e-2) -> tuple[
 
 def test_a_negative_closed_form_square_of_a_shell_error_is_a_solver_error():
     # math.sqrt of the magnetic square raised a bare math domain error.  The magnetic
-    # square of N is 6e-81 of the O(1) terms it is summed from: a Gram diagonal lost
+    # square of N is 6e-81 of the O(1) terms it is summed from: a square lost
     # to round-off is nan, and the norm that reads it names itself
     exact, model = _solved_at(_TINY_RADII, 0, 0.3)
     with pytest.raises(SolverError, match=r"^magnetic shell error: squared norm nan is not a finite non-negative"):
         shell_l2_error(exact, model)
-
-
-def test_a_negative_closed_form_square_of_a_shell_norm_is_a_solver_error():
-    # at |k_plus r| ~ 1e-20 the Taylor-shifted brackets cancel about 40 digits
-    exact, _ = _solved_at(_SMALL_RADII, 3, 0.3)
-    with pytest.raises(SolverError, match=r"^shell norm: squared norm nan is not a finite non-negative"):
-        shell_l2_norm(exact)
 
 
 def test_a_negative_square_of_a_conductor_norm_is_a_solver_error():
@@ -1548,15 +1507,12 @@ def test_an_overflowing_low_loss_quadrature_is_a_solver_error(norm, eps):
 
 @pytest.mark.parametrize("eps", [0.3, 1e-3])
 def test_a_low_loss_shell_norm_at_tiny_radii_matches_mpmath(eps):
-    # the electric squares stay resolved at |k_plus r| ~ 1e-300: the solution's own norm
-    # (the quadrature overflowed here) and the error's electric part match 80-digit mpmath
+    # the electric square stays resolved at |k_plus r| ~ 1e-300: the error's electric part
+    # matches 80-digit mpmath
     exact, model = _solved_at(_TINY_RADII, 0, eps, sigma_plus=1e-6)
     b = exact.benchmark
+    _, t = _shell_difference(exact, model)
     with mp.workdps(80):
         points = _mp_basis(b)
-        zero = [(0, 0), (0, 0)]
-        ref_norm = _mp_shell_error(b, points, _mp_coordinate_field(points, exact.source, exact.wall_amplitude), zero)[0]
-        _, source, t = _shell_difference(exact, model)
-        ref_e = _mp_shell_error(b, points, _mp_coordinate_field(points, source, t), zero)[0]
-    assert abs(shell_l2_norm(exact) - ref_norm) <= 1e-14 * ref_norm
-    assert abs(math.sqrt(modal._shell_squares(b, source, t)[0]) - ref_e) <= 1e-14 * ref_e
+        ref_e = _mp_shell_error(b, points, _mp_n_field(points, t), [(0, 0), (0, 0)])[0]
+    assert abs(math.sqrt(modal._shell_squares(b, t)[0]) - ref_e) <= 1e-14 * ref_e
