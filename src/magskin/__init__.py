@@ -20,7 +20,6 @@ from .geometry import (
 from .ibc import (
     ImpedanceOperator,
     LeontovichRow,
-    RobinCoefficient,
     consistency_with_lambda,
     impedance_operator,
     leontovich_limit_check,

@@ -364,7 +364,7 @@ def _run_error_sweep(doc: dict, args, family: str) -> str:
         for eps, err in model_errors(bench, family, order, sorted(eps_values)):
             total = err.total
             local = ""
-            if prev is not None:
+            if prev is not None and total and prev[1]:  # an error of 0 has no log: the cell stays empty
                 local = _fmt(math.log(total / prev[1]) / math.log(eps / prev[0]))
             rows.append([str(bench.mode), *map(_fmt, (eps, 1.0 / eps**2, err.error_e, err.error_h)), local])
             prev = (eps, total)

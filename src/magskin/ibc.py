@@ -14,7 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .geometry import Surface, SurfaceKind, TangentVector, mean_curvature, mean_minus_curvature_apply
+from .geometry import Surface, SurfaceKind, TangentVector, mean_minus_curvature_apply
 from .params import DerivedParams, PhysicalConfig, derive_params, leontovich_factor
 
 
@@ -93,28 +93,17 @@ def leontovich_limit_check(cfgs: list[PhysicalConfig]) -> list[LeontovichRow]:
     return rows
 
 
-@dataclass(frozen=True)
-class RobinCoefficient:
-    """Per-mode boundary coefficient gamma in u'(R) + gamma*u(R) = 0 [1/m]."""
+def robin_coefficient(k: int, s: Surface, cfg: PhysicalConfig) -> complex:
+    """Reduce the order-k operator to the axial-field coefficient gamma in u'(R) + gamma*u(R) = 0 [1/m].
 
-    mode: int
-    gamma: complex
-
-
-def robin_coefficient(k: int, mode: int, s: Surface, cfg: PhysicalConfig) -> RobinCoefficient:
-    """Reduce the order-k operator to the axial-field Robin coefficient.
-
-    Only the cylinder reduction exists here; the axial direction has zero
-    principal curvature, so the order-2 curvature term contributes the full
-    mean curvature 1/(2R).  The order-k gamma is the eps-truncation of the
-    conductor's own wall coefficient (``CylinderBenchmark.conductor_gamma``):
-    the two differ by O(eps^(k+1)).
+    Only the cylinder reduction exists here: gamma is i*omega*mu_plus times the
+    axial component of the operator applied to the unit axial trace, so the
+    order-2 curvature term enters through (H - C), which is the full mean
+    curvature 1/(2R) on the axial direction.  The order-k gamma is the
+    eps-truncation of the conductor's own wall coefficient
+    (``CylinderBenchmark.conductor_gamma``): the two differ by O(eps^(k+1)).
     """
     if s.kind is not SurfaceKind.CYLINDER:
         raise ValueError("the Robin reduction is implemented for the cylinder only")
-    op = impedance_operator(k, cfg)
-    if k == 0:
-        return RobinCoefficient(mode=mode, gamma=0j)
-    effective = op.scalar_part + op.curvature_part * mean_curvature(s)
-    gamma = 1j * cfg.omega * cfg.mu_plus * effective
-    return RobinCoefficient(mode=mode, gamma=gamma)
+    axial = impedance_operator(k, cfg).apply(s, TangentVector(0j, 1 + 0j))
+    return 1j * cfg.omega * cfg.mu_plus * axial.c2

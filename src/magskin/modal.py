@@ -105,8 +105,7 @@ class _ShellClosure(NamedTuple):
     N = f2'(outer)*f1 - f1'(outer)*f2 and L = f2'(wall)*f1 - f1'(wall)*f2 as
     coefficient pairs over (f1, f2); N and N' at the wall, N and L at the
     ring, L at the wall, W = L*N' - L'*N at the ring and |k*N| + |N'| at the
-    wall.  Where the basis is not finite only the points, ``low`` and ``finite``
-    are set, and ``_shell_green`` raises on it.
+    wall.
     """
 
     k: complex
@@ -114,31 +113,37 @@ class _ShellClosure(NamedTuple):
     ring: _Point
     outer: _Point
     low: _Coefficients
-    finite: bool
-    n: _Coefficients | None = None
-    el: _Coefficients | None = None
-    n_wall: complex | None = None
-    dn_wall: complex | None = None
-    n_ring: complex | None = None
-    l_ring: complex | None = None
-    l_wall: complex | None = None
-    w: complex | None = None
-    size: float | None = None
+    n: _Coefficients
+    el: _Coefficients
+    n_wall: complex
+    dn_wall: complex
+    n_ring: complex
+    l_ring: complex
+    l_wall: complex
+    w: complex
+    size: float
 
 
 def _shell_closure(
     k: complex, wall: _Point, ring: _Point, outer: _Point, low: _Coefficients
 ) -> _ShellClosure:
-    """The shell's Green's-function closure over the basis points at the wall, ring and outer wall."""
+    """The shell's Green's-function closure over the basis points at the wall, ring and outer wall.
+
+    N' at the wall and W are divisors of every solve, so where the basis is not finite, or
+    either is zero or subnormal (its relative precision lost), it raises SolverError.
+    """
     if not all(cmath.isfinite(v) for v in (*wall, *ring, *outer)):
-        return _ShellClosure(k, wall, ring, outer, low, False)
+        raise SolverError(f"shell basis not finite: wall {wall}, ring {ring}, outer {outer}")
     n, el = (outer[3], -outer[1]), (wall[3], -wall[1])
     n_wall, dn_wall = _combine(n, wall)
     n_ring, dn_ring = _combine(n, ring)
     l_ring, dl_ring = _combine(el, ring)
     w = l_ring * dn_ring - dl_ring * n_ring
+    tiny = [f"{name} = {v!r}" for name, v in (("N' at the wall", dn_wall), ("W", w)) if abs(v) < _NORMAL_MIN]
+    if tiny:
+        raise SolverError(f"shell closure at k_plus = {k!r} divides by a zero or subnormal {', '.join(tiny)}")
     size, l_wall = abs(k * n_wall) + abs(dn_wall), _combine(el, wall)[0]
-    return _ShellClosure(k, wall, ring, outer, low, True, n, el, n_wall, dn_wall, n_ring, l_ring, l_wall, w, size)
+    return _ShellClosure(k, wall, ring, outer, low, n, el, n_wall, dn_wall, n_ring, l_ring, l_wall, w, size)
 
 
 @dataclass(frozen=True)
@@ -187,6 +192,7 @@ class CylinderBenchmark:
         Every solve, residual check, point evaluation at those radii and
         closed-form shell norm on this benchmark reads it, so a solve costs
         only the update that depends on the model's wall coefficient and datum.
+        Raises SolverError where ``_shell_closure`` does.
         """
         m, kp = abs(self.mode), self.k_plus
         points, lows = zip(*(_basis_point(m, kp, r) for r in (self.r_in, self.r_source, self.r_out)))
@@ -353,26 +359,16 @@ def _shell_green(
     depend on the basis alone and come from ``closure`` (``_shell_closure``), so this is
     the per-model update.  kappa, the larger of (|k*N| + |N'| + |g*N|)/|N' + g*N| at the
     wall over g = 0 and g = gamma, is the closures' relative sensitivity, infinite where
-    a source-free problem solves.  N' at the wall and W are divisors of every solve, so
-    where either is zero or subnormal (its relative precision lost) it raises.
+    a source-free problem solves.
     """
-    if not closure.finite:
-        wall, ring, outer = closure.wall, closure.ring, closure.outer
-        raise SolverError(f"{kind} shell basis not finite: wall {wall}, ring {ring}, outer {outer}")
-    n_wall, dn_wall, w, size = closure.n_wall, closure.dn_wall, closure.w, closure.size
-    dn_size = abs(dn_wall)
-    if dn_size < _NORMAL_MIN or abs(w) < _NORMAL_MIN:
-        tiny = [f"{name} = {v!r}" for name, v in (("N' at the wall", dn_wall), ("W", w)) if abs(v) < _NORMAL_MIN]
-        raise SolverError(
-            f"{kind} shell closure at k_plus = {closure.k!r} divides by a zero or subnormal {', '.join(tiny)}"
-        )
+    n_wall, dn_wall = closure.n_wall, closure.dn_wall
     wall_n = dn_wall + gamma * n_wall
     if wall_n == 0:
         raise SolverError(f"{kind} solve is resonant: N' + gamma*N = {wall_n} at the wall")
-    kappa = max(size / dn_size, (size + abs(gamma * n_wall)) / abs(wall_n))
+    kappa = max(closure.size / abs(dn_wall), (closure.size + abs(gamma * n_wall)) / abs(wall_n))
     if kappa > _COND_WARN:
         warnings.warn(f"{kind} solve near-singular: resonance number {kappa:.3e}", stacklevel=3)
-    return (datum - gamma * (source * closure.n_ring / w) * closure.l_wall) / wall_n, kappa
+    return (datum - gamma * (source * closure.n_ring / closure.w) * closure.l_wall) / wall_n, kappa
 
 
 def _shell_field(closure: _ShellClosure, source: complex, t: complex) -> tuple[_Coefficients, _Coefficients]:
@@ -484,7 +480,7 @@ def solve_exact(b: CylinderBenchmark) -> ModalSolution:
 
 def solve_ibc(b: CylinderBenchmark, k: int) -> ModalSolution:
     """Impedance-reduced shell solve of order k in {0, 1, 2}."""
-    gamma = robin_coefficient(k, b.mode, b.wall_surface, b.cfg).gamma
+    gamma = robin_coefficient(k, b.wall_surface, b.cfg)
     return _solve_shell(f"ibc{k}", k, b, gamma, 0j, b.source_amplitude)
 
 
@@ -789,16 +785,16 @@ def model_errors(
     """
     if family not in ("ibc", "expansion"):
         raise ValueError(f"unknown study family {family!r}")
-    b0.shell_closure  # basis points and closure, derived once and handed to every eps point by with_eps
     terms = None
     out = []
     bench = b0
     for eps in eps_values:
-        # from the previous point: N's squared norms, derived by its shell_l2_error, are handed on too
+        # from the previous point: the shell closure, derived by the first point's exact solve, and
+        # N's squared norms, derived by its shell_l2_error, are handed on
         bench = bench.with_eps(eps)
         exact = solve_exact(bench)
-        if family == "expansion":  # the terms do not depend on eps: solved once, after the first exact solve
-            terms = terms or _expansion_terms(b0, order)
+        if family == "expansion":  # the terms do not depend on eps: solved once, on the first point
+            terms = terms or _expansion_terms(bench, order)
         model = solve_ibc(bench, order) if terms is None else _truncation(bench, terms)
         out.append((eps, shell_l2_error(exact, model)))
     return out

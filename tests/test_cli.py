@@ -635,11 +635,35 @@ def test_a_subnormal_shell_closure_is_one_error_line(tmp_path, capsys):
     assert (code, out) == (1, "")
     assert err.count("\n") == 1 and "nan" not in err
     assert re.match(
-        r"error: exact shell closure at k_plus = \(7\.07\d*e-156\+7\.07\d*e-156j\) divides by a zero or "
+        r"error: shell closure at k_plus = \(7\.07\d*e-156\+7\.07\d*e-156j\) divides by a zero or "
         r"subnormal N' at the wall = \(-4\.77\d*e-311\+0j\), W = \(-0-2\.02\d*e-311j\)$",
         err,
     ), err
     assert run(["params", "--config", path], capsys)[0] == 0
+
+
+@pytest.mark.parametrize("omega", [1e20, 1e80, 1e100])
+def test_an_error_of_zero_leaves_its_local_slope_empty(omega, tmp_path, capsys):
+    # at eps 0.01 the exact and ibc2 wall amplitudes agree to the last bit; the sweep died
+    # in log(total/prev) with a ZeroDivisionError traceback
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["physical"]["omega_rad_per_s"] = omega
+    code, out, err = run(["ibc-sweep", "--config", _write(tmp_path, cfg), "--k", "2", "--eps", "0.1,0.01"], capsys)
+    assert (code, err) == (0, "")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(r["eps"], r["error_E"], r["local_slope"]) for r in rows][0] == ("0.01", "0", "")
+    assert float(rows[1]["error_E"]) > 0 and rows[1]["local_slope"] == ""
+
+
+def test_a_zero_error_later_in_a_sweep_leaves_its_local_slopes_empty(cfg_path, monkeypatch, capsys):
+    # a 0 after a nonzero error ended in "error: math domain error"
+    errors = [(1e-3, 1e-6), (1e-2, 0.0), (0.1, 1e-2)]
+    monkeypatch.setattr(
+        cli, "model_errors", lambda *args: [(eps, modal.ShellError(e, 0.0)) for eps, e in errors]
+    )
+    code, out, err = run(["ibc-sweep", "--config", cfg_path, "--eps", "0.1,0.01,0.001"], capsys)
+    assert (code, err) == (0, "")
+    assert [r["local_slope"] for r in csv.DictReader(io.StringIO(out))] == ["", "", ""]
 
 
 def test_integer_config_values_read_as_floats(cfg_path, tmp_path, capsys):

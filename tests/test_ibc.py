@@ -112,17 +112,15 @@ def test_scalar_argument_range():
 
 
 def test_robin_order_zero_is_neumann():
-    for mode in (0, 1, 5):
-        rc = robin_coefficient(0, mode, Surface.cylinder(1.0), config())
-        assert rc.gamma == 0j and rc.mode == mode
+    assert robin_coefficient(0, Surface.cylinder(1.0), config()) == 0j
 
 
 def test_robin_curvature_gap_exact():
     cfg = config(mu_minus=400.0)
     dp = derive_params(cfg)
     s = Surface.cylinder(0.5)
-    g1 = robin_coefficient(1, 0, s, cfg).gamma
-    g2 = robin_coefficient(2, 0, s, cfg).gamma
+    g1 = robin_coefficient(1, s, cfg)
+    g2 = robin_coefficient(2, s, cfg)
     expected = dp.eps_small**2 / (2.0 * 0.5)
     assert abs(abs(g2 - g1) - expected) <= 1e-12 * expected
 
@@ -135,7 +133,7 @@ def test_robin_coefficients_truncate_the_exact_wall_coefficient(mode):
     for eps in eps_list:
         b = default_benchmark(mode=mode, eps=eps)
         for k in gaps:
-            gamma_k = robin_coefficient(k, mode, Surface.cylinder(b.r_in), b.cfg).gamma
+            gamma_k = robin_coefficient(k, Surface.cylinder(b.r_in), b.cfg)
             gaps[k].append((eps, abs(b.conductor_gamma - gamma_k)))
     for k, points in gaps.items():
         assert abs(loglog_slope(points) - (k + 1)) <= 0.02, (mode, k)
@@ -146,9 +144,9 @@ def test_robin_coefficients_truncate_the_exact_wall_coefficient(mode):
 
 def test_robin_rejects_other_surfaces():
     with pytest.raises(ValueError):
-        robin_coefficient(1, 0, Surface.sphere(1.0), config())
+        robin_coefficient(1, Surface.sphere(1.0), config())
     with pytest.raises(ValueError):
-        robin_coefficient(1, 0, Surface.plane(), config())
+        robin_coefficient(1, Surface.plane(), config())
 
 
 def test_leontovich_gap_points_and_slope():

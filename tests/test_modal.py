@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import functools
 import inspect
 import math
 import re
@@ -455,7 +456,7 @@ def test_model_differences_match_the_wall_defect_error(mode, eps):
     n_wall, dn_wall = (n[0] * wall[0] + n[1] * wall[2], n[0] * wall[1] + n[1] * wall[3])
     exact = solve_exact(b)
     for k in (0, 1, 2):
-        gamma = robin_coefficient(k, b.mode, Surface.cylinder(b.r_in), b.cfg).gamma
+        gamma = robin_coefficient(k, Surface.cylinder(b.r_in), b.cfg)
         t = (gamma - b.conductor_gamma) * exact.u(b.r_in) / (dn_wall + gamma * n_wall)
         want = _shell_error(b, *modal._shell_squares(b, t)).total
         got = shell_l2_error(exact, solve_ibc(b, k)).total
@@ -625,9 +626,48 @@ def test_overflowing_basis_surfaces_as_solver_error():
             ("ibc-custom", lambda b_: solve_ibc_with_gamma(b_, 0.5j)),
             ("expansion", lambda b_: truncated_expansion(b_, 2)),
         ):
-            with pytest.raises(SolverError, match=f"^{kind} shell basis not finite: wall "):
+            with pytest.raises(SolverError, match="^shell basis not finite: wall "):
                 solve(b)
-        assert not b.shell_closure.finite
+        with pytest.raises(SolverError):
+            b.shell_closure
+
+
+def _numbers(value):
+    """Every number in a value, through tuples, named tuples and dataclasses."""
+    if isinstance(value, (int, float, complex)):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _numbers(item)
+    elif dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from _numbers(getattr(value, field.name))
+
+
+def test_every_cached_property_is_finite_or_raises_solver_error():
+    # mode 200's shell_grams read the fields a non-finite closure left None, and raised AttributeError
+    cfg = default_config(0.1)
+    names = [n for n, v in vars(CylinderBenchmark).items() if isinstance(v, functools.cached_property)]
+    assert names == [
+        "params", "k_plus", "k_minus", "shell_closure", "shell_grams", "wall_surface", "conductor_ref",
+        "conductor_gamma",
+    ]
+    raised = []
+    for b in (
+        default_benchmark(mode=150),
+        default_benchmark(mode=200),
+        CylinderBenchmark(r_in=1.0, r_out=1e300, r_source=1.5, mode=0, cfg=cfg),
+        CylinderBenchmark(r_in=1.0, r_out=2e5, r_source=1e5, mode=0, cfg=cfg),
+    ):
+        for name in names:
+            try:
+                value = getattr(b, name)
+            except SolverError:
+                raised.append((b.mode, b.r_out, name))
+                continue
+            assert all(cmath.isfinite(v) for v in _numbers(value)), (b.mode, b.r_out, name, value)
+    # a shell whose basis is not finite has no closure and no shell norms; nothing else raises
+    assert raised == [(m, r, name) for m, r in ((200, 2.0), (0, 1e300), (0, 2e5)) for name in names[3:5]]
 
 
 def _with_sigma_plus(b: CylinderBenchmark, sigma_plus: float) -> CylinderBenchmark:
@@ -754,7 +794,7 @@ def _mp_models(b: CylinderBenchmark, points) -> tuple[dict, list]:
     source = mp.mpc(b.source_amplitude)
     want = {}
     for k in (0, 1, 2):
-        gamma = robin_coefficient(k, b.mode, b.wall_surface, b.cfg).gamma
+        gamma = robin_coefficient(k, b.wall_surface, b.cfg)
         want[f"ibc{k}"] = _mp_field(points, mp.mpc(gamma), 0, source)
     lam, curv, eps = mp.mpc(b.params.lam), mean_curvature(b.wall_surface), mp.mpf(b.params.eps_small)
     terms = [_mp_field(points, 0, 0, source)]
@@ -1304,7 +1344,7 @@ def _reference_solves(b: CylinderBenchmark, custom_gamma: complex) -> dict[str, 
     res = {**modal._interface_residuals(b, inner, u_minus, du_minus), **res}
     out["exact"] = (inner, outer, kappa, res, amplitude)
     for k in (0, 1, 2):
-        gamma = robin_coefficient(k, b.mode, Surface.cylinder(b.r_in), b.cfg).gamma
+        gamma = robin_coefficient(k, Surface.cylinder(b.r_in), b.cfg)
         out[f"ibc{k}"] = (*shell(f"ibc{k}", gamma, 0j, b.source_amplitude)[:4], None)
     out["custom"] = (*shell("ibc-custom", custom_gamma, 0j, b.source_amplitude)[:4], None)
     lam, curv, eps = b.params.lam, mean_curvature(Surface.cylinder(b.r_in)), b.params.eps_small
@@ -1454,9 +1494,9 @@ def test_a_sweep_derives_its_gram_matrices_once(monkeypatch):
     convergence_study(b0, "ibc", 1, [1e-4, 1e-3, 0.01, 0.03, 0.1])
     assert len(calls) == 1
     # the matrices are derived after the first point's solves: where the basis is not finite
-    # the sweep ends in the solve's SolverError, not in a TypeError from the closure's empty fields
+    # the sweep ends in the closure's SolverError
     calls.clear()
-    with pytest.raises(SolverError, match="^exact shell basis not finite"):
+    with pytest.raises(SolverError, match="^shell basis not finite"):
         model_errors(default_benchmark(mode=200), "ibc", 1, [1e-3, 0.01, 0.1])
     assert calls == []
 
