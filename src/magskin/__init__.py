@@ -15,7 +15,6 @@ from .geometry import (
     inverse_metric_diagonal,
     mean_curvature,
     mean_minus_curvature_apply,
-    metric_modulus_sq,
 )
 from .ibc import (
     ImpedanceOperator,

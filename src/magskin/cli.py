@@ -261,9 +261,11 @@ def cmd_profile_table(doc: dict, args) -> str:
     default_depth = 5.0 * dp.ell_phi
     if surface.kind.value != "plane":
         default_depth = min(default_depth, 0.45 * surface.radius)
+    # the layer's normal coordinates hold only inside the tubular neighborhood; a plane's is inf
+    bound = surface.tubular_radius
     max_depth = _get(
-        doc, "profile_table.max_depth_m", float, lambda v: 0 < v < math.inf,
-        "must be finite and > 0", default=default_depth,
+        doc, "profile_table.max_depth_m", float, lambda v: 0 < v < bound,
+        f"must be > 0 and below the surface's tubular radius {bound!r}", default=default_depth,
     )
     mode = _get(doc, "profile_table.mode", int, default=0)
     if mode != 0 and surface.kind.value != "cylinder":

@@ -79,6 +79,8 @@ class TangentVector:
     def scale(self, a: complex) -> "TangentVector":
         return TangentVector(a * self.c1, a * self.c2)
 
+    __rmul__ = scale  # a * v, so a scalar multiplies a complex and a vector alike
+
     def modulus(self) -> float:
         return math.hypot(abs(self.c1), abs(self.c2))
 
@@ -125,8 +127,3 @@ def curvature_metric_diagonal(
     k1, k2 = curvatures
     return 1.0 / (1.0 - k1 * h) ** 2, 1.0 / (1.0 - k2 * h) ** 2
 
-
-def metric_modulus_sq(s: Surface, v: TangentVector, h: float = 0.0) -> float:
-    """Squared modulus of covariant components v under the shifted inverse metric."""
-    a11, a22 = inverse_metric_diagonal(s, h)
-    return float(a11 * abs(v.c1) ** 2 + a22 * abs(v.c2) ** 2)

@@ -192,11 +192,18 @@ class CylinderBenchmark:
         Every solve, residual check, point evaluation at those radii and
         closed-form shell norm on this benchmark reads it, so a solve costs
         only the update that depends on the model's wall coefficient and datum.
-        Raises SolverError where ``_shell_closure`` does.
+        Raises SolverError where ``_shell_closure`` does; its message is kept, so a
+        later read, or one on a ``with_eps`` copy, raises it again without a Bessel call.
         """
-        m, kp = abs(self.mode), self.k_plus
-        points, lows = zip(*(_basis_point(m, kp, r) for r in (self.r_in, self.r_source, self.r_out)))
-        return _shell_closure(kp, *points, lows[0])
+        failure = vars(self).get("_shell_failure")
+        if failure is None:
+            m, kp = abs(self.mode), self.k_plus
+            points, lows = zip(*(_basis_point(m, kp, r) for r in (self.r_in, self.r_source, self.r_out)))
+            try:
+                return _shell_closure(kp, *points, lows[0])
+            except SolverError as exc:
+                failure = vars(self)["_shell_failure"] = str(exc)
+        raise SolverError(failure)
 
     @functools.cached_property
     def shell_grams(self) -> tuple[float, float]:
@@ -238,8 +245,8 @@ class CylinderBenchmark:
         """Same benchmark with mu_minus = mu_plus/eps^2; everything else fixed.
 
         k_plus does not depend on mu_minus, so the shell closure, basis points
-        included, N's squared norms and the wall surface this instance has already
-        derived serve the copy too; none is derived again for it.  Raises ValueError naming eps
+        included, or its error, N's squared norms and the wall surface this instance has
+        already derived serve the copy too; none is derived again for it.  Raises ValueError naming eps
         unless eps and mu_plus/eps^2 are finite and positive.
         """
         cfg = self.cfg
@@ -251,8 +258,8 @@ class CylinderBenchmark:
         return other
 
 
-# CylinderBenchmark's cached values that do not depend on mu_minus, handed on by with_eps
-_SHARED_ACROSS_EPS = ("shell_closure", "shell_grams", "wall_surface")
+# CylinderBenchmark's cached values free of mu_minus, a failed closure's message too, handed on by with_eps
+_SHARED_ACROSS_EPS = ("shell_closure", "_shell_failure", "shell_grams", "wall_surface")
 
 
 def default_benchmark(mode: int = 0, eps: float = 0.1) -> CylinderBenchmark:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .geometry import (
     Surface,
@@ -27,25 +27,33 @@ from .geometry import (
 )
 
 
-def _check_wavevector(surface: Surface, wavevector: tuple[float, float]) -> None:
-    if surface.kind is SurfaceKind.SPHERE and wavevector != (0.0, 0.0):
-        raise ValueError("harmonic fields on the sphere are supported only with zero wavevector")
+def _phase(wavevector: tuple[float, float], y: tuple[float, float]) -> complex:
+    """exp(i k . y), the phase of a harmonic field of wavevector k at y."""
+    k1, k2 = wavevector
+    return cmath.exp(1j * (k1 * y[0] + k2 * y[1]))
 
 
 @dataclass(frozen=True)
-class HarmonicScalarField:
-    """coeff * exp(i k . y) on the interface."""
+class _HarmonicField:
+    """coeff * exp(i k . y) on the interface; coeff is a complex or a TangentVector."""
 
     surface: Surface
-    coeff: complex
+    coeff: complex | TangentVector
     wavevector: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
-        _check_wavevector(self.surface, self.wavevector)
+        if self.surface.kind is SurfaceKind.SPHERE and self.wavevector != (0.0, 0.0):
+            raise ValueError("harmonic fields on the sphere are supported only with zero wavevector")
 
-    def value(self, y: tuple[float, float]) -> complex:
-        k1, k2 = self.wavevector
-        return self.coeff * cmath.exp(1j * (k1 * y[0] + k2 * y[1]))
+    def value(self, y: tuple[float, float]) -> complex | TangentVector:
+        return _phase(self.wavevector, y) * self.coeff
+
+    def scale(self, a: complex) -> _HarmonicField:
+        return replace(self, coeff=a * self.coeff)
+
+
+class HarmonicScalarField(_HarmonicField):
+    """Scalar field coeff * exp(i k . y) on the interface, coeff complex."""
 
     def gradient(self) -> "HarmonicTangentField":
         """Tangential derivative D_alpha, componentwise i*k_alpha."""
@@ -56,33 +64,15 @@ class HarmonicScalarField:
             self.wavevector,
         )
 
-    def scale(self, a: complex) -> "HarmonicScalarField":
-        return HarmonicScalarField(self.surface, a * self.coeff, self.wavevector)
 
-
-@dataclass(frozen=True)
-class HarmonicTangentField:
+class HarmonicTangentField(_HarmonicField):
     """Tangential field coeff * exp(i k . y), components in the principal frame."""
-
-    surface: Surface
-    coeff: TangentVector
-    wavevector: tuple[float, float] = (0.0, 0.0)
-
-    def __post_init__(self) -> None:
-        _check_wavevector(self.surface, self.wavevector)
-
-    def value(self, y: tuple[float, float]) -> TangentVector:
-        k1, k2 = self.wavevector
-        return self.coeff.scale(cmath.exp(1j * (k1 * y[0] + k2 * y[1])))
 
     def divergence(self) -> HarmonicScalarField:
         k1, k2 = self.wavevector
         return HarmonicScalarField(
             self.surface, 1j * (k1 * self.coeff.c1 + k2 * self.coeff.c2), self.wavevector
         )
-
-    def scale(self, a: complex) -> "HarmonicTangentField":
-        return HarmonicTangentField(self.surface, self.coeff.scale(a), self.wavevector)
 
     @staticmethod
     def cylinder_mode(
@@ -125,6 +115,29 @@ class TraceData:
 _ZERO = TangentVector.zero()
 
 
+def _depth_poly(coeffs, zero, y: tuple[float, float], y3_scaled: float, decay_rate: complex):
+    """sum_p c_p(y) * Y3**p * exp(-decay_rate*Y3) of harmonic coefficients c_p, summed from ``zero``.
+
+    ``zero`` is ``_ZERO`` or ``0j``; the sum starts there, so the signs of zero are the
+    ones of that accumulation.
+    """
+    if y3_scaled < 0:
+        raise ValueError(f"scaled depth must be >= 0, got {y3_scaled!r}")
+    acc = zero
+    for p, c in enumerate(coeffs):
+        acc = acc + y3_scaled**p * c.value(y)
+    return cmath.exp(-decay_rate * y3_scaled) * acc
+
+
+def _depth_derivative(coeffs: tuple[_HarmonicField, ...], lam: complex) -> tuple[_HarmonicField, ...]:
+    """The coefficients of d/dY3 of sum_p c_p * Y3**p * exp(-lam*Y3): -lam*c_p + (p+1)*c_{p+1}."""
+    return tuple(
+        c.scale(-lam) if p + 1 == len(coeffs)
+        else replace(c, coeff=-lam * c.coeff + (p + 1) * coeffs[p + 1].coeff)
+        for p, c in enumerate(coeffs)
+    )
+
+
 @dataclass(frozen=True)
 class ProfileTerm:
     """(tangential, normal) layer profile: poly(Y3) * exp(-decay_rate*Y3).
@@ -140,45 +153,19 @@ class ProfileTerm:
     normal_coeffs: tuple[HarmonicScalarField, ...]
 
     def tangential(self, y: tuple[float, float], y3_scaled: float) -> TangentVector:
-        if y3_scaled < 0:
-            raise ValueError(f"scaled depth must be >= 0, got {y3_scaled!r}")
-        acc = _ZERO
-        for p, field in enumerate(self.tangential_coeffs):
-            acc = acc + field.value(y).scale(y3_scaled**p)
-        return acc.scale(cmath.exp(-self.decay_rate * y3_scaled))
+        return _depth_poly(self.tangential_coeffs, _ZERO, y, y3_scaled, self.decay_rate)
 
     def normal(self, y: tuple[float, float], y3_scaled: float) -> complex:
-        if y3_scaled < 0:
-            raise ValueError(f"scaled depth must be >= 0, got {y3_scaled!r}")
-        acc = 0j
-        for p, field in enumerate(self.normal_coeffs):
-            acc += field.value(y) * y3_scaled**p
-        return acc * cmath.exp(-self.decay_rate * y3_scaled)
+        return _depth_poly(self.normal_coeffs, 0j, y, y3_scaled, self.decay_rate)
 
-    def depth_derivative(self) -> "ProfileTerm":
-        """Closed-form d/dY3, using d(Y3^p e^{-lam Y3}) structure."""
+    def depth_derivative(self) -> ProfileTerm:
+        """Closed-form d/dY3 of both coefficient tuples (``_depth_derivative``)."""
         lam = self.decay_rate
-        tang = list(self.tangential_coeffs)
-        norm = list(self.normal_coeffs)
-        dt = []
-        for p in range(len(tang)):
-            c = tang[p].scale(-lam)
-            if p + 1 < len(tang):
-                c = HarmonicTangentField(
-                    c.surface,
-                    c.coeff + tang[p + 1].coeff.scale(p + 1),
-                    c.wavevector,
-                )
-            dt.append(c)
-        dn = []
-        for p in range(len(norm)):
-            c = norm[p].scale(-lam)
-            if p + 1 < len(norm):
-                c = HarmonicScalarField(
-                    c.surface, c.coeff + (p + 1) * norm[p + 1].coeff, c.wavevector
-                )
-            dn.append(c)
-        return ProfileTerm(self.order, self.surface, lam, tuple(dt), tuple(dn))
+        return replace(
+            self,
+            tangential_coeffs=_depth_derivative(self.tangential_coeffs, lam),
+            normal_coeffs=_depth_derivative(self.normal_coeffs, lam),
+        )
 
 
 def _zero_scalar(tr: TraceData) -> HarmonicScalarField:
@@ -192,14 +179,10 @@ def make_w0(tr: TraceData, decay_rate: complex) -> ProfileTerm:
 
 def make_w1(tr: TraceData, decay_rate: complex) -> ProfileTerm:
     """First-order profile: [e1 + Y3*(H - C)e0] tangentially, div-driven normal part."""
-    s = tr.surface
-    curvature_term = HarmonicTangentField(
-        s, mean_minus_curvature_apply(s, tr.e0_trace.coeff), tr.e0_trace.wavevector
-    )
+    s, e0 = tr.surface, tr.e0_trace
+    curvature_term = replace(e0, coeff=mean_minus_curvature_apply(s, e0.coeff))
     normal = tr.surface_divergence_e0.scale(1.0 / decay_rate)
-    return ProfileTerm(
-        1, s, decay_rate, (tr.e1_trace, curvature_term), (normal,)
-    )
+    return ProfileTerm(1, s, decay_rate, (tr.e1_trace, curvature_term), (normal,))
 
 
 def eval_w0(tr: TraceData, decay_rate: complex, y: tuple[float, float], y3_scaled: float) -> TangentVector:
@@ -219,8 +202,7 @@ def eval_w1(tr: TraceData, decay_rate: complex, y: tuple[float, float], y3_scale
 
 def gamma_trace(s: Surface, tangential: TangentVector, wavevector: tuple[float, float], normal: complex) -> complex:
     """Trace of the change-of-metric tensor on a harmonic field: div - 2H*normal."""
-    k1, k2 = wavevector
-    div = 1j * (k1 * tangential.c1 + k2 * tangential.c2)
+    div = HarmonicTangentField(s, tangential, wavevector).divergence().coeff
     return div - 2.0 * mean_curvature(s) * normal
 
 
@@ -239,11 +221,8 @@ def apply_l1(
     d3n = d3.normal(y, y3_scaled)
 
     # d3 D_alpha(normal): gradient commutes with the depth derivative
-    grad_parts = [f.gradient() for f in d3.normal_coeffs]
-    grad_d3n = _ZERO
-    for p, g in enumerate(grad_parts):
-        grad_d3n = grad_d3n + g.value(y).scale(y3_scaled**p)
-    grad_d3n = grad_d3n.scale(cmath.exp(-w.decay_rate * y3_scaled))
+    grads = tuple(f.gradient() for f in d3.normal_coeffs)
+    grad_d3n = _depth_poly(grads, _ZERO, y, y3_scaled, w.decay_rate)
 
     surface_part = TangentVector(
         -2.0 * k1 * d3t.c1 + grad_d3n.c1 + trace_b * d3t.c1,
@@ -319,7 +298,7 @@ class LayerField:
         the traces, with their one shared phase exp(i k.y).
         """
         k1, k2 = tr.e0_trace.wavevector
-        phase = cmath.exp(1j * (k1 * y[0] + k2 * y[1]))
+        phase = _phase(tr.e0_trace.wavevector, y)
         e0, e1 = tr.e0_trace.coeff, tr.e1_trace.coeff
         div = 1j * (k1 * e0.c1 + k2 * e0.c2)
         return LayerField(

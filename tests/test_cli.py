@@ -405,6 +405,31 @@ def test_profile_table_config_errors_name_the_field(tmp_path, capsys, table, fie
     assert surface["kind"] in err or surface is BASE_CONFIG["surface"]
 
 
+@pytest.mark.parametrize(
+    "surface, depth, code",
+    [
+        ({"kind": "cylinder", "radius": 1.0}, 0.5, 2),
+        ({"kind": "cylinder", "radius": 1.0}, 0.6, 2),
+        ({"kind": "sphere", "radius": 2.0}, 1.0, 2),
+        ({"kind": "plane"}, 1e6, 0),
+    ],
+)
+def test_profile_table_depth_beyond_the_tubular_radius_is_a_config_error(tmp_path, capsys, surface, depth, code):
+    # a depth at or past half the radius used to pass the config checks and end in exit 1
+    cfg = dict(BASE_CONFIG, surface=surface, profile_table={"max_depth_m": depth, "count": 3})
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(cfg))
+    got, out, err = run(["profile-table", "--config", str(path)], capsys)
+    assert got == code
+    if code == 2:
+        assert out == ""
+        bound = 0.5 * surface["radius"]
+        assert err == (
+            f"error: config field profile_table.max_depth_m: must be > 0 and below the surface's "
+            f"tubular radius {bound!r} (got {depth!r})\n"
+        )
+
+
 def test_an_infinite_outer_radius_is_a_config_error(tmp_path, capsys):
     # it used to pass the benchmark's checks and fail inside bessel with exit 1
     cfg = dict(BASE_CONFIG, benchmark=dict(BASE_CONFIG["benchmark"], R_out=math.inf))

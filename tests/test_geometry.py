@@ -10,7 +10,6 @@ from magskin.geometry import (
     inverse_metric_diagonal,
     mean_curvature,
     mean_minus_curvature_apply,
-    metric_modulus_sq,
 )
 
 from conftest import log_grid, loglog_slope
@@ -82,8 +81,6 @@ def test_inverse_metric_diagonal_is_the_exact_matrix_diagonal(surface, rng):
     for h in depths:
         diag = inverse_metric_diagonal(surface, h)
         assert diag == (1.0 / (1.0 - k1 * h) ** 2, 1.0 / (1.0 - k2 * h) ** 2)
-        v = rand_tangent(rng)
-        assert metric_modulus_sq(surface, v, h) == diag[0] * abs(v.c1) ** 2 + diag[1] * abs(v.c2) ** 2
 
 
 @pytest.mark.parametrize("h", [-1e-3, 0.35, 0.5, math.nan])
@@ -91,8 +88,6 @@ def test_inverse_metric_diagonal_domain_errors(h):
     s = Surface.cylinder(0.7)
     with pytest.raises(ValueError, match="tubular neighborhood"):
         inverse_metric_diagonal(s, h)
-    with pytest.raises(ValueError, match="tubular neighborhood"):
-        metric_modulus_sq(s, TangentVector(1.0 + 0j, 0j), h)
 
 
 @pytest.mark.parametrize("surface", [Surface.cylinder(1.0), Surface.sphere(1.0)])

@@ -1064,6 +1064,24 @@ def test_one_benchmark_evaluates_each_bessel_value_once(monkeypatch):
     assert len(calls) == 7
 
 
+def test_a_shell_closure_that_raises_is_derived_once(monkeypatch):
+    # functools.cached_property keeps no exception: each read derived the basis again, 9 J and
+    # 9 H1 calls for these three reads; the message is kept and handed on by with_eps
+    calls = _count_bessel_calls(monkeypatch)
+    b = default_benchmark(mode=200)
+    messages = []
+    for name in ("shell_closure", "shell_grams", "shell_closure"):
+        with pytest.raises(SolverError, match="^shell basis not finite: wall ") as info:
+            getattr(b, name)
+        messages.append(str(info.value))
+    assert [c[0] for c in calls] == ["j", "h1"] * 3
+    calls.clear()
+    with pytest.raises(SolverError) as info:
+        b.with_eps(0.01).shell_closure
+    assert calls == []
+    assert {str(info.value)} == set(messages)
+
+
 def test_truncated_expansion_solves_each_term_once(monkeypatch):
     calls = _count_bessel_calls(monkeypatch)
     shell_solves = []

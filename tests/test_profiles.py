@@ -377,6 +377,39 @@ def test_layer_field_matches_per_sample_assembly_bit_for_bit(rng):
                 assert layer_modulus_sq(s, tr, lam, eps, y, y3).hex() == ref.hex()
 
 
+def _coeff_bits(c):
+    return bits(c.c1, c.c2) if isinstance(c, TangentVector) else bits(c)
+
+
+def test_profile_algebra_in_hex(rng):
+    # one d/dY3 rule and one scale serve scalar and tangent coefficients alike; each is checked
+    # against its formula written out per component, zero signs included
+    for s, tr in _layer_cases(rng):
+        lam = _rand_complex(rng)
+        for w in (make_w0(tr, lam), make_w1(tr, lam)):
+            d = w.depth_derivative()
+            assert (d.order, d.surface, d.decay_rate) == (w.order, w.surface, w.decay_rate)
+            for got, cs in ((d.tangential_coeffs, w.tangential_coeffs), (d.normal_coeffs, w.normal_coeffs)):
+                assert [type(g) for g in got] == [type(c) for c in cs]
+                for p, (g, c) in enumerate(zip(got, cs)):
+                    assert (g.surface, g.wavevector) == (c.surface, c.wavevector)
+                    if isinstance(c.coeff, TangentVector):
+                        want = [-lam * x for x in (c.coeff.c1, c.coeff.c2)]
+                        if p + 1 < len(cs):
+                            want = [v + (p + 1) * x for v, x in zip(want, (cs[p + 1].coeff.c1, cs[p + 1].coeff.c2))]
+                    else:
+                        want = [-lam * c.coeff + (p + 1) * cs[p + 1].coeff if p + 1 < len(cs) else -lam * c.coeff]
+                    assert _coeff_bits(g.coeff) == bits(*want)
+        for a in (lam, 2.5, 0j, complex(-0.0, 1.0), -0.0):
+            v = tr.e0_trace.coeff
+            assert bits((a * v).c1, (a * v).c2) == bits(v.scale(a).c1, v.scale(a).c2) == bits(a * v.c1, a * v.c2)
+            for f in (tr.e0_trace, tr.e1_trace, tr.surface_divergence_e0, tr.surface_divergence_e0.gradient()):
+                scaled = f.scale(a)
+                assert type(scaled) is type(f)
+                assert (scaled.surface, scaled.wavevector) == (f.surface, f.wavevector)
+                assert _coeff_bits(scaled.coeff) == _coeff_bits(a * f.coeff)
+
+
 @pytest.mark.parametrize("s", [Surface.plane(), Surface.cylinder(0.8), Surface.sphere(0.8)])
 def test_layer_field_depth_errors(s):
     tr = TraceData(
