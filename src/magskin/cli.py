@@ -18,7 +18,7 @@ import sys
 from dataclasses import replace
 
 from .geometry import Surface, TangentVector, mean_curvature
-from .ibc import impedance_operator
+from .ibc import impedance_operator, leontovich_gap
 from .modal import (
     ConvergenceFit, CylinderBenchmark, SolverError, convergence_study, model_errors, solve_exact,
 )
@@ -308,17 +308,13 @@ def cmd_profile_table(doc: dict, args) -> str:
 
 def _ibc_factor_payload(cfg: PhysicalConfig, k: int) -> dict:
     op = impedance_operator(k, cfg)
-    leon = leontovich_factor(cfg)
-    gap = None
-    if k >= 1:
-        gap = abs(1.0 / op.scalar_part - leon) / abs(leon)
     return {
         "k": k,
         "scalar_part_re": op.scalar_part.real,
         "scalar_part_im": op.scalar_part.imag,
         "curvature_coeff_re": op.curvature_part.real,
         "curvature_coeff_im": op.curvature_part.imag,
-        "leontovich_gap": gap,
+        "leontovich_gap": leontovich_gap(op, cfg) if k >= 1 else None,
     }
 
 
@@ -329,12 +325,13 @@ def cmd_ibc_factors(doc: dict, args) -> str:
     return _json_dump([_ibc_factor_payload(cfg, k) for k in (0, 1, 2)])
 
 
-def _sweep_values(args, bench0: CylinderBenchmark) -> tuple[list[CylinderBenchmark], list[float]]:
-    """The sweep's benchmarks, one per mode (the config's mode by default), and eps values.
-
-    Every value is checked before any solve: each mode must give a valid
-    benchmark, and each eps a finite positive mu_minus = mu_plus/eps^2.
-    """
+def _sweep_values(doc: dict, args, no_eps: str) -> tuple[list[CylinderBenchmark], list[float], int]:
+    """The sweep's benchmarks, one per mode (the config's mode by default), eps values and --k (1 by default),
+    each checked before any solve: --eps must be given (``no_eps`` says what it needs), each mode must give
+    a valid benchmark, and each eps a finite positive mu_minus = mu_plus/eps^2."""
+    bench0 = load_benchmark(doc, load_physical(doc))
+    if not args.eps:
+        raise ConfigError(f"flag --eps: {no_eps}")
     modes = args.modes if args.modes is not None else [bench0.mode]
     for flag, values in (("--modes", modes), ("--eps", args.eps)):
         if len(set(values)) != len(values):
@@ -350,16 +347,11 @@ def _sweep_values(args, bench0: CylinderBenchmark) -> tuple[list[CylinderBenchma
         benches = [replace(bench0, mode=mode) for mode in modes]
     except ValueError as exc:
         raise ConfigError(f"flag --modes: {exc}") from exc
-    return benches, args.eps
+    return benches, args.eps, args.k if args.k is not None else 1
 
 
 def _run_error_sweep(doc: dict, args, family: str) -> str:
-    cfg = load_physical(doc)
-    bench0 = load_benchmark(doc, cfg)
-    if not args.eps:
-        raise ConfigError("flag --eps: need at least one value")
-    benches, eps_values = _sweep_values(args, bench0)
-    order = args.k if args.k is not None else 1
+    benches, eps_values, order = _sweep_values(doc, args, "need at least one value")
     rows = []
     for bench in sorted(benches, key=lambda b: b.mode):
         prev: tuple[float, float] | None = None
@@ -374,14 +366,6 @@ def _run_error_sweep(doc: dict, args, family: str) -> str:
     return _csv_text(header, rows)
 
 
-def cmd_ibc_sweep(doc: dict, args) -> str:
-    return _run_error_sweep(doc, args, "ibc")
-
-
-def cmd_expansion_error(doc: dict, args) -> str:
-    return _run_error_sweep(doc, args, "expansion")
-
-
 def _fit_payload(fit: ConvergenceFit) -> dict:
     return {
         "slope": fit.slope,
@@ -394,31 +378,14 @@ def _fit_payload(fit: ConvergenceFit) -> dict:
 
 
 def cmd_convergence(doc: dict, args) -> str:
-    cfg = load_physical(doc)
-    bench0 = load_benchmark(doc, cfg)
-    if not args.eps:
-        raise ConfigError("flag --eps: need at least five values for a rate fit")
-    benches, eps_values = _sweep_values(args, bench0)
+    benches, eps_values, order = _sweep_values(doc, args, "need at least five values for a rate fit")
     if len(eps_values) < 5:
         raise ConfigError(f"flag --eps: need at least five values for a rate fit, got {eps_values}")
     if max(eps_values) >= 1.0:
         raise ConfigError(f"flag --eps: values must lie in (0, 1), got {eps_values}")
-    order = args.k if args.k is not None else 1
     fits = {str(b.mode): _fit_payload(convergence_study(b, args.study, order, eps_values)) for b in benches}
     payload = {"study": args.study, "order": order, "fits": fits}
     return _json_dump(payload)
-
-
-# command name -> (handler, the one output format it emits)
-_COMMANDS = {
-    "params": (cmd_params, "json"),
-    "skin-depth": (cmd_skin_depth, "csv"),
-    "profile-table": (cmd_profile_table, "csv"),
-    "ibc-factors": (cmd_ibc_factors, "json"),
-    "ibc-sweep": (cmd_ibc_sweep, "csv"),
-    "expansion-error": (cmd_expansion_error, "csv"),
-    "convergence": (cmd_convergence, "json"),
-}
 
 
 def _int_list(text: str) -> list[int]:
@@ -435,26 +402,41 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad float list {text!r}") from exc
 
 
+# every flag, declared once; each command takes only those its handler reads
+_FLAGS = {
+    "--config": {"required": True, "help": "JSON run configuration"},
+    "--out": {"default": None, "help": "output path (default: stdout)"},
+    "--k": {"type": int, "choices": (0, 1, 2), "default": None, "help": "impedance/truncation order"},
+    "--modes": {"type": _int_list, "default": None, "help": "comma-separated azimuthal modes"},
+    "--eps": {"type": _float_list, "default": None, "help": "comma-separated eps values"},
+    "--jobs": {"type": int, "default": 1, "help": "ignored; sweeps run serially"},
+    "--study": {"choices": ("ibc", "expansion"), "default": "ibc"},
+}
+_IO_FLAGS = ("--config", "--out")
+_SWEEP_FLAGS = (*_IO_FLAGS, "--k", "--modes", "--eps", "--jobs")
+
+# command name -> (handler, the flags it reads)
+_COMMANDS = {
+    "params": (cmd_params, _IO_FLAGS),
+    "skin-depth": (cmd_skin_depth, _IO_FLAGS),
+    "profile-table": (cmd_profile_table, _IO_FLAGS),
+    "ibc-factors": (cmd_ibc_factors, (*_IO_FLAGS, "--k")),
+    "ibc-sweep": (functools.partial(_run_error_sweep, family="ibc"), _SWEEP_FLAGS),
+    "expansion-error": (functools.partial(_run_error_sweep, family="expansion"), _SWEEP_FLAGS),
+    "convergence": (cmd_convergence, (*_SWEEP_FLAGS, "--study")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="magskin",
         description="Skin-effect asymptotics and impedance boundary conditions, validated on exact cylinder modes",
     )
-    # the flags every command takes, declared once and shared through parents=
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True, help="JSON run configuration")
-    common.add_argument("--out", default=None, help="output path (default: stdout)")
-    common.add_argument("--format", choices=("csv", "json"), default=None)
-    common.add_argument("--k", type=int, choices=(0, 1, 2), default=None,
-                        help="impedance/truncation order")
-    common.add_argument("--modes", type=_int_list, default=None, help="comma-separated azimuthal modes")
-    common.add_argument("--eps", type=_float_list, default=None, help="comma-separated eps values")
-    common.add_argument("--jobs", type=int, default=1, help="ignored; sweeps run serially")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name, parents=[common])
-        if name == "convergence":
-            p.add_argument("--study", choices=("ibc", "expansion"), default="ibc")
+    for name, (_, flags) in _COMMANDS.items():
+        p = sub.add_parser(name)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -466,13 +448,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    handler, native_format = _COMMANDS[args.command]
-    if args.format is not None and args.format != native_format:
-        print(
-            f"error: command {args.command} emits {native_format}, not {args.format}",
-            file=sys.stderr,
-        )
-        return USAGE_EXIT
     try:
         with open(args.config) as fh:
             doc = json.load(fh)
@@ -486,7 +461,7 @@ def main(argv: list[str] | None = None) -> int:
         print("error: config root must be a JSON object", file=sys.stderr)
         return USAGE_EXIT
     try:
-        text = handler(doc, args)
+        text = _COMMANDS[args.command][0](doc, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT

@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 from .geometry import Surface, SurfaceKind, TangentVector, mean_minus_curvature_apply
-from .params import DerivedParams, PhysicalConfig, derive_params, leontovich_factor
+from .params import DerivedParams, PhysicalConfig, _check_scalars, derive_params, leontovich_factor
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,13 @@ def impedance_operator(k: int, cfg: PhysicalConfig) -> ImpedanceOperator:
     phase = 0.5 * math.atan(ratio / cfg.eps0)
     scalar = cmath.rect(modulus, phase)
     if k == 1:
+        _check_scalars(cfg, scalar_part_modulus=modulus)
         return ImpedanceOperator(order=1, scalar_part=scalar, curvature_part=0j)
-    return ImpedanceOperator(order=2, scalar_part=scalar, curvature_part=1.0 / (1j * cfg.omega * cfg.mu_minus))
+    omega_mu_minus = cfg.omega * cfg.mu_minus
+    _check_scalars(cfg, scalar_part_modulus=modulus, omega_mu_minus=omega_mu_minus)
+    # a subnormal omega*mu_minus passes, and its reciprocal, the curvature part's modulus, overflows
+    _check_scalars(cfg, curvature_part_modulus=1.0 / omega_mu_minus)
+    return ImpedanceOperator(order=2, scalar_part=scalar, curvature_part=1.0 / (1j * omega_mu_minus))
 
 
 def consistency_with_lambda(op: ImpedanceOperator, dp: DerivedParams) -> float:
@@ -63,6 +68,12 @@ def consistency_with_lambda(op: ImpedanceOperator, dp: DerivedParams) -> float:
     cfg = dp.config
     expected = -dp.eps_small * dp.lam / (1j * cfg.omega * cfg.mu_plus)
     return abs(op.scalar_part - expected) / abs(expected)
+
+
+def leontovich_gap(op: ImpedanceOperator, cfg: PhysicalConfig) -> float:
+    """Relative gap between the impedance 1/scalar_part of an order >= 1 operator and Leontovich's."""
+    leon = leontovich_factor(cfg)
+    return abs(1.0 / op.scalar_part - leon) / abs(leon)
 
 
 @dataclass(frozen=True)
@@ -86,10 +97,7 @@ def leontovich_limit_check(cfgs: list[PhysicalConfig]) -> list[LeontovichRow]:
                 f"delta_minus={dp.delta_minus:.3g} >= 1: outside the strongly-absorbing regime",
                 stacklevel=2,
             )
-        op = impedance_operator(1, cfg)
-        leon = leontovich_factor(cfg)
-        gap = abs(1.0 / op.scalar_part - leon) / abs(leon)
-        rows.append(LeontovichRow(cfg.sigma_minus, dp.delta_minus, gap))
+        rows.append(LeontovichRow(cfg.sigma_minus, dp.delta_minus, leontovich_gap(impedance_operator(1, cfg), cfg)))
     return rows
 
 

@@ -393,6 +393,13 @@ def _ldexp(z: complex, e: int) -> complex:
     return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
 
 
+def _scaled(z: complex) -> tuple[complex, int]:
+    """z over the power of two 2**e just above |z|, and e: exact, so a norm of z is 2**e times that of the
+    quotient, whose square neither overflows nor forms a subnormal."""
+    e = math.frexp(abs(z))[1]
+    return _ldexp(z, -e), e
+
+
 def _rel(num: float, scale: float) -> float:
     return num / max(scale, 1e-300)
 
@@ -636,16 +643,9 @@ def _taylor_gram(b: CylinderBenchmark) -> float:
 
 
 def _shell_squares(b: CylinderBenchmark, t: complex) -> tuple[float, float]:
-    """Squared electric and magnetic shell norms of t*N: |t|^2 times ``_shell_grams``'s, t divided
-    by the power of two 2**e just above |t| and the squares multiplied by 4**e: a tiny Delta t
-    forms no subnormal."""
-    e = math.frexp(abs(t))[1]
-    t = _ldexp(t, -e)
-    try:
-        e_sq, h_sq = (abs(t) ** 2 * g for g in b.shell_grams)
-        return math.ldexp(e_sq, 2 * e), math.ldexp(h_sq, 2 * e)
-    except OverflowError as exc:
-        raise SolverError(f"shell norms of t*N, t = {_ldexp(t, e)!r}, overflow") from exc
+    """Squared electric and magnetic shell norms of t*N: |t|^2 times ``_shell_grams``'s."""
+    t_sq = abs(t) ** 2
+    return t_sq * b.shell_grams[0], t_sq * b.shell_grams[1]
 
 
 def _shell_difference(a: ModalSolution, b: ModalSolution) -> tuple[CylinderBenchmark, complex]:
@@ -663,17 +663,25 @@ def _shell_difference(a: ModalSolution, b: ModalSolution) -> tuple[CylinderBench
     return a.benchmark, a.wall_amplitude - b.wall_amplitude
 
 
-def _norm_root(what: str, square: float) -> float:
-    """The root of a squared norm; SolverError naming the norm where round-off left no finite square >= 0."""
+def _norm_root(what: str, square: float, e: int, unit: float = 1.0) -> float:
+    """2**e times the root of a squared norm, over ``unit``; SolverError naming the norm where round-off
+    left no finite square >= 0, or where the norm leaves the float range."""
     if not 0.0 <= square < math.inf:
         raise SolverError(f"{what}: squared norm {square!r} is not a finite non-negative number")
-    return math.sqrt(square)
+    try:
+        norm = math.ldexp(math.sqrt(square), e) / unit
+    except OverflowError:
+        norm = math.inf
+    if norm == math.inf:
+        raise SolverError(f"{what}: the root of squared norm {square!r} times 2**{e} over {unit!r} overflows")
+    return norm
 
 
-def _shell_error(b: CylinderBenchmark, e_sq: float, h_sq: float) -> ShellError:
+def _shell_error(b: CylinderBenchmark, e_sq: float, h_sq: float, e: int = 0) -> ShellError:
+    """The shell norms of squares ``e_sq`` and ``h_sq`` taken of a field divided by 2**e."""
     return ShellError(
-        error_e=_norm_root("electric shell error", e_sq),
-        error_h=_norm_root("magnetic shell error", h_sq) / (b.cfg.omega * b.cfg.mu_plus),
+        error_e=_norm_root("electric shell error", e_sq, e),
+        error_h=_norm_root("magnetic shell error", h_sq, e, b.cfg.omega * b.cfg.mu_plus),
     )
 
 
@@ -681,10 +689,12 @@ def shell_l2_error(a: ModalSolution, b: ModalSolution) -> ShellError:
     """Shell L2 norms of the field difference, electric and magnetic (u' and (m/r)*u over omega*mu_plus).
 
     Two models of one ring source differ by Delta t * N (``_shell_difference``), so no large
-    coefficient cancels, and both norms are |Delta t| times N's (``_shell_squares``).
+    coefficient cancels, and both norms are |Delta t| times N's (``_shell_squares``), taken of
+    Delta t over a power of two (``_scaled``).
     """
     bench, t = _shell_difference(a, b)
-    return _shell_error(bench, *_shell_squares(bench, t))
+    t, e = _scaled(t)
+    return _shell_error(bench, *_shell_squares(bench, t), e)
 
 
 def conductor_l2_norm(sol: ModalSolution) -> float:
@@ -701,8 +711,9 @@ def conductor_l2_norm(sol: ModalSolution) -> float:
     km = b.k_minus
     # u(r_in) is the amplitude itself; u'/u is -(mu_minus/mu_plus)*gamma on the conductor side
     log_der = -(b.cfg.mu_minus / b.cfg.mu_plus) * b.conductor_gamma
-    flux = b.r_in * abs(sol.conductor_amplitude) ** 2 * log_der
-    return _norm_root("conductor norm", -flux.imag / (km * km).imag)
+    amplitude, e = _scaled(sol.conductor_amplitude)
+    flux = b.r_in * abs(amplitude) ** 2 * log_der
+    return _norm_root("conductor norm", -flux.imag / (km * km).imag, e)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -483,9 +484,11 @@ def test_skin_depth_rejects_a_benchmark_off_the_surface(tmp_path, capsys):
 
 
 def test_format_mismatch_rejected(cfg_path, capsys):
-    code, _, err = run(["skin-depth", "--config", cfg_path, "--format", "json"], capsys)
-    assert code == 2
-    assert "emits csv" in err
+    # --format never changed an output and is gone: it is a flag no command reads
+    with pytest.raises(SystemExit) as info:
+        main(["skin-depth", "--config", cfg_path, "--format", "csv"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
 
 
 def test_unreadable_config(capsys):
@@ -494,26 +497,51 @@ def test_unreadable_config(capsys):
     assert "cannot read config" in err
 
 
+# Reference: each command's flags, declared again flag by flag, as each handler reads them.
+_IO_FLAGS = [
+    ("--config", {"required": True, "help": "JSON run configuration"}),
+    ("--out", {"default": None, "help": "output path (default: stdout)"}),
+]
+_K_FLAG = ("--k", {"type": int, "choices": (0, 1, 2), "default": None, "help": "impedance/truncation order"})
+_SWEEP_FLAGS = [
+    *_IO_FLAGS,
+    _K_FLAG,
+    ("--modes", {"type": _int_list, "default": None, "help": "comma-separated azimuthal modes"}),
+    ("--eps", {"type": _float_list, "default": None, "help": "comma-separated eps values"}),
+    ("--jobs", {"type": int, "default": 1, "help": "ignored; sweeps run serially"}),
+]
+_REFERENCE_FLAGS = {
+    "params": _IO_FLAGS,
+    "skin-depth": _IO_FLAGS,
+    "profile-table": _IO_FLAGS,
+    "ibc-factors": [*_IO_FLAGS, _K_FLAG],
+    "ibc-sweep": _SWEEP_FLAGS,
+    "expansion-error": _SWEEP_FLAGS,
+    "convergence": [*_SWEEP_FLAGS, ("--study", {"choices": ("ibc", "expansion"), "default": "ibc"})],
+}
+# a value for every flag a command may read; a command's full argv gives each of its own flags one
+_FLAG_VALUES = {"--k": "2", "--modes": "0,3", "--eps": "0.1,0.01", "--jobs": "2", "--study": "expansion"}
+
+
 def _per_command_parser() -> argparse.ArgumentParser:
-    """Reference: the parser with the common flags declared again on every subcommand."""
     parser = argparse.ArgumentParser(
         prog="magskin",
         description="Skin-effect asymptotics and impedance boundary conditions, validated on exact cylinder modes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, flags in _REFERENCE_FLAGS.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--k", type=int, choices=(0, 1, 2), default=None,
-                       help="impedance/truncation order")
-        p.add_argument("--modes", type=_int_list, default=None, help="comma-separated azimuthal modes")
-        p.add_argument("--eps", type=_float_list, default=None, help="comma-separated eps values")
-        p.add_argument("--jobs", type=int, default=1, help="ignored; sweeps run serially")
-        if name == "convergence":
-            p.add_argument("--study", choices=("ibc", "expansion"), default="ibc")
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
     return parser
+
+
+def _full_argv(command: str) -> list[str]:
+    argv = [command, "--config", "c.json"]
+    for flag, _ in _REFERENCE_FLAGS[command]:
+        if flag in _FLAG_VALUES:
+            argv += [flag, _FLAG_VALUES[flag]]
+    return argv
 
 
 def _help_text(parser: argparse.ArgumentParser, argv: list[str], capsys) -> str:
@@ -535,9 +563,42 @@ def test_shared_flag_parser_keeps_every_help_text(command, capsys):
 
 @pytest.mark.parametrize("command", list(_COMMANDS))
 def test_shared_flag_parser_parses_like_per_command_flags(command):
-    argv = [command, "--config", "c.json", "--k", "2", "--modes", "0,3", "--eps", "0.1,0.01", "--jobs", "2"]
+    argv = _full_argv(command)
     assert build_parser().parse_args(argv) == _per_command_parser().parse_args(argv)
     assert build_parser().parse_args(argv[:3]) == _per_command_parser().parse_args(argv[:3])
+
+
+@pytest.mark.parametrize(
+    "command, unread",
+    [
+        ("params", "--k 1"), ("skin-depth", "--eps 0.1"), ("profile-table", "--modes 0"),
+        ("ibc-factors", "--eps 0.1"), ("ibc-sweep", "--study ibc"), ("expansion-error", "--study ibc"),
+        ("convergence", "--format json"),
+    ],
+)
+def test_a_command_takes_only_the_flags_it_reads(command, unread, cfg_path, capsys):
+    # params --config c.json --eps abc exited 2 on the value of a flag params never read
+    text = _help_text(build_parser(), [command, "--help"], capsys)
+    listed = re.findall(r"^  (--[a-z]+)", text[text.index("options:"):], flags=re.M)
+    assert listed == [flag for flag, _ in _REFERENCE_FLAGS[command]]
+    with pytest.raises(SystemExit) as info:
+        main([command, "--config", cfg_path, *unread.split()])
+    assert info.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"unrecognized arguments: {unread}" in out.err
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("ibc-sweep", "error: flag --eps: need at least one value\n"),
+        ("expansion-error", "error: flag --eps: need at least one value\n"),
+        ("convergence", "error: flag --eps: need at least five values for a rate fit\n"),
+    ],
+)
+def test_a_sweep_without_eps_is_a_usage_error(command, message, cfg_path, capsys):
+    assert run([command, "--config", cfg_path, "--modes", "0,3"], capsys) == (2, "", message)
 
 
 def test_main_builds_one_parser_per_process(cfg_path, monkeypatch, capsys):
@@ -552,7 +613,8 @@ def test_main_builds_one_parser_per_process(cfg_path, monkeypatch, capsys):
     try:
         assert run(["params", "--config", cfg_path], capsys)[0] == 0
         assert run(["ibc-factors", "--config", cfg_path, "--k", "1"], capsys)[0] == 0
-        assert run(["skin-depth", "--config", cfg_path, "--format", "json"], capsys)[0] == 2
+        with pytest.raises(SystemExit):
+            main(["skin-depth", "--config", cfg_path, "--k", "1"])
     finally:
         cli._parser.cache_clear()
     assert len(built) == 1
@@ -561,7 +623,7 @@ def test_main_builds_one_parser_per_process(cfg_path, monkeypatch, capsys):
 @pytest.mark.parametrize("command", list(_COMMANDS))
 def test_reused_parser_parses_each_argv_afresh(command):
     parser = cli._parser()
-    full = [command, "--config", "c.json", "--k", "2", "--modes", "0,3", "--eps", "0.1,0.01", "--jobs", "2"]
+    full = _full_argv(command)
     for argv in (full, full[:3], full, full[:3]):
         assert parser.parse_args(argv) == build_parser().parse_args(argv)
 
@@ -788,3 +850,148 @@ def test_a_failed_solve_exits_1_with_an_error_line(cfg_path, capsys):
     code, out, err = run(["ibc-sweep", "--config", cfg_path, "--modes", "150", "--eps", "0.1"], capsys)
     assert (code, out) == (1, "")
     assert err.startswith("error: exact solve violated its conditions") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "physical, name",
+    [
+        # omega*mu_minus underflows to 0: a ZeroDivisionError traceback
+        ({"omega_rad_per_s": 1e-200, "mu_minus_henry_per_m": 1e-198}, "omega_mu_minus = 0.0"),
+        # sigma_minus/omega overflows: "scalar_part_re": Infinity, exit 0
+        ({"omega_rad_per_s": 1e-100, "sigma_plus_siemens_per_m": 1e155, "sigma_minus_siemens_per_m": 1e215},
+         "scalar_part_modulus = inf"),
+        # found on a longer run of the contract's domain below: omega*mu_minus is subnormal,
+        # and "curvature_coeff_im" was -Infinity
+        ({"omega_rad_per_s": 2.7513707519809227e-163, "mu_plus_henry_per_m": 5.802487654594271e-155,
+          "mu_minus_henry_per_m": 3.7973992991629174e-152}, "curvature_part_modulus = inf"),
+    ],
+)
+def test_ibc_factors_at_parts_that_are_not_representable_is_one_error_line(physical, name, tmp_path, capsys):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["physical"].update(physical)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "mu_minus < mu_plus", UserWarning)  # mu_minus = 1e-198 has mu_r < 1
+        code, out, err = run(["ibc-factors", "--config", _write(tmp_path, cfg)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: PhysicalConfig(") and f"gives {name};" in err and err.count("\n") == 1
+
+
+def test_a_magnetic_shell_norm_beyond_the_float_range_is_one_error_line(tmp_path, capsys):
+    # found on a longer run of the contract's domain below: omega*mu_plus = 6.9e-155 puts error_H
+    # itself past the float range, not only its square, so the sweep still ends in one error line
+    cfg = {
+        "physical": {
+            "omega_rad_per_s": 2.01659435604281e-104, "eps0_farad_per_m": 5.517065392981834e+21,
+            "mu_plus_henry_per_m": 3.399311821613128e-51, "mu_minus_henry_per_m": 1.669951315973021e-45,
+            "sigma_plus_siemens_per_m": 8.457115239172947e-09, "sigma_minus_siemens_per_m": 0.00010772087740330593,
+        },
+        "benchmark": {"R_in": 0.6070364053359516, "R_out": 0.6662835637999674, "r_source": 0.6522537973163021, "mode": 0},
+    }
+    with pytest.warns(UserWarning, match="near-singular"):
+        code, out, err = run(
+            ["expansion-error", "--config", _write(tmp_path, cfg), "--k", "1", "--eps", "0.1,0.01"], capsys
+        )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: magnetic shell error: the root of squared norm ") and err.endswith(" overflows\n")
+
+
+def test_a_large_source_amplitude_scales_the_sweep(tmp_path, capsys):
+    # at amplitude 1e160 the squares overflowed: "shell norms of t*N ... overflow", exit 1
+    rows = {}
+    for amplitude in (1.0, 1e160):
+        cfg = {**BASE_CONFIG, "benchmark": {**BASE_CONFIG["benchmark"], "source_amplitude": [amplitude, 0.0]}}
+        code, out, err = run(["ibc-sweep", "--config", _write(tmp_path, cfg), "--k", "1", "--eps", "0.1,0.01"], capsys)
+        assert (code, err) == (0, "")
+        rows[amplitude] = list(csv.DictReader(io.StringIO(out)))
+    for small, large in zip(rows[1.0], rows[1e160]):
+        for column in ("error_E", "error_H"):
+            assert abs(float(large[column]) / (1e160 * float(small[column])) - 1.0) <= 1e-12
+        assert abs(float(large["local_slope"] or 0) - float(small["local_slope"] or 0)) <= 1e-12
+
+
+# The CLI contract over a fixed seeded config space: every command either exits 0 with every
+# printed number finite, or exits 1 or 2 with exactly one stderr line starting "error: ".
+_CONTRACT_COMMANDS = (
+    "params", "skin-depth", "profile-table", "ibc-factors --k 1", "ibc-factors --k 2",
+    "ibc-sweep", "expansion-error", "convergence",
+)
+_CONTRACT_MODES = (0, 1, 3, 10, 60, 140)
+_JSON_COMMANDS = ("params", "ibc-factors", "convergence")
+
+
+def _contract_case(rng: random.Random, command: str) -> tuple[dict, list[str]]:
+    """A config from the domain, never to be narrowed, and the argv that runs ``command`` on it.
+
+    Each physical value is log-uniform in [1e-30, 1e30] or [1e-300, 1e300] (even odds), and
+    mu_minus is mu_plus times a log-uniform factor in [1, 1e8]; the shell radii are random.
+    """
+    def physical_value() -> float:
+        span = rng.choice((30, 300))
+        return 10.0 ** rng.uniform(-span, span)
+
+    names = ("omega_rad_per_s", "eps0_farad_per_m", "mu_plus_henry_per_m", "sigma_plus_siemens_per_m",
+             "sigma_minus_siemens_per_m")
+    physical = {name: physical_value() for name in names}
+    physical["mu_minus_henry_per_m"] = physical["mu_plus_henry_per_m"] * 10.0 ** rng.uniform(0, 8)
+    r_in = 10.0 ** rng.uniform(-3, 3)
+    r_out = r_in * (1.0 + 10.0 ** rng.uniform(-2, 1))
+    r_source = r_in + rng.uniform(0.05, 0.95) * (r_out - r_in)
+    kind = rng.choice(("plane", "cylinder", "sphere"))
+    mode = rng.choice(_CONTRACT_MODES)
+    cfg = {
+        "physical": physical,
+        "surface": {"kind": kind} if kind == "plane" else {"kind": kind, "radius": r_in},
+        "benchmark": {"R_in": r_in, "R_out": r_out, "r_source": r_source, "mode": mode},
+    }
+    argv = command.split()
+    if argv[0] in ("ibc-sweep", "expansion-error"):
+        argv += ["--k", str(rng.randrange(3)), "--modes", str(mode), "--eps", "0.1,0.01"]
+    elif argv[0] == "convergence":
+        argv += ["--study", rng.choice(("ibc", "expansion")), "--k", str(rng.randrange(3)), "--modes", str(mode),
+                 "--eps", EPS5]
+    return cfg, argv
+
+
+def _printed_numbers(command: str, text: str) -> list[float]:
+    if command in _JSON_COMMANDS:
+        stack, numbers = [_strict_json(text)], []
+        while stack:
+            node = stack.pop()
+            if isinstance(node, dict):
+                stack += node.values()
+            elif isinstance(node, list):
+                stack += node
+            elif isinstance(node, float):
+                numbers.append(node)
+        return numbers
+    return [float(cell) for row in text.splitlines()[1:] for cell in row.split(",") if cell]
+
+
+def test_every_command_exits_0_with_finite_numbers_or_prints_one_error_line(tmp_path, capsys):
+    # 300 seeded cases, the eight argv shapes in turn.  Before impedance_operator checked its
+    # parts, ibc-factors printed Infinity or raised ZeroDivisionError on 4 of them.  The solves'
+    # near-singular warnings are diagnostics on their own channel: recorded, and held to that message
+    rng = random.Random(0)
+    path = str(tmp_path / "cfg.json")
+    broken = []
+    for case in range(300):
+        cfg, argv = _contract_case(rng, _CONTRACT_COMMANDS[case % len(_CONTRACT_COMMANDS)])
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code, out, err = run([*argv, "--config", path], capsys)
+            except Exception as exc:  # any exception escaping main is a traceback on the command line
+                code, out, err = f"raised {exc!r}", "", ""
+        assert all("solve near-singular: resonance number" in str(w.message) for w in caught), (case, argv, cfg)
+        if code == 0:
+            try:
+                ok = err == "" and all(math.isfinite(v) for v in _printed_numbers(argv[0], out))
+            except ValueError:  # the Infinity and NaN literals
+                ok = False
+        else:
+            ok = code in (1, 2) and out == "" and err.startswith("error: ") and err.count("\n") == 1
+        if not ok:
+            broken.append((case, argv, code, err, cfg))
+    assert not broken, broken[:3]

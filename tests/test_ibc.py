@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import pytest
 
@@ -169,3 +170,27 @@ def test_consistency_with_lambda_needs_an_operator_of_order_one_or_more():
     cfg = config()
     with pytest.raises(ValueError, match="order >= 1"):
         consistency_with_lambda(impedance_operator(0, cfg), derive_params(cfg))
+
+
+@pytest.mark.parametrize(
+    "fields, orders, name",
+    [
+        # omega*mu_minus underflows to 0: the curvature part 1/(i*omega*mu_minus) divided by zero
+        ({"omega": 1e-200, "mu_plus": 1e-199, "mu_minus": 1e-198}, (2,), "omega_mu_minus = 0.0"),
+        # a subnormal omega*mu_minus (1e-310) passes, and the curvature part's modulus overflows
+        ({"omega": 1e-160, "mu_plus": 1e-151, "mu_minus": 1e-150}, (2,), "curvature_part_modulus = inf"),
+        # sigma_minus/omega overflows: the scalar part was (inf+infj)
+        ({"omega": 1e-100, "sigma_plus": 1e155, "sigma_minus": 1e215}, (1, 2), "scalar_part_modulus = inf"),
+    ],
+)
+def test_an_operator_part_that_is_not_representable_is_a_named_value_error(fields, orders, name):
+    # the order-1 operator has no curvature part, so it builds where only that part fails
+    cfg = config(**fields)
+    for k in (1, 2):
+        if k not in orders:
+            assert math.isfinite(abs(impedance_operator(k, cfg).scalar_part))
+            continue
+        with pytest.raises(ValueError, match=rf"^PhysicalConfig\(.*\) gives {re.escape(name)}; need a finite positive"):
+            impedance_operator(k, cfg)
+        with pytest.raises(ValueError, match=re.escape(name)):
+            robin_coefficient(k, Surface.cylinder(1.0), cfg)

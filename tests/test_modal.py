@@ -1574,3 +1574,30 @@ def test_a_low_loss_shell_norm_at_tiny_radii_matches_mpmath(eps):
         points = _mp_basis(b)
         ref_e = _mp_shell_error(b, points, _mp_n_field(points, t), [(0, 0), (0, 0)])[0]
     assert abs(math.sqrt(modal._shell_squares(b, t)[0]) - ref_e) <= 1e-14 * ref_e
+
+
+@pytest.mark.parametrize("shift", [-1000, -530, 530, 1000])
+def test_a_source_amplitude_times_a_power_of_two_scales_every_norm_exactly(shift):
+    # the squares were formed unscaled: past |Delta t| ~ 1.3e154 shell_l2_error raised "shell norms
+    # of t*N ... overflow", conductor_l2_norm a bare OverflowError at amplitude 1e160, and it
+    # returned -0.0 at amplitude 1e-300, where |A|^2 underflows
+    b = default_benchmark(mode=1, eps=0.1)
+    scaled = dataclasses.replace(b, source_amplitude=math.ldexp(1.0, shift) * b.source_amplitude)
+    exact, exact_scaled = solve_exact(b), solve_exact(scaled)
+    assert conductor_l2_norm(exact_scaled) == math.ldexp(conductor_l2_norm(exact), shift)
+    for model, model_scaled in ((solve_ibc(b, k), solve_ibc(scaled, k)) for k in (0, 1, 2)):
+        err, err_scaled = shell_l2_error(exact, model), shell_l2_error(exact_scaled, model_scaled)
+        assert (err_scaled.error_e, err_scaled.error_h) == (
+            math.ldexp(err.error_e, shift), math.ldexp(err.error_h, shift)
+        )
+
+
+def test_a_shell_norm_beyond_the_float_range_is_a_solver_error():
+    # 2**1024 overflows in the ldexp; 2**1000 over omega*mu_plus = 1e-100 in the division
+    b = default_benchmark(mode=0, eps=0.1)
+    assert _shell_error(b, 1.0, 1.0, 1023).error_e == math.ldexp(1.0, 1023)
+    with pytest.raises(SolverError, match=r"^electric shell error: the root of squared norm 1\.0 times 2\*\*1024 over 1\.0 overflows$"):
+        _shell_error(b, 1.0, 1.0, 1024)
+    slow = dataclasses.replace(b, cfg=dataclasses.replace(b.cfg, omega=1e-100))
+    with pytest.raises(SolverError, match=r"^magnetic shell error: the root of squared norm 1\.0 times 2\*\*1000 over 1e-100 overflows$"):
+        _shell_error(slow, 1.0, 1.0, 1000)
