@@ -30,9 +30,9 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
-from .bessel import BesselEval, _j_value, bessel_h1, bessel_j
+from .bessel import _FORWARD_MIN_RADIUS, SERIES_RADIUS, BesselEval, _j_value, bessel_h1, bessel_j
 from .geometry import Surface, mean_curvature
 from .ibc import robin_coefficient
 from .params import DerivedParams, PhysicalConfig, derive_params, mu_minus_for_eps
@@ -40,6 +40,9 @@ from .params import DerivedParams, PhysicalConfig, derive_params, mu_minus_for_e
 RESIDUAL_TOL = 1e-10
 _COND_WARN = 1e12
 _NORMAL_MIN = sys.float_info.min  # below it a float is subnormal, its relative precision lost
+# Conductor samples read Taylor pieces of |k_minus|*(r - centre) <= _PIECE_HALF; a solution keeps at
+# most _MAX_PIECES of them at once.  ``_conductor_piece`` says where a piece is built.
+_PIECE_HALF, _PIECE_MIN_Z, _PIECE_MIN_HALF, _MAX_PIECES = 1.5, 8.0, 2.0**-26, 64
 
 
 class SolverError(RuntimeError):
@@ -169,8 +172,14 @@ class CylinderBenchmark:
         if abs(self.mode) > 200:
             raise ValueError(f"|mode| must be <= 200, got {self.mode}")
         # a zero source drives no field, and every error relative to it divides by zero
-        if not (cmath.isfinite(self.source_amplitude) and self.source_amplitude != 0):
-            raise ValueError(f"source_amplitude must be finite and nonzero, got {self.source_amplitude!r}")
+        amplitude = self.source_amplitude
+        if not (cmath.isfinite(amplitude) and amplitude != 0):
+            raise ValueError(f"source_amplitude must be finite and nonzero, got {amplitude!r}")
+        # a subnormal one has lost its relative precision, and at 5e-324 the conductor field rounds to 0
+        if math.hypot(amplitude.real, amplitude.imag) < _NORMAL_MIN:
+            raise ValueError(
+                f"source_amplitude must have modulus at least sys.float_info.min = {_NORMAL_MIN!r}, got {amplitude!r}"
+            )
 
     @functools.cached_property
     def params(self) -> DerivedParams:
@@ -278,7 +287,10 @@ class ModalSolution:
     inside and outside the ring, formed once by ``_shell_field``.  Conductor
     (exact solution only): u = A*J_m(k_minus r)/J_m(k_minus R_in) with A = u(R_in),
     evaluated through scaled Bessel ratios so deep evaluation never overflows.
-    There u reads J_m alone from ``bessel._j_value``, and u' reads J_{m-1} too.
+    There u and u' read the solution's Taylor pieces (``_piece``, ``_conductor_piece``):
+    one Horner pass per sample, the piece built by its first sample from J_m and
+    J_{m-1} at its centre.  Outside the pieces' domain and at r = 0, u reads J_m
+    alone from ``bessel._j_value`` and u' reads J_{m-1} too (``_conductor_point``).
 
     ``condition_number`` is the wall closure's resonance number kappa (see
     ``_shell_green``); a truncated expansion reports its terms' largest.
@@ -300,7 +312,14 @@ class ModalSolution:
         b = self.benchmark
         if self.conductor_amplitude is None or not 0 <= r < b.r_in:
             return self._eval(r)[0]
-        return _conductor_ratio(b, self.conductor_amplitude, _j_value(abs(b.mode), b.k_minus * r))
+        piece = self._piece(r)
+        if piece is None:
+            return _conductor_ratio(b, self.conductor_amplitude, _j_value(abs(b.mode), b.k_minus * r))
+        lead, rest, centre, half, factor, _ = piece
+        x, p = (r - centre) / half, lead
+        for c in rest:
+            p = p * x + c
+        return factor * p
 
     def u_prime(self, r: float) -> complex:
         return self._eval(r)[1]
@@ -308,7 +327,40 @@ class ModalSolution:
     def _eval_conductor(self, r: float) -> tuple[complex, complex]:
         if self.conductor_amplitude is None:
             raise SolverError(f"{self.kind} solution has no conductor region")
-        return _conductor_point(self.benchmark, self.conductor_amplitude, r)
+        piece = self._piece(r)
+        if piece is None:
+            return _conductor_point(self.benchmark, self.conductor_amplitude, r)
+        lead, rest, centre, half, factor, slope = piece
+        x, p, d = (r - centre) / half, lead, 0j
+        for c in rest:  # u's Horner pass, and its derivative's beside it
+            d = d * x + p
+            p = p * x + c
+        return factor * p, slope * d
+
+    @functools.cached_property
+    def _pieces(self) -> dict[int, _Piece | None]:
+        return {}
+
+    def _piece(self, r: float) -> _Piece | None:
+        """The Taylor piece of the conductor field that holds 0 < r < r_in, built by the piece's
+        first sample (``_conductor_piece``); None where the sample takes the ``_j_value`` route, and
+        at r = 0 and r_in, where ``_conductor_point`` reads J_m(0) and the normalisation.
+
+        Piece i spans r_in - 2(i+1)*half < r <= r_in - 2i*half, half = 1.5/|k_minus|.
+        """
+        b = self.benchmark
+        if not 0 < r < b.r_in:
+            return None
+        half = _PIECE_HALF / abs(b.k_minus)
+        i = int((b.r_in - r) / (2.0 * half))
+        pieces = self._pieces
+        try:
+            return pieces[i]
+        except KeyError:
+            if len(pieces) >= _MAX_PIECES:
+                pieces.clear()
+            piece = pieces[i] = _conductor_piece(b, self.conductor_amplitude, b.r_in - (2 * i + 1) * half, half)
+            return piece
 
     def _eval(self, r: float) -> tuple[complex, complex]:
         b = self.benchmark
@@ -322,9 +374,89 @@ class ModalSolution:
 
 def _conductor_ratio(b: CylinderBenchmark, amplitude: complex, j: tuple[complex, complex]) -> complex:
     """amplitude*J/J_m(k_minus r_in) for one (value, exponent) J of ``_j_value`` at k_minus*r,
-    which lies in the closed first quadrant, since Im alpha_minus > 0."""
+    which lies in the closed first quadrant, since Im alpha_minus > 0.
+
+    A zero value is 0, whatever exp(-exponent of the normalisation) is; a ratio that leaves the
+    float range is a SolverError naming it.
+    """
+    value, exponent = j
+    if value == 0:
+        return 0j
     ref = b.conductor_ref
-    return amplitude * j[0] / ref.value * cmath.exp(j[1] - ref.exponent)
+    try:
+        ratio = amplitude * value / ref.value * cmath.exp(exponent - ref.exponent)
+    except OverflowError:  # the scale exp(exponent - ref.exponent) does
+        ratio = complex(math.inf)
+    if not cmath.isfinite(ratio):
+        raise SolverError(
+            f"conductor field at k_minus*r: {amplitude!r} times J = {value!r}*exp({exponent!r}) over "
+            f"J_m(k_minus r_in) = {ref.value!r}*exp({ref.exponent!r}) leaves the float range"
+        )
+    return ratio
+
+
+class _Piece(NamedTuple):
+    """One Taylor piece of the conductor field: u = factor*P(x) and u' = slope*P'(x) at
+    x = (r - centre)/half, P = lead*x^n + ... with ``rest`` the lower coefficients, highest first."""
+
+    lead: complex
+    rest: tuple[complex, ...]
+    centre: float
+    half: float
+    factor: complex
+    slope: complex
+
+
+def _conductor_piece(b: CylinderBenchmark, amplitude: complex, centre: float, half: float) -> _Piece | None:
+    """The Taylor piece of amplitude*J_m(k_minus r)/J_m(k_minus r_in) about ``centre`` for |r - centre| <= half.
+
+    In t = k_minus*(r - centre) = h*x, h = k_minus*half (|h| = 1.5), the coefficients a_n*h^n come
+    from J_m and J_{m-1} at z0 = k_minus*centre (two ``_j_value`` calls) by ``_taylor_terms`` at
+    q = h/z0 = half/centre, to the first pair below _TAYLOR_RTOL of the largest.
+
+    None, so that the piece's samples take the ``_j_value`` route, outside the domain where
+    ``_j_value`` reads both orders at z0 to its best accuracy and below the turning point,
+    2m <= |z0|: within the series disc with the whole piece (8 <= |z0| <= 10.5) or on the forward
+    side (|z0| >= 20).  Between the two, order 0's Hankel sums have not settled (4e-11 at
+    |z| = 12.01), and a piece would carry that to every order and radius it covers; below 8 a
+    piece's error reached 14 times the series' (7e-15 against 5e-16 at m = 1, |z0| = 2,
+    arg k_minus = 44.5 degrees; at most 4.6 times inside the domain).  None also where
+    half < 2**-26 * r_in, past which the rounding of centre and r would move x by more than 2**-25
+    (past |k_minus*r_in| ~ 1e16 a piece is narrower than a rounding step of r), where a
+    coefficient is not finite, the factor is not a normal float, or a bound of u or u' on the
+    piece is not finite.
+    """
+    m, k = abs(b.mode), b.k_minus
+    z0 = k * centre
+    size = abs(z0)
+    if 2 * m > size or not (_PIECE_MIN_Z <= size <= SERIES_RADIUS - _PIECE_HALF or size >= _FORWARD_MIN_RADIUS):
+        return None
+    if half < _PIECE_MIN_HALF * b.r_in:
+        return None
+    ref = b.conductor_ref
+    a0, e0 = _j_value(m, z0)
+    low, e_low = _j_value(m - 1, z0) if m else _j_value(1, z0)  # J_{-1} = -J_1
+    q = half / centre
+    try:
+        b0 = (low if m else -low) * cmath.exp(e_low - e0)
+        factor = amplitude / ref.value * cmath.exp(e0 - ref.exponent)
+    except OverflowError:
+        return None
+    coefficients, peak = [a0], abs(a0) + abs(b0)
+    for a, b_n in _taylor_terms(m, z0, q, a0, b0):
+        a, b_n = q * a, q * b_n
+        coefficients.append(a)
+        term = abs(a) + abs(b_n)
+        if term <= _TAYLOR_RTOL * peak:
+            break
+        peak = max(peak, term)
+    else:
+        return None
+    # |factor| * sum |c_n| bounds |u| on the piece, and times n_terms/half |u'|; nan where a coefficient is
+    if not (_NORMAL_MIN <= abs(factor) and abs(factor) * sum(map(abs, coefficients)) * len(coefficients) / half < math.inf):
+        return None
+    lead, *rest = reversed(coefficients)
+    return _Piece(lead, tuple(rest), centre, half, factor, factor / half)
 
 
 def _conductor_point(b: CylinderBenchmark, amplitude: complex, r: float) -> tuple[complex, complex]:
@@ -589,20 +721,26 @@ def _shell_grams(b: CylinderBenchmark) -> tuple[float, float]:
     return g_nn, _resolved(w_nn.real + k2.real * g_nn, abs(w_nn.real) + abs(k2.real * g_nn))
 
 
-def _taylor_sums(m: int, x0: complex, q: complex, a0: complex, b0: complex) -> tuple[complex, complex, float]:
-    """Sums over n >= 1 of a_n*h^n/q and b_n*h^n/q, h = q*x0, and of their moduli, for the Taylor
-    coefficients at x0 of A = C_m and B = C_{m-1} of one combination C, A(x0) = a0, B(x0) = b0:
-    x*A' = x*B - m*A and x*B' = (m-1)*B - x*A (DLMF 10.6.2) give x0(n+1) a_{n+1} =
-    x0 b_n + b_{n-1} - (m+n) a_n and x0(n+1) b_{n+1} = (m-1-n) b_n - x0 a_n - a_{n-1}.
+def _taylor_terms(m: int, x0: complex, q: complex, a0: complex, b0: complex) -> Iterator[tuple[complex, complex]]:
+    """a_n*h^n/q and b_n*h^n/q for n = 1, 2, ..., _TAYLOR_MAX_TERMS, h = q*x0, the Taylor coefficients at x0 of
+    A = C_m and B = C_{m-1} of one combination C, A(x0) = a0, B(x0) = b0: x*A' = x*B - m*A and
+    x*B' = (m-1)*B - x*A (DLMF 10.6.2) give x0(n+1) a_{n+1} = x0 b_n + b_{n-1} - (m+n) a_n and
+    x0(n+1) b_{n+1} = (m-1-n) b_n - x0 a_n - a_{n-1}.
     """
     h = q * x0
     a, b = x0 * b0 - m * a0, (m - 1) * b0 - x0 * a0
     a1, b1 = x0 * a0, x0 * b0  # h times the previous pair, over q
-    sum_a, sum_b = a, b
-    total = peak = abs(a) + abs(b)
-    for n in range(1, _TAYLOR_MAX_TERMS):
+    for n in range(1, _TAYLOR_MAX_TERMS + 1):
+        yield a, b
         f = q / (n + 1)
         a, b, a1, b1 = f * (x0 * b + b1 - (m + n) * a), f * ((m - 1 - n) * b - x0 * a - a1), h * a, h * b
+
+
+def _taylor_sums(m: int, x0: complex, q: complex, a0: complex, b0: complex) -> tuple[complex, complex, float]:
+    """Sums over n >= 1 of ``_taylor_terms`` and of their moduli, to the first term below _TAYLOR_RTOL of the largest."""
+    sum_a = sum_b = 0j
+    total = peak = 0.0
+    for a, b in _taylor_terms(m, x0, q, a0, b0):
         sum_a += a
         sum_b += b
         size = abs(a) + abs(b)

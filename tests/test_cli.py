@@ -1,4 +1,5 @@
 import argparse
+import cmath
 import csv
 import io
 import json
@@ -15,7 +16,7 @@ from dataclasses import replace
 import pytest
 
 import magskin
-from magskin import cli, modal
+from magskin import cli, modal, skin
 from magskin.cli import _COMMANDS, _float_list, _int_list, build_parser, load_physical, main
 from magskin.geometry import Surface, TangentVector
 from magskin.modal import fit_convergence
@@ -429,6 +430,22 @@ def test_profile_table_depth_beyond_the_tubular_radius_is_a_config_error(tmp_pat
             f"error: config field profile_table.max_depth_m: must be > 0 and below the surface's "
             f"tubular radius {bound!r} (got {depth!r})\n"
         )
+
+
+@pytest.mark.parametrize("argv", [["ibc-sweep", "--eps", "0.1,0.01"], ["skin-depth"]])
+def test_a_subnormal_source_amplitude_is_a_config_error(argv, tmp_path, capsys):
+    # at 5e-324 the exact solve returned an all-zero conductor field and every norm read 0
+    path = tmp_path / "faint.json"
+    for amplitude, want in (([5e-324, 0.0], 2), ([1e-310, 0.0], 2), ([0.0, -1e-310], 2), ([sys.float_info.min, 0.0], 0)):
+        cfg = dict(BASE_CONFIG, benchmark=dict(BASE_CONFIG["benchmark"], source_amplitude=amplitude))
+        path.write_text(json.dumps(cfg))
+        code, out, err = run([*argv, "--config", str(path)], capsys)
+        assert code == want, (amplitude, err)
+        if want == 2:
+            assert out == "" and err == (
+                "error: config field benchmark: source_amplitude must have modulus at least sys.float_info.min = "
+                f"{sys.float_info.min!r}, got {complex(*amplitude)!r}\n"
+            )
 
 
 def test_an_infinite_outer_radius_is_a_config_error(tmp_path, capsys):
@@ -995,3 +1012,67 @@ def test_every_command_exits_0_with_finite_numbers_or_prints_one_error_line(tmp_
         if not ok:
             broken.append((case, argv, code, err, cfg))
     assert not broken, broken[:3]
+
+
+_API_RADII = (0.0, 0.3, 0.9, 0.99, 1.0 - 1e-6)  # conductor radii over R_in
+
+
+def _api_failures(doc: dict) -> tuple[bool, list[str]]:
+    """Whether the exact solve of ``doc``'s benchmark returned, and each API call on it that neither
+    returned a finite number nor raised a named error (SolverError, or ValueError as BesselDomainError
+    and the input checks are; SkinDepthError for the skin depth)."""
+    named = (modal.SolverError, ValueError)
+    try:
+        bench = cli.load_benchmark(doc, load_physical(doc))
+        sol = modal.solve_exact(bench)
+    except named:
+        return False, []
+    except Exception as exc:
+        return False, [f"solve_exact raised {exc!r}"]
+    if not max(sol.residuals.values()) <= modal.RESIDUAL_TOL:
+        return True, [f"solve_exact returned residuals {sol.residuals}"]
+
+    def skin_depth() -> float:
+        dp = bench.params
+        trace = skin.DecayTrace(
+            sampler=lambda h: abs(sol.u(bench.r_in - h)), max_depth=min(10.0 * dp.ell_phi, 0.95 * bench.r_in)
+        )
+        return skin.skin_depth_numeric(trace, dp.ell_phi)
+
+    calls = [(f"u({f}*R_in)", lambda f=f: sol.u(f * bench.r_in), named) for f in _API_RADII]
+    calls += [(f"u_prime({f}*R_in)", lambda f=f: sol.u_prime(f * bench.r_in), named) for f in _API_RADII]
+    # a trace whose surface value is 0 is rejected by DecayTrace itself, with ValueError
+    calls += [("conductor_l2_norm", lambda: modal.conductor_l2_norm(sol), named),
+              ("skin_depth_numeric", skin_depth, (skin.SkinDepthError, ValueError))]
+    failures = []
+    for name, call, errors in calls:
+        try:
+            value = call()
+        except errors:
+            continue
+        except Exception as exc:
+            failures.append(f"{name} raised {exc!r}")
+            continue
+        if not cmath.isfinite(value):
+            failures.append(f"{name} = {value!r}")
+    return True, failures
+
+
+def test_every_api_call_on_the_contract_domain_is_finite_or_a_named_error():
+    # the CLI contract's 300 seeded configs, unnarrowed, through the API: solve_exact, u and u' at five
+    # conductor radii, conductor_l2_norm and the skin depth on the exact trace.  Before the conductor
+    # field read 0 for a zero value, u(0) and u'(0) raised a bare OverflowError on 1 of them (9 of 2000);
+    # Taylor pieces narrower than a rounding step of r read inf or nan at 0.3*R_in on 10 (75 of 2000)
+    rng = random.Random(0)
+    solved, broken = 0, []
+    for case in range(300):
+        doc, _ = _contract_case(rng, _CONTRACT_COMMANDS[case % len(_CONTRACT_COMMANDS)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            returned, failures = _api_failures(doc)
+        assert all("solve near-singular: resonance number" in str(w.message) for w in caught), (case, doc)
+        solved += returned
+        if failures:
+            broken.append((case, failures, doc))
+    assert not broken, broken[:3]
+    assert solved >= 60, solved  # 75 of the 300 solve

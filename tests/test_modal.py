@@ -4,6 +4,7 @@ import functools
 import inspect
 import math
 import re
+import sys
 import warnings
 
 import mpmath as mp
@@ -34,6 +35,7 @@ from magskin.modal import (
     solve_ibc_with_gamma,
     truncated_expansion,
 )
+from magskin.params import PhysicalConfig
 from magskin.profiles import HarmonicTangentField, TraceData, apply_b, make_w0, make_w1
 from magskin.skin import DecayTrace, skin_depth_numeric
 
@@ -273,32 +275,14 @@ def test_conductor_u_prime_reads_no_bessel_j(monkeypatch):
     assert all(cmath.isfinite(sol.u_prime(r)) for r in (0.0, 0.5, 0.99))
 
 
-def _conductor_u_prime_worst(cases) -> tuple[float, float]:
-    """Worst relative error of the conductor u', as read now and as read from bessel_j's
-    derivative before, against 40-digit mpmath, over (benchmark, radii) cases."""
-    worst_now = worst_before = 0.0
-    amplitude = 1.0 + 0.5j
-    for b, radii in cases:
-        m, k, ref = abs(b.mode), b.k_minus, b.conductor_ref
-        with mp.workdps(40):
-            km = mp.mpc(k)
-            scale = mp.mpc(amplitude) * km / mp.besselj(m, km * b.r_in)
-        for r in radii:
-            jv = bessel_j(m, k * r)
-            before = amplitude * k * jv.derivative / ref.value * cmath.exp(jv.exponent - ref.exponent)
-            now = modal._conductor_point(b, amplitude, r)[1]
-            with mp.workdps(40):
-                want = scale * mp.besselj(m, km * r, derivative=1)
-                worst_now = max(worst_now, float(abs(now - want) / abs(want)))
-                worst_before = max(worst_before, float(abs(before - want) / abs(want)))
-    return worst_now, worst_before
+def _conductor_only(b: CylinderBenchmark, amplitude: complex) -> ModalSolution:
+    """A solution on b that carries the conductor field of ``amplitude`` and nothing else, so that its
+    samples can be read where the shell cannot be solved (mode 200)."""
+    return ModalSolution("exact", None, b, b.source_amplitude, 0j, (0j, 0j), (0j, 0j), amplitude, 1.0, {})
 
 
-def test_conductor_u_prime_against_mpmath():
-    # measured worst (now, from bessel_j's derivative before): 2.2638e-13 / 2.2634e-13 over
-    # the skin-depth grid, 5.47e-12 / 5.60e-12 on the ring 12 < |k_minus r| < 20, where J_0
-    # reads its unsettled order-0 Hankel sums (5.5e-12 at |z| = 12.01, m = 1, against
-    # Miller's 1.2e-13), and 1.1020e-13 / 1.1011e-13 at mode 200
+def _conductor_grids():
+    """The skin-depth grid, the ring 12 < |k_minus r| < 20 and mode 200: (benchmark, radii) cases."""
     skin = []
     for mu_r in (1e2, 1e3, 1e4, 1e5, 1e6, 1e7):
         for mode in (0, 1, 2, 5, 30):
@@ -313,10 +297,139 @@ def test_conductor_u_prime_against_mpmath():
         (b, [b.r_in * f for f in (0.999, 0.99, 0.95, 0.9, 0.8, 0.5)])
         for b in (default_benchmark(200).with_eps(1e-2), default_benchmark(200).with_eps(1e-3))
     ]
-    for cases, bound in ((skin, 3e-13), (ring, 6e-12), (top, 2e-13)):
+    return skin, ring, top
+
+
+_GRID_AMPLITUDE = 1.0 + 0.5j
+
+
+@functools.cache
+def _mp_conductor_field(b: CylinderBenchmark, r: float) -> tuple[mp.mpc, mp.mpc]:
+    """u and u' at r of the conductor field _GRID_AMPLITUDE*J_m(k_minus r)/J_m(k_minus r_in), in 40-digit mpmath."""
+    m = abs(b.mode)
+    with mp.workdps(40):
+        km = mp.mpc(b.k_minus)
+        scale = mp.mpc(_GRID_AMPLITUDE) / mp.besselj(m, km * b.r_in)
+        return scale * mp.besselj(m, km * r), scale * km * mp.besselj(m, km * r, derivative=1)
+
+
+def _relative_error(got: complex, want: mp.mpc) -> float:
+    with mp.workdps(40):
+        return float(abs(got - want) / abs(want))
+
+
+def _conductor_u_prime_worst(cases) -> tuple[float, float]:
+    """Worst relative error of the conductor u', as read now and as read from bessel_j's
+    derivative before, against 40-digit mpmath, over (benchmark, radii) cases."""
+    worst_now = worst_before = 0.0
+    amplitude = _GRID_AMPLITUDE
+    for b, radii in cases:
+        m, k, ref = abs(b.mode), b.k_minus, b.conductor_ref
+        for r in radii:
+            jv = bessel_j(m, k * r)
+            before = amplitude * k * jv.derivative / ref.value * cmath.exp(jv.exponent - ref.exponent)
+            now = modal._conductor_point(b, amplitude, r)[1]
+            want = _mp_conductor_field(b, r)[1]
+            worst_now = max(worst_now, _relative_error(now, want))
+            worst_before = max(worst_before, _relative_error(before, want))
+    return worst_now, worst_before
+
+
+def test_conductor_u_prime_against_mpmath():
+    # measured worst (now, from bessel_j's derivative before): 2.2638e-13 / 2.2634e-13 over
+    # the skin-depth grid, 5.47e-12 / 5.60e-12 on the ring 12 < |k_minus r| < 20, where J_0
+    # reads its unsettled order-0 Hankel sums (5.5e-12 at |z| = 12.01, m = 1, against
+    # Miller's 1.2e-13), and 1.1020e-13 / 1.1011e-13 at mode 200
+    for cases, bound in zip(_conductor_grids(), (3e-13, 6e-12, 2e-13)):
         now, before = _conductor_u_prime_worst(cases)
         # no worse than bessel_j's derivative, up to the last digits of the shared worst point
         assert now <= bound and now <= 1.01 * before, (now, before)
+
+
+def test_conductor_pieces_against_mpmath():
+    # u and u' of a solution read its Taylor pieces; the bounds are test_conductor_u_prime_against_mpmath's.
+    # Measured worst u / u' (pieces; the _j_value route at the same radii): 2.289e-13 / 2.289e-13
+    # (2.264e-13 / 2.264e-13) on the skin grid, 1076 of whose 1200 samples read 208 pieces, the worst
+    # at |k_minus r| = 3742 (mu_r = 1e7), where both routes carry the rounding of their arguments;
+    # 5.30e-12 / 5.47e-12 on the ring, whose samples all take the _j_value route (no piece is centred
+    # there); 8.5e-14 / 8.6e-14 (1.1e-13 / 1.1e-13) at mode 200, whose pieces lie past |k_minus r| = 400
+    read = 0
+    for cases, bound in zip(_conductor_grids(), (3e-13, 6e-12, 2e-13)):
+        worst = 0.0
+        for b, radii in cases:
+            sol = _conductor_only(b, _GRID_AMPLITUDE)
+            for r in radii:
+                u, du = sol._eval(r)
+                assert bits(u) == bits(sol.u(r)), (b.mode, r)
+                want_u, want_du = _mp_conductor_field(b, r)
+                worst = max(worst, _relative_error(u, want_u), _relative_error(du, want_du))
+            read += sum(piece is not None for piece in sol._pieces.values())
+        assert worst <= bound, (worst, bound)
+    assert read >= 150  # the skin grid's pieces; 208 at the time of writing
+
+
+def test_conductor_samples_outside_the_pieces_take_the_j_value_route_bit_for_bit():
+    # centres below |k_minus r| = 8, in the ring 10.5 < |k_minus r| < 20, above the turning point, and r = 0
+    amplitude = 0.6 - 1.1j
+    cases = [
+        (default_benchmark(0).with_eps(0.1), [0.0, 0.05, 0.3, 0.6]),  # |k_minus r_in| = 11.9
+        (default_benchmark(3).with_eps(1e-2), [0.0, 0.05, 0.1, 0.15, 0.16]),  # |k_minus r| < 20
+        (default_benchmark(60).with_eps(1e-2), [0.3, 0.7, 0.95, 0.999]),  # 2m > |k_minus r_in|
+        (default_benchmark(200).with_eps(1e-2), [0.5, 0.9, 0.999]),
+    ]
+    for b, radii in cases:
+        sol, m = _conductor_only(b, amplitude), abs(b.mode)
+        for r in radii:
+            assert sol._piece(r) is None, (b.mode, r)
+            j_route = modal._conductor_ratio(b, amplitude, modal._j_value(m, b.k_minus * r))
+            assert bits(sol.u(r)) == bits(j_route), (b.mode, r)
+            assert bits(*sol._eval(r)) == bits(*modal._conductor_point(b, amplitude, r)), (b.mode, r)
+    b = default_benchmark(0).with_eps(0.1)
+    assert _conductor_only(b, amplitude)._piece(0.9) is not None  # |k_minus r| = 10.7, in the series disc
+
+
+def test_conductor_pieces_are_built_once_per_piece_and_bounded_in_number(monkeypatch):
+    b = default_benchmark(2).with_eps(1e-3)  # |k_minus r_in| = 376
+    sol = _conductor_only(b, 1.0 + 0j)
+    builds = []
+    piece = modal._conductor_piece
+    monkeypatch.setattr(modal, "_conductor_piece", lambda *args: builds.append(args[2]) or piece(*args))
+    width = 2 * modal._PIECE_HALF / abs(b.k_minus)
+    radii = [b.r_in - width * (0.01 + 0.02 * i) for i in range(100)]  # two pieces, fifty samples each
+    values = [sol.u(r) for r in radii]
+    assert len(builds) == 2 and sorted(sol._pieces) == [0, 1]
+    assert [sol.u(r) for r in radii] == values and len(builds) == 2
+    for i in range(2, 2 + 2 * modal._MAX_PIECES):
+        sol.u(b.r_in - width * (i + 0.5))
+    assert len(sol._pieces) <= modal._MAX_PIECES
+
+
+def test_a_subnormal_source_amplitude_is_rejected():
+    # at 5e-324 the exact solve returned an all-zero conductor field, at 1e-310 it kept 13 digits
+    b = default_benchmark(mode=0, eps=0.1)
+    for amplitude in (5e-324, 1e-310, complex(0.0, -1e-310), complex(1e-308, 1e-308)):
+        with pytest.raises(ValueError, match=rf"modulus at least sys.float_info.min = .*, got {re.escape(repr(amplitude))}"):
+            dataclasses.replace(b, source_amplitude=amplitude)
+    sol = solve_exact(dataclasses.replace(b, source_amplitude=sys.float_info.min))
+    assert max(sol.residuals.values()) <= 1e-10 and conductor_l2_norm(sol) > 0
+
+
+def test_the_conductor_field_at_the_axis_is_0_or_a_named_error_not_an_overflow():
+    # mode 10 at |k_minus r_in| = 7.5e-81: J_m(k_minus r_in) = s*exp(-1867), and J_10(0) = 0 was divided
+    # by it through exp(1867), a bare OverflowError from both u(0) and u'(0)
+    cfg = PhysicalConfig(omega=1.0, eps0=5.6e-163, mu_plus=1.0, mu_minus=100.0, sigma_plus=1.0, sigma_minus=1e-163)
+    b = CylinderBenchmark(r_in=1.0, r_out=2.0, r_source=1.5, mode=10, cfg=cfg)
+    sol = solve_exact(b)
+    assert abs(b.k_minus * b.r_in) < 1e-80 and b.conductor_ref.exponent.real < -1800
+    assert sol.u(0.0) == 0 and sol.u_prime(0.0) == 0
+    assert cmath.isfinite(sol.u(0.5)) and cmath.isfinite(sol.u_prime(0.5))
+    # u'(0) = A*k_minus/(2 J_1(k_minus r_in)) ~ A/r_in at mode 1: beyond the float range it is a SolverError,
+    # where it read inf before
+    tiny = CylinderBenchmark(r_in=1e-3, r_out=2e-3, r_source=1.5e-3, mode=1, cfg=default_config(0.1))
+    beyond = _conductor_only(tiny, 1e307 + 0j)
+    assert beyond.u(0.0) == 0
+    with pytest.raises(SolverError, match=r"conductor field at k_minus\*r: .* leaves the float range"):
+        beyond.u_prime(0.0)
 
 
 @pytest.mark.parametrize("mode", [0, 1, 2])

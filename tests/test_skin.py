@@ -6,8 +6,8 @@ import math
 import mpmath as mp
 import pytest
 
-from magskin import skin
-from magskin.bessel import bessel_j
+from magskin import modal, skin
+from magskin.bessel import _j_value, bessel_j
 from magskin.geometry import Surface, TangentVector
 from magskin.modal import default_benchmark, solve_exact
 from magskin.params import PhysicalConfig, derive_params
@@ -398,6 +398,54 @@ def test_exact_trace_roots_against_mpmath():
                 ref = mp.findroot(lambda h: mp.log(abs(mp.besselj(mode, k * (r_in - h))) / surface) + 1, root)
                 worst = max(worst, float(abs(root - ref) / ref))
     assert worst <= 1e-13, worst
+
+
+def test_exact_trace_samples_against_mpmath():
+    # every modulus the scans and root solves sample below the surface, against 40-digit mpmath: the
+    # worst is 2.85e-14 from the conductor field's Taylor pieces (mode 0, mu_r 1e2, |k_minus r| ~ 8.9),
+    # where J_m read sample by sample gave 5.96e-14
+    worst, count = 0.0, 0
+    for mode in MODES:
+        for mu_r in MU_RS:
+            bench, sol = exact_case(mode, mu_r)
+            samples = {}
+            trace, scale = exact_trace(mode, mu_r, wrap=lambda f: lambda h: samples.setdefault(h, f(h)))
+            skin_depth_numeric(trace, scale)
+            with mp.workdps(40):
+                k = mp.mpc(bench.k_minus)
+                ratio = abs(mp.mpc(sol.conductor_amplitude) / mp.besselj(mode, k * bench.r_in))
+                for h, got in samples.items():
+                    if h > 0:
+                        want = ratio * abs(mp.besselj(mode, k * (bench.r_in - h)))
+                        worst, count = max(worst, float(abs(got - want) / want)), count + 1
+    assert count > 1000 and worst <= 3e-14, (count, worst)
+
+
+def test_exact_trace_root_whose_bracket_straddles_a_piece_boundary():
+    # at sigma_minus = 0.3695, arg k_minus = 10.1 degrees and a Taylor piece (3/|k_minus| wide) is
+    # 0.53*ell_phi: at mu_r = 3000 the scan's bracket holds the boundary between pieces 1 and 2, each
+    # end sampled on its own piece, and the root lies on piece 1, 3.3e-4 piece widths short of the boundary
+    b0 = default_benchmark(0)
+    bench = dataclasses.replace(b0, cfg=dataclasses.replace(b0.cfg, sigma_minus=0.3695)).with_eps(1.0 / math.sqrt(3000.0))
+    sol = solve_exact(bench)
+    scale, r_in = bench.params.ell_phi, bench.r_in
+    trace = DecayTrace(sampler=lambda h: abs(sol.u(r_in - h)), max_depth=10.0 * scale)
+    root = skin_depth_numeric(trace, scale)
+    *_, lo, hi = parent_scan(trace, scale)
+    width = 2.0 * modal._PIECE_HALF / abs(bench.k_minus)
+    assert lo < 2.0 * width < hi and 0 < 2.0 * width - root < 1e-3 * width
+    below, above = sol._piece(r_in - hi), sol._piece(r_in - lo)
+    assert below is not None and above is not None and below is not above
+    with mp.workdps(40):
+        k = mp.mpc(bench.k_minus)
+        surface = abs(mp.besselj(0, k * r_in))
+        ref = mp.findroot(lambda h: mp.log(abs(mp.besselj(0, k * (r_in - h))) / surface) + 1, root)
+        assert abs(root - ref) / ref <= 1e-13, float(abs(root - ref) / ref)
+    m, amplitude = abs(bench.mode), sol.conductor_amplitude
+    j_route = dataclasses.replace(
+        trace, sampler=lambda h: abs(modal._conductor_ratio(bench, amplitude, _j_value(m, bench.k_minus * (r_in - h))))
+    )
+    assert abs(skin_depth_numeric(j_route, scale) - root) <= 1e-13 * root
 
 
 def test_first_crossing_of_a_trace_that_rises_again():
