@@ -28,14 +28,6 @@ J_m(z) takes one of three routes:
   and Y at large |Im z|); the fraction raises BesselDomainError past a step
   cap derived from its worst-case rate of convergence.
 
-A caller that reads J_m alone takes ``_j_value(m, z)``, Im z >= 0, which
-returns (value, exponent) with no J_{m+1} and no derivative: the series of
-order m alone for 1e-300 <= |z| <= 12; in the forward region order m's own
-Hankel sums (DLMF 10.17.3), with the same 1e-17 stop, where they settle
-(order 0 reads its sums settled or not, as its seeds do); everywhere else
-``bessel_j``'s value, which covers z = 0, raises for 0 < |z| < 1e-300, and
-serves the orders whose terms stop decreasing first.
-
 Y and H^(1) ascend from order-0/1 seeds by forward recurrence, since they are
 dominant as the order grows; ``prev`` is the ascent's order m-1.  In the
 series wedge |z| <= 12, |Im z| <= 4 the Y_0/Y_1 seeds come from their
@@ -54,7 +46,7 @@ exp(2iz).  The forward J route reads J_0 and J_1, which ``_j_seeds`` takes
 as J = (H^(2) + H^(1) exp(2iz))/2, the factor of exp(-iz): both sums come
 from one loop per order, the H^(2) sum reusing each H^(1) term with
 alternating sign.  Both run the one term loop ``_hankel_sums`` over a table
-of real term ratios times one i/z, for each order asked for.  For Im z >= 20
+of real term ratios times one i/z, for orders 0 and 1.  For Im z >= 20
 the H^(1) term is below exp(-40) ~ 4e-18 of |J|, a tenth of half an ulp, but
 the J seeds still add it: near the imaginary axis it can move the last bit
 of a component of J far smaller than |J|.
@@ -189,12 +181,9 @@ def _j_ascending(m: int, z: complex) -> tuple[complex, complex, complex, complex
     return s0, (m / z) * s0 - j1, (2.0 * m / z) * s0 - j1 if m else -j1, E
 
 
-# exp(-+i*(m/2 + 1/4)*pi): the phases of the H^(1) and H^(2) expansions, by m mod 4;
-# orders 2 and 3 negate those of 0 and 1 exactly, where cmath.exp is 1-2 ulps off
+# exp(-+i*(m/2 + 1/4)*pi): the phases of the H^(1) and H^(2) expansions of orders 0 and 1
 _PHASE_H1 = (cmath.exp(-0.25j * math.pi), cmath.exp(-0.75j * math.pi))
 _PHASE_H2 = (cmath.exp(0.25j * math.pi), cmath.exp(0.75j * math.pi))
-_PHASE_H1 += (-_PHASE_H1[0], -_PHASE_H1[1])
-_PHASE_H2 += (-_PHASE_H2[0], -_PHASE_H2[1])
 
 
 @functools.cache
@@ -204,20 +193,18 @@ def _hankel_ratios(m: int) -> tuple[float, ...]:
     return tuple((4.0 * m * m - (2 * k + 1) ** 2) / (8.0 * (k + 1)) for k in range(90))
 
 
-def _hankel_sums(z: complex, h2: bool, orders: tuple[int, ...] = (0, 1)) -> list[tuple[complex, complex, bool]]:
-    """Per order of ``orders`` the term sums (s1, s2) of the H^(1) and, with ``h2``, H^(2)
-    expansions, and whether the order settled.
+def _hankel_sums(z: complex, h2: bool) -> list[tuple[complex, complex]]:
+    """Per order 0 and 1 the term sums (s1, s2) of the H^(1) and, with ``h2``, H^(2) expansions.
 
     Term k+1 is term k times ``_hankel_ratios`` and i/z; s1 sums the terms
     (DLMF 10.17.5), and with ``h2`` s2 sums them with alternating signs
     (10.17.6); without it s2 is 1 and no alternating sum is taken.  An order
     stops at its first term that does not decrease, its smallest, or below
-    1e-17, since each sum is 1 + O(1/|z|); it has settled if it stopped below
-    1e-17.
+    1e-17, since each sum is 1 + O(1/|z|).
     """
     w = 1j / z
     sums = []
-    for m in orders:
+    for m in (0, 1):
         t = s1 = s2 = 1.0 + 0j
         prev, odd = 1.0, True
         for r in _hankel_ratios(m):
@@ -233,7 +220,7 @@ def _hankel_sums(z: complex, h2: bool, orders: tuple[int, ...] = (0, 1)) -> list
                 else:
                     s2 += t
                 odd = not odd
-        sums.append((s1, s2, size < 1e-17))
+        sums.append((s1, s2))
     return sums
 
 
@@ -243,32 +230,24 @@ def _h1_seeds(z: complex) -> tuple[complex, complex]:
     The Miller normalisation and H^(1) read these; no H^(2) sum and no
     exp(2iz) is taken.
     """
-    (s10, _, _), (s11, _, _) = _hankel_sums(z, h2=False)
+    (s10, _), (s11, _) = _hankel_sums(z, h2=False)
     root = cmath.sqrt(2.0 / (math.pi * z))
     return root * _PHASE_H1[0] * s10, root * _PHASE_H1[1] * s11
-
-
-def _j_hankel(z: complex, orders: tuple[int, ...]) -> list[tuple[complex, bool]]:
-    """Per order of ``orders``, J_m as the factor of exp(-iz), Im z >= 0, and whether its sums settled.
-
-    J = (H^(2) + H^(1) exp(2iz))/2 from both sums of one loop per order,
-    sharing the sqrt(2/(pi z)) prefactor and exp(2iz).
-    """
-    root = cmath.sqrt(2.0 / (math.pi * z))
-    rotate = cmath.exp(2j * z)
-    out = []
-    for m, (s1, s2, settled) in zip(orders, _hankel_sums(z, True, orders)):
-        h1, h2 = root * _PHASE_H1[m % 4] * s1, root * _PHASE_H2[m % 4] * s2
-        out.append((0.5 * (h2 + h1 * rotate), settled))
-    return out
 
 
 def _j_seeds(z: complex) -> tuple[complex, complex]:
     """(J_0, J_1) as the factors of exp(-iz), Im z >= 0, on which J is dominant.
 
-    The forward J route reads these, settled or not.
+    J = (H^(2) + H^(1) exp(2iz))/2 from both sums of one loop per order,
+    sharing the sqrt(2/(pi z)) prefactor and exp(2iz).  The forward J route
+    reads these.
     """
-    (j0, _), (j1, _) = _j_hankel(z, (0, 1))
+    root = cmath.sqrt(2.0 / (math.pi * z))
+    rotate = cmath.exp(2j * z)
+    j0, j1 = (
+        0.5 * (root * p2 * s2 + root * p1 * s1 * rotate)
+        for p1, p2, (s1, s2) in zip(_PHASE_H1, _PHASE_H2, _hankel_sums(z, True))
+    )
     return j0, j1
 
 
@@ -469,37 +448,6 @@ def bessel_j(m: int, z: complex) -> BesselEval:
         jm, jm1, jexp = _miller_j(m, z)
     deriv = (m / z) * jm - jm1
     return _maybe_fold(m, z, jm, deriv, (2.0 * m / z) * jm - jm1 if m else -jm1, jexp)
-
-
-def _j_series_value(m: int, z: complex) -> tuple[complex, complex]:
-    """(s_m, E) with J_m(z) = s_m * exp(E): ``_j_series`` for order m alone, |z| <= SERIES_RADIUS."""
-    E = m * cmath.log(0.5 * z) - math.lgamma(m + 1) if m else 0j
-    w = -0.25 * z * z
-    t = s = 1.0 + 0j
-    for k in range(1, 400):
-        t *= w / (k * (m + k))
-        s += t
-        if abs(t) < 1e-18 * abs(s):
-            break
-    return s, E
-
-
-def _j_value(m: int, z: complex) -> tuple[complex, complex]:
-    """(value, exponent) of J_m(z) alone, for Im z >= 0, by the routes the module docstring lists.
-
-    The exponent is not folded into the value.  Where order m's Hankel terms
-    stop decreasing before 1e-17 (m = 30 at |z| = 100), read alone they would
-    be far off, and ``bessel_j``'s value is taken.
-    """
-    a = abs(z)
-    if MIN_ARGUMENT <= a <= SERIES_RADIUS:
-        return _j_series_value(m, z)
-    if a > SERIES_RADIUS and _forward_stable(m, z):
-        ((j, settled),) = _j_hankel(z, (m,))
-        if settled or m == 0:
-            return j, -1j * z
-    jv = bessel_j(m, z)
-    return jv.value, jv.exponent
 
 
 _WEDGE_IM = 4.0

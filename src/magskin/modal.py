@@ -32,7 +32,7 @@ import warnings
 from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple
 
-from .bessel import _FORWARD_MIN_RADIUS, SERIES_RADIUS, BesselEval, _j_value, bessel_h1, bessel_j
+from .bessel import _FORWARD_MIN_RADIUS, SERIES_RADIUS, BesselEval, bessel_h1, bessel_j
 from .geometry import Surface, mean_curvature
 from .ibc import robin_coefficient
 from .params import DerivedParams, PhysicalConfig, derive_params, mu_minus_for_eps
@@ -288,9 +288,10 @@ class ModalSolution:
     (exact solution only): u = A*J_m(k_minus r)/J_m(k_minus R_in) with A = u(R_in),
     evaluated through scaled Bessel ratios so deep evaluation never overflows.
     There u and u' read the solution's Taylor pieces (``_piece``, ``_conductor_piece``):
-    one Horner pass per sample, the piece built by its first sample from J_m and
-    J_{m-1} at its centre.  Outside the pieces' domain and at r = 0, u reads J_m
-    alone from ``bessel._j_value`` and u' reads J_{m-1} too (``_conductor_point``).
+    one Horner pass per sample, the piece built by its first sample from one ``bessel_j``
+    at its centre; outside the pieces' domain and at r = 0 a sample is one ``bessel_j``
+    (``_conductor_point``).  An amplitude that cancelled to 0 resolves no conductor field,
+    and reading it raises SolverError (``_amplitude``).
 
     ``condition_number`` is the wall closure's resonance number kappa (see
     ``_shell_green``); a truncated expansion reports its terms' largest.
@@ -308,13 +309,17 @@ class ModalSolution:
     residuals: dict[str, float]
 
     def u(self, r: float) -> complex:
-        """u at r; in the conductor the value of ``_eval(r)`` alone, without its derivative."""
+        """u at r; in the conductor the value of ``_eval(r)`` alone, and at r_in the amplitude."""
         b = self.benchmark
-        if self.conductor_amplitude is None or not 0 <= r < b.r_in:
+        if self.conductor_amplitude is None or not 0 <= r <= b.r_in:
             return self._eval(r)[0]
+        amplitude = self._amplitude()
+        if r == b.r_in:
+            return amplitude
         piece = self._piece(r)
         if piece is None:
-            return _conductor_ratio(b, self.conductor_amplitude, _j_value(abs(b.mode), b.k_minus * r))
+            jv = bessel_j(abs(b.mode), b.k_minus * r)
+            return _conductor_ratio(b, amplitude, jv.value, jv.exponent)
         lead, rest, centre, half, factor, _ = piece
         x, p = (r - centre) / half, lead
         for c in rest:
@@ -324,12 +329,20 @@ class ModalSolution:
     def u_prime(self, r: float) -> complex:
         return self._eval(r)[1]
 
-    def _eval_conductor(self, r: float) -> tuple[complex, complex]:
-        if self.conductor_amplitude is None:
+    def _amplitude(self) -> complex:
+        """The conductor amplitude u(r_in); SolverError where there is no conductor field to read."""
+        amplitude = self.conductor_amplitude
+        if amplitude is None:
             raise SolverError(f"{self.kind} solution has no conductor region")
+        if amplitude == 0:
+            raise SolverError(f"{self.kind} solution's conductor amplitude u(r_in) cancelled to 0: no conductor field")
+        return amplitude
+
+    def _eval_conductor(self, r: float) -> tuple[complex, complex]:
+        amplitude = self._amplitude()
         piece = self._piece(r)
         if piece is None:
-            return _conductor_point(self.benchmark, self.conductor_amplitude, r)
+            return _conductor_point(self.benchmark, amplitude, r)
         lead, rest, centre, half, factor, slope = piece
         x, p, d = (r - centre) / half, lead, 0j
         for c in rest:  # u's Horner pass, and its derivative's beside it
@@ -343,7 +356,7 @@ class ModalSolution:
 
     def _piece(self, r: float) -> _Piece | None:
         """The Taylor piece of the conductor field that holds 0 < r < r_in, built by the piece's
-        first sample (``_conductor_piece``); None where the sample takes the ``_j_value`` route, and
+        first sample (``_conductor_piece``); None where the sample reads ``bessel_j`` itself, and
         at r = 0 and r_in, where ``_conductor_point`` reads J_m(0) and the normalisation.
 
         Piece i spans r_in - 2(i+1)*half < r <= r_in - 2i*half, half = 1.5/|k_minus|.
@@ -372,14 +385,13 @@ class ModalSolution:
         return _combine(coeff, b.shell_point(r))
 
 
-def _conductor_ratio(b: CylinderBenchmark, amplitude: complex, j: tuple[complex, complex]) -> complex:
-    """amplitude*J/J_m(k_minus r_in) for one (value, exponent) J of ``_j_value`` at k_minus*r,
+def _conductor_ratio(b: CylinderBenchmark, amplitude: complex, value: complex, exponent: complex) -> complex:
+    """amplitude*J/J_m(k_minus r_in) for one J = value*exp(exponent) of ``bessel_j`` at k_minus*r,
     which lies in the closed first quadrant, since Im alpha_minus > 0.
 
     A zero value is 0, whatever exp(-exponent of the normalisation) is; a ratio that leaves the
     float range is a SolverError naming it.
     """
-    value, exponent = j
     if value == 0:
         return 0j
     ref = b.conductor_ref
@@ -411,13 +423,14 @@ def _conductor_piece(b: CylinderBenchmark, amplitude: complex, centre: float, ha
     """The Taylor piece of amplitude*J_m(k_minus r)/J_m(k_minus r_in) about ``centre`` for |r - centre| <= half.
 
     In t = k_minus*(r - centre) = h*x, h = k_minus*half (|h| = 1.5), the coefficients a_n*h^n come
-    from J_m and J_{m-1} at z0 = k_minus*centre (two ``_j_value`` calls) by ``_taylor_terms`` at
-    q = h/z0 = half/centre, to the first pair below _TAYLOR_RTOL of the largest.
+    from J_m and J_{m-1} at z0 = k_minus*centre, the value and ``prev`` of one ``bessel_j`` on one
+    exponent (J_{-1} = -J_1), by ``_taylor_terms`` at q = h/z0 = half/centre, to the first pair
+    below _TAYLOR_RTOL of the largest.
 
-    None, so that the piece's samples take the ``_j_value`` route, outside the domain where
-    ``_j_value`` reads both orders at z0 to its best accuracy and below the turning point,
-    2m <= |z0|: within the series disc with the whole piece (8 <= |z0| <= 10.5) or on the forward
-    side (|z0| >= 20).  Between the two, order 0's Hankel sums have not settled (4e-11 at
+    None, so that the piece's samples read ``bessel_j`` each, outside the domain where
+    ``bessel_j`` reads J_m at z0 to its best accuracy and below the turning point, 2m <= |z0|:
+    within the series disc with the whole piece (8 <= |z0| <= 10.5) or past the ring
+    (|z0| >= 20).  On the ring 12 < |z| < 20, order 0's Hankel seeds have not settled (4e-11 at
     |z| = 12.01), and a piece would carry that to every order and radius it covers; below 8 a
     piece's error reached 14 times the series' (7e-15 against 5e-16 at m = 1, |z0| = 2,
     arg k_minus = 44.5 degrees; at most 4.6 times inside the domain).  None also where
@@ -434,11 +447,9 @@ def _conductor_piece(b: CylinderBenchmark, amplitude: complex, centre: float, ha
     if half < _PIECE_MIN_HALF * b.r_in:
         return None
     ref = b.conductor_ref
-    a0, e0 = _j_value(m, z0)
-    low, e_low = _j_value(m - 1, z0) if m else _j_value(1, z0)  # J_{-1} = -J_1
+    _, _, a0, _, b0, e0 = bessel_j(m, z0)
     q = half / centre
     try:
-        b0 = (low if m else -low) * cmath.exp(e_low - e0)
         factor = amplitude / ref.value * cmath.exp(e0 - ref.exponent)
     except OverflowError:
         return None
@@ -462,20 +473,12 @@ def _conductor_piece(b: CylinderBenchmark, amplitude: complex, centre: float, ha
 def _conductor_point(b: CylinderBenchmark, amplitude: complex, r: float) -> tuple[complex, complex]:
     """u and u' at r of the conductor field amplitude*J_m(k_minus r)/J_m(k_minus r_in).
 
-    At r_in both read the normalisation.  Below it J_m and J_{m-1} come from ``_j_value``, with
-    u' = k_minus*(J_{m-1} - (m/z)*J_m) in the same ratio (DLMF 10.6.2; J_0' = -J_1): no order
-    above m, and no second evaluation of J_m.
+    Both come from one ``bessel_j`` at k_minus*r, u' = k_minus*J_m' in the same ratio; at r_in
+    from the normalisation itself.
     """
-    k, ref = b.k_minus, b.conductor_ref
-    if r == b.r_in:
-        return amplitude * ref.value / ref.value, amplitude * k * ref.derivative / ref.value
-    m, z = abs(b.mode), k * r
-    u = _conductor_ratio(b, amplitude, _j_value(m, z))
-    if z == 0:  # J_m'(0) is 1/2 at m = 1 and 0 otherwise
-        return u, _conductor_ratio(b, amplitude * k, (0.5 if m == 1 else 0.0, 0j))
-    if m == 0:
-        return u, -k * _conductor_ratio(b, amplitude, _j_value(1, z))
-    return u, k * (_conductor_ratio(b, amplitude, _j_value(m - 1, z)) - (m / z) * u)
+    jv = b.conductor_ref if r == b.r_in else bessel_j(abs(b.mode), b.k_minus * r)
+    u = _conductor_ratio(b, amplitude, jv.value, jv.exponent)
+    return u, _conductor_ratio(b, amplitude * b.k_minus, jv.derivative, jv.exponent)
 
 
 def _check_residuals(kind: str, residuals: dict[str, float]) -> None:
@@ -843,13 +846,11 @@ def conductor_l2_norm(sol: ModalSolution) -> float:
     at r = r_in.  Im(k_minus^2)/|k_minus^2| is fixed by the conductor's loss
     (about 0.71 at the default configuration), so the form keeps its digits.
     """
-    if sol.conductor_amplitude is None:
-        raise SolverError(f"{sol.kind} solution has no conductor region")
+    amplitude, e = _scaled(sol._amplitude())
     b = sol.benchmark
     km = b.k_minus
     # u(r_in) is the amplitude itself; u'/u is -(mu_minus/mu_plus)*gamma on the conductor side
     log_der = -(b.cfg.mu_minus / b.cfg.mu_plus) * b.conductor_gamma
-    amplitude, e = _scaled(sol.conductor_amplitude)
     flux = b.r_in * abs(amplitude) ** 2 * log_der
     return _norm_root("conductor norm", -flux.imag / (km * km).imag, e)
 

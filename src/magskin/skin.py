@@ -100,9 +100,9 @@ def w0_plane_trace(dp: DerivedParams) -> DecayTrace:
 # On the exact Bessel traces g carries the relative error of the sampled
 # modulus: at most 2.8e-14 against 40-digit mpmath over the 1122 samples the
 # scans and root solves of modes 0, 1, 2, 5 at mu_r 1e2..1e6 take (read from
-# the conductor field's Taylor pieces; the worst at mode 0, mu_r 1e2,
-# |k_minus r| ~ 8.9, where J_m read sample by sample gave 6.0e-14), so the
-# root is not resolved more finely than that anyway.
+# the conductor field's Taylor pieces; the worst, 2.79e-14, at mode 0,
+# mu_r 1e2, |k_minus r| ~ 9.0, where one bessel_j per sample gives 6.0e-14),
+# so the root is not resolved more finely than that anyway.
 # Bisection alone reaches that width from the scan's scale/50 bracket in 41
 # steps; _ROOT_MAX_STEPS bounds the solve.
 _ROOT_RTOL = 1e-14

@@ -23,7 +23,6 @@ from magskin.bessel import (
     _j_seeds,
     _j_series,
     _j_ratio,
-    _j_value,
     _maybe_fold,
     _recur,
     _validate,
@@ -1201,119 +1200,3 @@ def test_order_m_minus_one_value_at_zero_and_order_zero():
                 got = mp.mpc(ev.prev) * mp.exp(mp.mpc(ev.exponent))
                 want = mp.mpc(one.value) * mp.exp(mp.mpc(one.exponent))
             assert abs(got + want) <= 1e-13 * abs(want), (fn.__name__, z)
-
-
-# --------------------------------------------------------------------------
-# _j_value: J_m alone, route by route against 40-digit mpmath
-
-VALUE_ARGS = (0.0, 0.05, 0.4, math.pi / 4, 1.1, 1.5, math.pi / 2)
-
-
-def value_points(radii, orders) -> list[tuple[int, complex]]:
-    """(m, z) over the radii and VALUE_ARGS in the closed first quadrant."""
-    pts = []
-    for r in radii:
-        for arg in VALUE_ARGS:
-            z = cmath.rect(r, arg)
-            pts += [(m, complex(max(z.real, 0.0), z.imag)) for m in orders]
-    return pts
-
-
-def settles(m: int, z: complex) -> bool:
-    """Whether order m's own Hankel sums fall below 1e-17 before their terms stop decreasing."""
-    return bessel._hankel_sums(z, True, (m,))[0][2]
-
-
-def value_route_worst(points, envelope: bool = False) -> tuple[float, float]:
-    """Worst error of ``_j_value`` and of ``bessel_j``'s value over the points, 40 digits.
-
-    Relative to |J_m|, or with ``envelope`` to sqrt(2/(pi |z|)) cosh(Im z), the
-    leading size of J_m's oscillation at large |z|, which does not vanish at
-    the zeros of J_m.
-    """
-    worst_value = worst_j = 0.0
-    with mp.workdps(40):
-        for m, z in points:
-            ref = mp.besselj(m, mp.mpc(z))
-            scale = mp.sqrt(2 / (mp.pi * abs(z))) * mp.cosh(z.imag) if envelope else abs(ref)
-            jv = bessel_j(m, z)
-            err_value, err_j = (
-                float(abs(mp.mpc(mine) * mp.exp(mp.mpc(exponent)) - ref) / scale)
-                for mine, exponent in (_j_value(m, z), (jv.value, jv.exponent))
-            )
-            worst_value, worst_j = max(worst_value, err_value), max(worst_j, err_j)
-    return worst_value, worst_j
-
-
-def test_value_route_series_wedge_up_to_its_rim():
-    # measured worst: 4.56e-12 for both, at the rim |z| = 12 off the real axis
-    pts = value_points((1e-3, 0.7, 3.0, 7.5, 11.0, 11.99, 12.0), (0, 1, 2, 5, 30, 100, 200))
-    worst_value, worst_j = value_route_worst(pts)
-    assert worst_value <= worst_j, (worst_value, worst_j)
-
-
-def test_value_route_on_the_ring():
-    # order 0 reads its own Hankel sums, settled or not, as bessel_j's seeds do
-    # (measured worst 3.707356e-11 against bessel_j's 3.707357e-11); orders >= 1
-    # wait for |z| = 20 as bessel_j does, and take its value bit for bit
-    radii = (12.01, 13.0, 14.5, 16.0, 17.5, 19.0, 19.99)
-    order0 = value_points(radii, (0,))
-    assert not all(settles(0, z) for _, z in order0)
-    worst_value, worst_j = value_route_worst(order0)
-    assert worst_value <= worst_j, (worst_value, worst_j)
-    higher = value_points(radii, (1, 2, 5, 30))
-    for m, z in higher:
-        jv = bessel_j(m, z)
-        assert bits(*_j_value(m, z)) == bits(jv.value, jv.exponent), (m, z)
-    worst_value, worst_j = value_route_worst(higher)
-    assert worst_value == worst_j <= 1e-10
-
-
-def test_value_route_at_large_arguments():
-    # order m's own Hankel sums (DLMF 10.17.3) in place of the order-0/1 seeds
-    # and the ascent: worst 4.95e-16 of the envelope, against 5.18e-16 from
-    # bessel_j.  Both form J on the real axis as a difference of terms of the
-    # envelope's size, so next to a zero of J_m either can be ahead in the error
-    # relative to |J_m| (2.8e-15 here at J_3(390.28), where |J_3| is 5% of the
-    # envelope, against 1.8e-15 at J_1(29.0) from bessel_j)
-    pts = [
-        (m, z)
-        for m, z in value_points(log_grid(20.0, 1189.2, 12), (0, 1, 2, 3, 5, 8))
-        if _forward_stable(m, z) and settles(m, z)
-    ]
-    assert len(pts) >= 400
-    worst_value, worst_j = value_route_worst(pts, envelope=True)
-    assert worst_value <= worst_j, (worst_value, worst_j)
-
-
-@pytest.mark.parametrize(
-    "m,radius,args", [(30, 100.0, (0.0, 0.2, 0.4)), (100, 300.0, (0.0, 0.05, 0.1))]
-)
-def test_value_route_falls_back_where_order_m_terms_grow_first(m, radius, args):
-    # in bessel_j's forward region the first term ratio (4m^2 - 1)/(8|z|) exceeds 1,
-    # so order m's sums stop at their first term; read alone they are off by
-    # more than 10%, and bessel_j's value is taken
-    pts = [(m, complex(max(w.real, 0.0), w.imag)) for w in (cmath.rect(radius, a) for a in args)]
-    pts = [(m, z) for m, z in pts if _forward_stable(m, z)]
-    assert len(pts) >= 2
-    with mp.workdps(40):
-        for _, z in pts:
-            assert not settles(m, z)
-            ((alone, _),) = bessel._j_hankel(z, (m,))
-            ref = mp.besselj(m, mp.mpc(z))
-            assert abs(mp.mpc(alone) * mp.exp(mp.mpc(-1j * z)) - ref) > 0.1 * abs(ref)
-            jv = bessel_j(m, z)
-            assert bits(*_j_value(m, z)) == bits(jv.value, jv.exponent), z
-    worst_value, worst_j = value_route_worst(pts)
-    assert worst_value == worst_j <= 1e-13
-
-
-def test_value_route_at_zero_and_below_the_smallest_argument():
-    assert _j_value(0, 0j) == (1.0, 0j)
-    for m in (1, 2, 5, 200):
-        assert _j_value(m, 0j) == (0j, 0j)
-    # where bessel_j refuses a tiny argument, so does the value route
-    for m in (0, 3):
-        for fn in (bessel_j, _j_value):
-            with pytest.raises(BesselDomainError, match="at least 1e-300"):
-                fn(m, 1e-301 + 0j)

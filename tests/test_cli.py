@@ -11,7 +11,7 @@ import subprocess
 import sys
 import textwrap
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -20,7 +20,7 @@ from magskin import cli, modal, skin
 from magskin.cli import _COMMANDS, _float_list, _int_list, build_parser, load_physical, main
 from magskin.geometry import Surface, TangentVector
 from magskin.modal import fit_convergence
-from magskin.params import derive_params
+from magskin.params import DerivedParams, derive_params
 from magskin.profiles import HarmonicTangentField, LayerField, TraceData
 
 BASE_CONFIG = {
@@ -926,6 +926,34 @@ def test_a_large_source_amplitude_scales_the_sweep(tmp_path, capsys):
         assert abs(float(large["local_slope"] or 0) - float(small["local_slope"] or 0)) <= 1e-12
 
 
+def test_a_conductor_amplitude_that_cancels_to_0_is_a_named_error(tmp_path, capsys):
+    # the contract's config 1597 at seed 0, near the perfect-conductor limit: u(R_in) cancels to 0j.  The
+    # conductor field read 0 everywhere, conductor_l2_norm -0.0, and skin-depth failed on "sampler(0) must
+    # be positive"; the sweeps read shell amplitudes alone and succeed
+    cfg = {
+        "physical": {
+            "omega_rad_per_s": 2.0744389822979566e28, "eps0_farad_per_m": 4178190559.8326635,
+            "mu_plus_henry_per_m": 3.137099720142819e-57, "mu_minus_henry_per_m": 6.393336058405561e-51,
+            "sigma_plus_siemens_per_m": 4.62456618362305e-82, "sigma_minus_siemens_per_m": 1.1480536826536033e183,
+        },
+        "surface": {"kind": "cylinder", "radius": 1.3079905821091362},
+        "benchmark": {"R_in": 1.3079905821091362, "R_out": 2.01669943735664, "r_source": 1.573531586756583, "mode": 0},
+    }
+    bench = cli.load_benchmark(cfg, load_physical(cfg))
+    sol = modal.solve_exact(bench)
+    assert sol.conductor_amplitude == 0
+    cancelled = "exact solution's conductor amplitude u(r_in) cancelled to 0: no conductor field"
+    for call in (lambda: sol.u(bench.r_in), lambda: sol.u(0.5 * bench.r_in), lambda: sol.u_prime(0.5 * bench.r_in),
+                 lambda: modal.conductor_l2_norm(sol)):
+        with pytest.raises(modal.SolverError, match=re.escape(cancelled)):
+            call()
+    path = _write(tmp_path, cfg)
+    assert run(["skin-depth", "--config", path], capsys) == (1, "", f"error: {cancelled}\n")
+    for command in ("ibc-sweep", "expansion-error"):
+        code, out, err = run([command, "--config", path, "--k", "2", "--eps", "0.1,0.01"], capsys)
+        assert (code, err) == (0, "") and out.count("\n") == 3, (command, out)
+
+
 # The CLI contract over a fixed seeded config space: every command either exits 0 with every
 # printed number finite, or exits 1 or 2 with exactly one stderr line starting "error: ".
 _CONTRACT_COMMANDS = (
@@ -1017,20 +1045,53 @@ def test_every_command_exits_0_with_finite_numbers_or_prints_one_error_line(tmp_
 _API_RADII = (0.0, 0.3, 0.9, 0.99, 1.0 - 1e-6)  # conductor radii over R_in
 
 
+def _finite_result(value) -> bool:
+    """Whether an API result is finite: a number, derived params whose every scalar is, or a solution
+    within RESIDUAL_TOL of its conditions whose wall amplitude and shell coefficients are."""
+    if isinstance(value, DerivedParams):
+        numbers = [getattr(value, f.name) for f in fields(value) if f.name != "config"]
+    elif isinstance(value, modal.ModalSolution):
+        if not max(value.residuals.values()) <= modal.RESIDUAL_TOL:
+            return False
+        numbers = [value.wall_amplitude, *value.shell_inner, *value.shell_outer]
+    else:
+        numbers = [value]
+    return all(cmath.isfinite(v) for v in numbers)
+
+
 def _api_failures(doc: dict) -> tuple[bool, list[str]]:
     """Whether the exact solve of ``doc``'s benchmark returned, and each API call on it that neither
-    returned a finite number nor raised a named error (SolverError, or ValueError as BesselDomainError
-    and the input checks are; SkinDepthError for the skin depth)."""
+    returned a finite result (``_finite_result``) nor raised a named error (SolverError, or ValueError
+    as BesselDomainError and the input checks are; SkinDepthError too for the skin depth)."""
     named = (modal.SolverError, ValueError)
     try:
-        bench = cli.load_benchmark(doc, load_physical(doc))
-        sol = modal.solve_exact(bench)
+        cfg = load_physical(doc)
+        bench = cli.load_benchmark(doc, cfg)
     except named:
         return False, []
-    except Exception as exc:
-        return False, [f"solve_exact raised {exc!r}"]
-    if not max(sol.residuals.values()) <= modal.RESIDUAL_TOL:
-        return True, [f"solve_exact returned residuals {sol.residuals}"]
+    failures = []
+
+    def check(name, call, errors=named):
+        """call()'s result where it is finite, else None, with a failure unless it raised one of errors."""
+        try:
+            value = call()
+        except errors:
+            return None
+        except Exception as exc:
+            failures.append(f"{name} raised {exc!r}")
+            return None
+        if not _finite_result(value):
+            failures.append(f"{name} = {value!r}")
+            return None
+        return value
+
+    check("derive_params", lambda: derive_params(cfg))
+    for k in range(3):
+        check(f"solve_ibc(b, {k})", lambda: modal.solve_ibc(bench, k))
+    check("truncated_expansion(b, 2)", lambda: modal.truncated_expansion(bench, 2))
+    sol = check("solve_exact", lambda: modal.solve_exact(bench))
+    if sol is None:
+        return False, failures
 
     def skin_depth() -> float:
         dp = bench.params
@@ -1039,28 +1100,19 @@ def _api_failures(doc: dict) -> tuple[bool, list[str]]:
         )
         return skin.skin_depth_numeric(trace, dp.ell_phi)
 
-    calls = [(f"u({f}*R_in)", lambda f=f: sol.u(f * bench.r_in), named) for f in _API_RADII]
-    calls += [(f"u_prime({f}*R_in)", lambda f=f: sol.u_prime(f * bench.r_in), named) for f in _API_RADII]
-    # a trace whose surface value is 0 is rejected by DecayTrace itself, with ValueError
-    calls += [("conductor_l2_norm", lambda: modal.conductor_l2_norm(sol), named),
-              ("skin_depth_numeric", skin_depth, (skin.SkinDepthError, ValueError))]
-    failures = []
-    for name, call, errors in calls:
-        try:
-            value = call()
-        except errors:
-            continue
-        except Exception as exc:
-            failures.append(f"{name} raised {exc!r}")
-            continue
-        if not cmath.isfinite(value):
-            failures.append(f"{name} = {value!r}")
+    for f in _API_RADII:
+        check(f"u({f}*R_in)", lambda: sol.u(f * bench.r_in))
+        check(f"u_prime({f}*R_in)", lambda: sol.u_prime(f * bench.r_in))
+    check("conductor_l2_norm", lambda: modal.conductor_l2_norm(sol))
+    # a trace whose surface value is not positive is rejected by DecayTrace itself, with ValueError
+    check("skin_depth_numeric", skin_depth, (*named, skin.SkinDepthError))
     return True, failures
 
 
 def test_every_api_call_on_the_contract_domain_is_finite_or_a_named_error():
-    # the CLI contract's 300 seeded configs, unnarrowed, through the API: solve_exact, u and u' at five
-    # conductor radii, conductor_l2_norm and the skin depth on the exact trace.  Before the conductor
+    # the CLI contract's 300 seeded configs, unnarrowed, through the API: derive_params, solve_ibc at
+    # k = 0, 1, 2 and truncated_expansion(b, 2) (288 of their 1200 solves return), solve_exact, u and u'
+    # at five conductor radii, conductor_l2_norm and the skin depth on the exact trace.  Before the conductor
     # field read 0 for a zero value, u(0) and u'(0) raised a bare OverflowError on 1 of them (9 of 2000);
     # Taylor pieces narrower than a rounding step of r read inf or nan at 0.3*R_in on 10 (75 of 2000)
     rng = random.Random(0)

@@ -260,19 +260,35 @@ def test_conductor_value_is_the_value_of_the_full_evaluation(mode, eps):
         ibc.u(0.5)
 
 
-def test_conductor_u_prime_reads_no_bessel_j(monkeypatch):
-    # below r_in u' is k_minus*(J_{m-1} - (m/z) J_m) from two value-only calls: no second
-    # evaluation of J_m and no order above m, so mode 200 has a conductor u' too
+def test_conductor_field_reads_one_bessel_j_per_piece_and_per_sample_outside_the_pieces(monkeypatch):
+    # a piece's first sample builds it from one bessel_j at its centre (J_m, J_{m-1} and their exponent),
+    # a sample outside the pieces reads one bessel_j for u and u', and none reads H1; mode 200 has a u' too
+    calls = []
+    original = modal.bessel_j
+    monkeypatch.setattr(modal, "bessel_j", lambda m, z: calls.append((m, z)) or original(m, z))
+    monkeypatch.setattr(modal, "bessel_h1", lambda *args, **kwargs: pytest.fail(f"bessel_h1{args}"))
     for mode in (0, 5, 200):
         b = default_benchmark(mode=mode, eps=1e-2)
         b.conductor_ref
-        monkeypatch.setattr(modal, "bessel_j", lambda m, z: pytest.fail(f"bessel_j({m}, {z!r})"))
         for r in (0.0, 1e-3, 0.3, 0.9, b.r_in * (1 - 2.0**-40)):
+            calls.clear()
             assert cmath.isfinite(modal._conductor_point(b, 1.0 + 0j, r)[1]), (mode, r)
-        monkeypatch.undo()
-    sol = solve_exact(default_benchmark(mode=5, eps=1e-2))
-    monkeypatch.setattr(modal, "bessel_j", lambda m, z: pytest.fail(f"bessel_j({m}, {z!r})"))
-    assert all(cmath.isfinite(sol.u_prime(r)) for r in (0.0, 0.5, 0.99))
+            assert calls == [(mode, b.k_minus * r)], (mode, r)
+    b = default_benchmark(2).with_eps(1e-3)  # |k_minus r_in| = 376: every sample lies on a piece
+    sol = _conductor_only(b, 1.0 + 0j)
+    b.conductor_ref
+    calls.clear()
+    width = 2 * modal._PIECE_HALF / abs(b.k_minus)
+    for r in (b.r_in - 0.5 * width, b.r_in - 0.25 * width, b.r_in - 0.75 * width):
+        sol.u(r), sol.u_prime(r)
+    assert calls == [(2, b.k_minus * (b.r_in - 0.5 * width))]
+    b = default_benchmark(0).with_eps(0.1)  # |k_minus r| < 8 at r = 0.3: no piece
+    sol = _conductor_only(b, 1.0 + 0j)
+    b.conductor_ref
+    for evaluate in (sol.u, sol.u_prime):
+        calls.clear()
+        evaluate(0.3)
+        assert calls == [(0, b.k_minus * 0.3)]
 
 
 def _conductor_only(b: CylinderBenchmark, amplitude: complex) -> ModalSolution:
@@ -318,41 +334,27 @@ def _relative_error(got: complex, want: mp.mpc) -> float:
         return float(abs(got - want) / abs(want))
 
 
-def _conductor_u_prime_worst(cases) -> tuple[float, float]:
-    """Worst relative error of the conductor u', as read now and as read from bessel_j's
-    derivative before, against 40-digit mpmath, over (benchmark, radii) cases."""
-    worst_now = worst_before = 0.0
-    amplitude = _GRID_AMPLITUDE
-    for b, radii in cases:
-        m, k, ref = abs(b.mode), b.k_minus, b.conductor_ref
-        for r in radii:
-            jv = bessel_j(m, k * r)
-            before = amplitude * k * jv.derivative / ref.value * cmath.exp(jv.exponent - ref.exponent)
-            now = modal._conductor_point(b, amplitude, r)[1]
-            want = _mp_conductor_field(b, r)[1]
-            worst_now = max(worst_now, _relative_error(now, want))
-            worst_before = max(worst_before, _relative_error(before, want))
-    return worst_now, worst_before
-
-
 def test_conductor_u_prime_against_mpmath():
-    # measured worst (now, from bessel_j's derivative before): 2.2638e-13 / 2.2634e-13 over
-    # the skin-depth grid, 5.47e-12 / 5.60e-12 on the ring 12 < |k_minus r| < 20, where J_0
-    # reads its unsettled order-0 Hankel sums (5.5e-12 at |z| = 12.01, m = 1, against
-    # Miller's 1.2e-13), and 1.1020e-13 / 1.1011e-13 at mode 200
+    # u' of one sample is bessel_j's derivative in the conductor ratio: measured worst 2.2634e-13 over
+    # the skin-depth grid, 5.60e-12 on the ring 12 < |k_minus r| < 20, where J_0 reads its unsettled
+    # order-0 Hankel sums (5.5e-12 at |z| = 12.01, m = 1, against Miller's 1.2e-13), and 1.1011e-13 at
+    # mode 200
     for cases, bound in zip(_conductor_grids(), (3e-13, 6e-12, 2e-13)):
-        now, before = _conductor_u_prime_worst(cases)
-        # no worse than bessel_j's derivative, up to the last digits of the shared worst point
-        assert now <= bound and now <= 1.01 * before, (now, before)
+        worst = max(
+            _relative_error(modal._conductor_point(b, _GRID_AMPLITUDE, r)[1], _mp_conductor_field(b, r)[1])
+            for b, radii in cases
+            for r in radii
+        )
+        assert worst <= bound, (worst, bound)
 
 
 def test_conductor_pieces_against_mpmath():
     # u and u' of a solution read its Taylor pieces; the bounds are test_conductor_u_prime_against_mpmath's.
-    # Measured worst u / u' (pieces; the _j_value route at the same radii): 2.289e-13 / 2.289e-13
-    # (2.264e-13 / 2.264e-13) on the skin grid, 1076 of whose 1200 samples read 208 pieces, the worst
+    # Measured worst u / u' (pieces; one bessel_j per sample at the same radii): 2.287e-13 / 2.288e-13
+    # (2.263e-13 / 2.263e-13) on the skin grid, 1076 of whose 1200 samples read 208 pieces, the worst
     # at |k_minus r| = 3742 (mu_r = 1e7), where both routes carry the rounding of their arguments;
-    # 5.30e-12 / 5.47e-12 on the ring, whose samples all take the _j_value route (no piece is centred
-    # there); 8.5e-14 / 8.6e-14 (1.1e-13 / 1.1e-13) at mode 200, whose pieces lie past |k_minus r| = 400
+    # 5.31e-12 / 5.60e-12 on the ring, whose samples each read bessel_j (no piece is centred there);
+    # 8.5e-14 / 8.6e-14 (1.1e-13 / 1.1e-13) at mode 200, whose pieces lie past |k_minus r| = 400
     read = 0
     for cases, bound in zip(_conductor_grids(), (3e-13, 6e-12, 2e-13)):
         worst = 0.0
@@ -368,7 +370,7 @@ def test_conductor_pieces_against_mpmath():
     assert read >= 150  # the skin grid's pieces; 208 at the time of writing
 
 
-def test_conductor_samples_outside_the_pieces_take_the_j_value_route_bit_for_bit():
+def test_conductor_samples_outside_the_pieces_read_bessel_j_bit_for_bit():
     # centres below |k_minus r| = 8, in the ring 10.5 < |k_minus r| < 20, above the turning point, and r = 0
     amplitude = 0.6 - 1.1j
     cases = [
@@ -381,8 +383,8 @@ def test_conductor_samples_outside_the_pieces_take_the_j_value_route_bit_for_bit
         sol, m = _conductor_only(b, amplitude), abs(b.mode)
         for r in radii:
             assert sol._piece(r) is None, (b.mode, r)
-            j_route = modal._conductor_ratio(b, amplitude, modal._j_value(m, b.k_minus * r))
-            assert bits(sol.u(r)) == bits(j_route), (b.mode, r)
+            jv = bessel_j(m, b.k_minus * r)
+            assert bits(sol.u(r)) == bits(modal._conductor_ratio(b, amplitude, jv.value, jv.exponent)), (b.mode, r)
             assert bits(*sol._eval(r)) == bits(*modal._conductor_point(b, amplitude, r)), (b.mode, r)
     b = default_benchmark(0).with_eps(0.1)
     assert _conductor_only(b, amplitude)._piece(0.9) is not None  # |k_minus r| = 10.7, in the series disc

@@ -7,7 +7,7 @@ import mpmath as mp
 import pytest
 
 from magskin import modal, skin
-from magskin.bessel import _j_value, bessel_j
+from magskin.bessel import bessel_j
 from magskin.geometry import Surface, TangentVector
 from magskin.modal import default_benchmark, solve_exact
 from magskin.params import PhysicalConfig, derive_params
@@ -368,8 +368,8 @@ def test_root_agrees_with_bisection_and_polish(kind, mode, mu_r):
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("mu_r", [1e2, 1.5e3, 1.3e4, 9e4, 1e6])
 def test_exact_trace_depths_match_a_bessel_j_sampler(mode, mu_r):
-    # sol.u reads J_m alone (bessel._j_value); the reference sampler takes it
-    # from bessel_j's full evaluation, with J_{m+1} and the derivative
+    # sol.u reads the conductor field's Taylor pieces where they are built, and J_m
+    # of one bessel_j elsewhere; the reference sampler reads bessel_j at every sample
     bench, sol = exact_case(mode, mu_r)
     k, ref, amplitude = bench.k_minus, bench.conductor_ref, sol.conductor_amplitude
 
@@ -402,8 +402,8 @@ def test_exact_trace_roots_against_mpmath():
 
 def test_exact_trace_samples_against_mpmath():
     # every modulus the scans and root solves sample below the surface, against 40-digit mpmath: the
-    # worst is 2.85e-14 from the conductor field's Taylor pieces (mode 0, mu_r 1e2, |k_minus r| ~ 8.9),
-    # where J_m read sample by sample gave 5.96e-14
+    # worst is 2.79e-14 from the conductor field's Taylor pieces (mode 0, mu_r 1e2, |k_minus r| ~ 9.0),
+    # where one bessel_j per sample gives 5.96e-14 (at |k_minus r| ~ 11.8)
     worst, count = 0.0, 0
     for mode in MODES:
         for mu_r in MU_RS:
@@ -442,10 +442,12 @@ def test_exact_trace_root_whose_bracket_straddles_a_piece_boundary():
         ref = mp.findroot(lambda h: mp.log(abs(mp.besselj(0, k * (r_in - h))) / surface) + 1, root)
         assert abs(root - ref) / ref <= 1e-13, float(abs(root - ref) / ref)
     m, amplitude = abs(bench.mode), sol.conductor_amplitude
-    j_route = dataclasses.replace(
-        trace, sampler=lambda h: abs(modal._conductor_ratio(bench, amplitude, _j_value(m, bench.k_minus * (r_in - h))))
-    )
-    assert abs(skin_depth_numeric(j_route, scale) - root) <= 1e-13 * root
+
+    def j_route(h):
+        jv = bessel_j(m, bench.k_minus * (r_in - h))
+        return abs(modal._conductor_ratio(bench, amplitude, jv.value, jv.exponent))
+
+    assert abs(skin_depth_numeric(dataclasses.replace(trace, sampler=j_route), scale) - root) <= 1e-13 * root
 
 
 def test_first_crossing_of_a_trace_that_rises_again():
