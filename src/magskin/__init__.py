@@ -39,7 +39,6 @@ from .modal import (
     shell_l2_error,
     solve_exact,
     solve_ibc,
-    solve_ibc_with_gamma,
     truncated_expansion,
 )
 from .params import (
@@ -58,9 +57,6 @@ from .profiles import (
     apply_b,
     apply_l1,
     cutoff_chi,
-    eval_fke1,
-    eval_w0,
-    eval_w1,
     layer_modulus_sq,
     make_w0,
     make_w1,

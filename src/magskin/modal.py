@@ -287,11 +287,12 @@ class ModalSolution:
     inside and outside the ring, formed once by ``_shell_field``.  Conductor
     (exact solution only): u = A*J_m(k_minus r)/J_m(k_minus R_in) with A = u(R_in),
     evaluated through scaled Bessel ratios so deep evaluation never overflows.
-    There u and u' read the solution's Taylor pieces (``_piece``, ``_conductor_piece``):
-    one Horner pass per sample, the piece built by its first sample from one ``bessel_j``
-    at its centre; outside the pieces' domain and at r = 0 a sample is one ``bessel_j``
-    (``_conductor_point``).  An amplitude that cancelled to 0 resolves no conductor field,
-    and reading it raises SolverError (``_amplitude``).
+    There u reads the solution's Taylor pieces (``_piece``, ``_conductor_piece``): one
+    Horner pass per sample, the piece built by its first sample from one ``bessel_j`` at
+    its centre; outside the pieces' domain and at r = 0 a sample of u is one ``bessel_j``.
+    u' below r_in is one ``bessel_j`` at every radius (``_conductor_point``).  An amplitude
+    that cancelled to 0 resolves no conductor field, and reading it raises SolverError
+    (``_amplitude``).
 
     ``condition_number`` is the wall closure's resonance number kappa (see
     ``_shell_green``); a truncated expansion reports its terms' largest.
@@ -309,7 +310,8 @@ class ModalSolution:
     residuals: dict[str, float]
 
     def u(self, r: float) -> complex:
-        """u at r; in the conductor the value of ``_eval(r)`` alone, and at r_in the amplitude."""
+        """u at r; in the conductor a Horner pass over its Taylor piece, or the value of one
+        ``bessel_j`` outside the pieces, and at r_in the amplitude."""
         b = self.benchmark
         if self.conductor_amplitude is None or not 0 <= r <= b.r_in:
             return self._eval(r)[0]
@@ -320,7 +322,7 @@ class ModalSolution:
         if piece is None:
             jv = bessel_j(abs(b.mode), b.k_minus * r)
             return _conductor_ratio(b, amplitude, jv.value, jv.exponent)
-        lead, rest, centre, half, factor, _ = piece
+        lead, rest, centre, half, factor = piece
         x, p = (r - centre) / half, lead
         for c in rest:
             p = p * x + c
@@ -338,26 +340,14 @@ class ModalSolution:
             raise SolverError(f"{self.kind} solution's conductor amplitude u(r_in) cancelled to 0: no conductor field")
         return amplitude
 
-    def _eval_conductor(self, r: float) -> tuple[complex, complex]:
-        amplitude = self._amplitude()
-        piece = self._piece(r)
-        if piece is None:
-            return _conductor_point(self.benchmark, amplitude, r)
-        lead, rest, centre, half, factor, slope = piece
-        x, p, d = (r - centre) / half, lead, 0j
-        for c in rest:  # u's Horner pass, and its derivative's beside it
-            d = d * x + p
-            p = p * x + c
-        return factor * p, slope * d
-
     @functools.cached_property
     def _pieces(self) -> dict[int, _Piece | None]:
         return {}
 
     def _piece(self, r: float) -> _Piece | None:
-        """The Taylor piece of the conductor field that holds 0 < r < r_in, built by the piece's
-        first sample (``_conductor_piece``); None where the sample reads ``bessel_j`` itself, and
-        at r = 0 and r_in, where ``_conductor_point`` reads J_m(0) and the normalisation.
+        """The Taylor piece of u that holds 0 < r < r_in, built by the piece's first sample
+        (``_conductor_piece``); None where the sample reads ``bessel_j`` itself, and at r = 0
+        and r_in, where u is J_m(0)'s ratio and the amplitude.
 
         Piece i spans r_in - 2(i+1)*half < r <= r_in - 2i*half, half = 1.5/|k_minus|.
         """
@@ -380,7 +370,7 @@ class ModalSolution:
         if not (0 <= r <= b.r_out * (1 + 1e-12)):
             raise ValueError(f"radius {r!r} outside [0, r_out]")
         if r < b.r_in:
-            return self._eval_conductor(r)
+            return _conductor_point(b, self._amplitude(), r)
         coeff = self.shell_inner if r <= b.r_source else self.shell_outer
         return _combine(coeff, b.shell_point(r))
 
@@ -408,15 +398,14 @@ def _conductor_ratio(b: CylinderBenchmark, amplitude: complex, value: complex, e
 
 
 class _Piece(NamedTuple):
-    """One Taylor piece of the conductor field: u = factor*P(x) and u' = slope*P'(x) at
-    x = (r - centre)/half, P = lead*x^n + ... with ``rest`` the lower coefficients, highest first."""
+    """One Taylor piece of the conductor field's value: u = factor*P(x) at x = (r - centre)/half,
+    P = lead*x^n + ... with ``rest`` the lower coefficients, highest first."""
 
     lead: complex
     rest: tuple[complex, ...]
     centre: float
     half: float
     factor: complex
-    slope: complex
 
 
 def _conductor_piece(b: CylinderBenchmark, amplitude: complex, centre: float, half: float) -> _Piece | None:
@@ -436,8 +425,8 @@ def _conductor_piece(b: CylinderBenchmark, amplitude: complex, centre: float, ha
     arg k_minus = 44.5 degrees; at most 4.6 times inside the domain).  None also where
     half < 2**-26 * r_in, past which the rounding of centre and r would move x by more than 2**-25
     (past |k_minus*r_in| ~ 1e16 a piece is narrower than a rounding step of r), where a
-    coefficient is not finite, the factor is not a normal float, or a bound of u or u' on the
-    piece is not finite.
+    coefficient is not finite, the factor is not a normal float, or the bound of u on the piece
+    is not finite.  u' does not read the pieces (``_conductor_point``).
     """
     m, k = abs(b.mode), b.k_minus
     z0 = k * centre
@@ -463,11 +452,11 @@ def _conductor_piece(b: CylinderBenchmark, amplitude: complex, centre: float, ha
         peak = max(peak, term)
     else:
         return None
-    # |factor| * sum |c_n| bounds |u| on the piece, and times n_terms/half |u'|; nan where a coefficient is
-    if not (_NORMAL_MIN <= abs(factor) and abs(factor) * sum(map(abs, coefficients)) * len(coefficients) / half < math.inf):
+    # |factor| * sum |c_n| bounds |u| on the piece; nan where a coefficient is
+    if not (_NORMAL_MIN <= abs(factor) and abs(factor) * sum(map(abs, coefficients)) < math.inf):
         return None
     lead, *rest = reversed(coefficients)
-    return _Piece(lead, tuple(rest), centre, half, factor, factor / half)
+    return _Piece(lead, tuple(rest), centre, half, factor)
 
 
 def _conductor_point(b: CylinderBenchmark, amplitude: complex, r: float) -> tuple[complex, complex]:
@@ -631,11 +620,6 @@ def solve_ibc(b: CylinderBenchmark, k: int) -> ModalSolution:
     """Impedance-reduced shell solve of order k in {0, 1, 2}."""
     gamma = robin_coefficient(k, b.wall_surface, b.cfg)
     return _solve_shell(f"ibc{k}", k, b, gamma, 0j, b.source_amplitude)
-
-
-def solve_ibc_with_gamma(b: CylinderBenchmark, gamma: complex) -> ModalSolution:
-    """Shell solve with an explicitly prescribed Robin coefficient."""
-    return _solve_shell("ibc-custom", None, b, gamma, 0j, b.source_amplitude)
 
 
 def _expansion_terms(b: CylinderBenchmark, order: int) -> list[ModalSolution]:

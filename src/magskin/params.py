@@ -135,15 +135,6 @@ class DerivedParams:
     phi_value: float
 
     @property
-    def physical_decay_rate(self) -> complex:
-        """Decay rate lam*sqrt(mu_r) [1/m] seen in unscaled depth y3.
-
-        The layer profile decays like exp(-lam*Y3) with Y3 = y3/eps_small,
-        i.e. like exp(-physical_decay_rate*y3) in physical depth.
-        """
-        return self.lam / self.eps_small
-
-    @property
     def ell_phi(self) -> float:
         """Product ell*phi_value [m]; equals eps_small/Re(lam) exactly."""
         return self.ell * self.phi_value

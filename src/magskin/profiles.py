@@ -75,13 +75,11 @@ class HarmonicTangentField(_HarmonicField):
         )
 
     @staticmethod
-    def cylinder_mode(
-        surface: Surface, coeff: TangentVector, mode: int, k_axial: float = 0.0
-    ) -> "HarmonicTangentField":
-        """Azimuthal mode exp(i*m*theta) written in arc-length coordinates."""
+    def cylinder_mode(surface: Surface, coeff: TangentVector, mode: int) -> "HarmonicTangentField":
+        """Azimuthal mode exp(i*m*theta) written in arc-length coordinates, axially uniform."""
         if surface.kind is not SurfaceKind.CYLINDER:
             raise ValueError("cylinder_mode requires a cylinder surface")
-        return HarmonicTangentField(surface, coeff, (mode / surface.radius, k_axial))
+        return HarmonicTangentField(surface, coeff, (mode / surface.radius, 0.0))
 
 
 @dataclass(frozen=True)
@@ -183,21 +181,6 @@ def make_w1(tr: TraceData, decay_rate: complex) -> ProfileTerm:
     curvature_term = replace(e0, coeff=mean_minus_curvature_apply(s, e0.coeff))
     normal = tr.surface_divergence_e0.scale(1.0 / decay_rate)
     return ProfileTerm(1, s, decay_rate, (tr.e1_trace, curvature_term), (normal,))
-
-
-def eval_w0(tr: TraceData, decay_rate: complex, y: tuple[float, float], y3_scaled: float) -> TangentVector:
-    """Tangential part of the leading profile at (y, Y3)."""
-    return make_w0(tr, decay_rate).tangential(y, y3_scaled)
-
-
-def eval_fke1(tr: TraceData, decay_rate: complex, y: tuple[float, float], y3_scaled: float) -> complex:
-    """Normal part of the first-order profile: div(e0)/lam times the exponential."""
-    return make_w1(tr, decay_rate).normal(y, y3_scaled)
-
-
-def eval_w1(tr: TraceData, decay_rate: complex, y: tuple[float, float], y3_scaled: float) -> TangentVector:
-    """Tangential part of the first-order profile at (y, Y3)."""
-    return make_w1(tr, decay_rate).tangential(y, y3_scaled)
 
 
 def gamma_trace(s: Surface, tangential: TangentVector, wavevector: tuple[float, float], normal: complex) -> complex:

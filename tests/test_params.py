@@ -133,11 +133,6 @@ def test_scale_consistency_power_of_two():
     assert scaled.phi_value == base.phi_value
 
 
-def test_physical_decay_rate_accessor():
-    dp = derive_params(unit_config(mu_minus=25.0))
-    assert abs(dp.physical_decay_rate - dp.lam * math.sqrt(dp.mu_r)) <= 1e-15 * abs(dp.lam)
-
-
 def test_leontovich_factor_unit_inputs():
     f = leontovich_factor(unit_config(mu_minus=1.0, sigma_minus=1.0))
     expected = complex(math.sqrt(2) / 2, -math.sqrt(2) / 2)

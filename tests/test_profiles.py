@@ -15,9 +15,6 @@ from magskin.profiles import (
     apply_b,
     apply_l1,
     cutoff_chi,
-    eval_fke1,
-    eval_w0,
-    eval_w1,
     layer_modulus_sq,
     make_w0,
     make_w1,
@@ -35,27 +32,27 @@ LAM = derive_params(
 def test_w0_boundary_value_is_trace():
     tr, _ = cylinder_traces()
     y = (0.4, -0.2)
-    v = eval_w0(tr, LAM, y, 0.0)
+    v = make_w0(tr, LAM).tangential(y, 0.0)
     e0 = tr.e0_trace.value(y)
     assert abs(v.c1 - e0.c1) + abs(v.c2 - e0.c2) <= 1e-15
 
 
 def test_w0_zero_trace_everywhere_zero():
     tr, _ = cylinder_traces(e0=(0j, 0j))
-    assert eval_w0(tr, LAM, (0.1, 0.7), 2.3).modulus() == 0.0
+    assert make_w0(tr, LAM).tangential((0.1, 0.7), 2.3).modulus() == 0.0
 
 
 def test_w0_unit_decay_magnitude():
     # kappa=1, delta=1 rate: |exp(-lam)| = exp(-Re lam) = 0.63439095865860613
     tr, _ = cylinder_traces(mode=0, e0=(1.0 + 0j, 0j), e1=(0j, 0j))
-    v = eval_w0(tr, LAM, (0.0, 0.0), 1.0)
+    v = make_w0(tr, LAM).tangential((0.0, 0.0), 1.0)
     assert abs(v.modulus() - 0.63439095865860613) <= 1e-12
 
 
 def test_w0_rejects_negative_depth():
     tr, _ = cylinder_traces()
     with pytest.raises(ValueError):
-        eval_w0(tr, LAM, (0.0, 0.0), -0.1)
+        make_w0(tr, LAM).tangential((0.0, 0.0), -0.1)
 
 
 def test_traces_on_different_surfaces_rejected():
@@ -78,12 +75,12 @@ def test_fke1_divergence_free_axial_mode():
     # axial constant-amplitude field with azimuthal phase has zero divergence
     tr, _ = cylinder_traces(mode=3, e0=(0j, 1.0 + 0j), e1=(0j, 0j))
     assert tr.surface_divergence_e0.coeff == 0j
-    assert eval_fke1(tr, LAM, (0.5, 0.0), 1.2) == 0j
+    assert make_w1(tr, LAM).normal((0.5, 0.0), 1.2) == 0j
 
 
 def test_fke1_boundary_value():
     tr, _ = cylinder_traces(mode=2, e0=(1.0 + 0j, 0j), e1=(0j, 0j))
-    got = eval_fke1(tr, LAM, (0.0, 0.0), 0.0)
+    got = make_w1(tr, LAM).normal((0.0, 0.0), 0.0)
     expected = (1.0 / LAM) * (1j * 2.0)  # div = i*(m/R)*c1 with m=2, R=1
     assert abs(got - expected) <= 1e-15
 
@@ -95,14 +92,14 @@ def test_w1_sphere_has_no_curvature_term():
         e1_trace=HarmonicTangentField(s, TangentVector(0.3 - 0.9j, 1.1 + 0j)),
     )
     for y3s in (0.0, 0.7, 3.0):
-        v = eval_w1(tr, LAM, (0.0, 0.0), y3s)
+        v = make_w1(tr, LAM).tangential((0.0, 0.0), y3s)
         expected = tr.e1_trace.coeff.scale(cmath.exp(-LAM * y3s))
         assert abs(v.c1 - expected.c1) + abs(v.c2 - expected.c2) <= 1e-14
 
 
 def test_w1_boundary_value_is_e1():
     tr, _ = cylinder_traces()
-    v = eval_w1(tr, LAM, (0.0, 0.0), 0.0)
+    v = make_w1(tr, LAM).tangential((0.0, 0.0), 0.0)
     e1 = tr.e1_trace.value((0.0, 0.0))
     assert abs(v.c1 - e1.c1) + abs(v.c2 - e1.c2) <= 1e-15
 
@@ -110,7 +107,7 @@ def test_w1_boundary_value_is_e1():
 def test_w1_cylinder_axial_direct_substitution():
     # axial unit trace on R=1: curvature term is e0/2, times Y3=2 gives exp(-2*lam)
     tr, _ = cylinder_traces(mode=0, e0=(0j, 1.0 + 0j), e1=(0j, 0j))
-    v = eval_w1(tr, LAM, (0.0, 0.0), 2.0)
+    v = make_w1(tr, LAM).tangential((0.0, 0.0), 2.0)
     assert abs(v.c1) == 0.0
     assert abs(v.c2 - cmath.exp(-2.0 * LAM)) <= 1e-15
 
@@ -154,10 +151,10 @@ def test_w1_decay_envelope():
     e1_mod = tr.e1_trace.coeff.modulus()
     g_mod = mean_minus_curvature_apply(s, tr.e0_trace.coeff).modulus()
     for y3s in (0.0, 0.5, 2.0, 10.0):
-        v = eval_w1(tr, LAM, (0.0, 0.0), y3s)
+        v = make_w1(tr, LAM).tangential((0.0, 0.0), y3s)
         bound = (e1_mod + y3s * g_mod) * math.exp(-LAM.real * y3s)
         assert v.modulus() <= bound * (1.0 + 1e-12)
-    deep = eval_w1(tr, LAM, (0.0, 0.0), 30.0 / LAM.real)
+    deep = make_w1(tr, LAM).tangential((0.0, 0.0), 30.0 / LAM.real)
     assert deep.modulus() <= 1e-11 * (e1_mod + g_mod)
 
 

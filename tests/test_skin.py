@@ -22,7 +22,7 @@ from magskin.skin import (
     w0_plane_trace,
 )
 
-from conftest import cylinder_traces
+from conftest import cylinder_traces, loglog_slope
 
 
 def config(mu_r=100.0, sigma_minus=1.0, omega=1.0, mu_plus=1.0):
@@ -448,6 +448,37 @@ def test_exact_trace_root_whose_bracket_straddles_a_piece_boundary():
         return abs(modal._conductor_ratio(bench, amplitude, jv.value, jv.exponent))
 
     assert abs(skin_depth_numeric(dataclasses.replace(trace, sampler=j_route), scale) - root) <= 1e-13 * root
+
+
+def _law_next_term(mode: int, radius: float) -> float:
+    """C6(m) = [1/2 + a1(m)*Re(-i/(k_minus ell_phi))]/R^2, a1 = (4m^2 - 1)/8, the coefficient of
+    ell_phi^3 in the exact trace's skin depth; k_minus*ell_phi = 1 + sqrt(2) + i at delta_minus = 1."""
+    a1 = (4 * mode * mode - 1) / 8.0
+    return (0.5 + a1 * (-1j / (1.0 + math.sqrt(2.0) + 1j)).real) / radius**2
+
+
+def test_skin_depth_law_next_term_on_the_exact_trace():
+    # L = ell_phi*(1 + H*ell_phi + C6*ell_phi^2 + ...): the gap g of criterion 6's remainder over C6*ell_phi^3
+    # falls like eps.  Measured local slopes 1.069 / 1.020 / 1.006 at mode 0 from mu_r 1e3, the worst 1.078 at
+    # mode 2, and |g| 2.94e-3 to 3.05e-3 at mu_r 1e6; from mu_r 1e2, before the regime starts, 1.08 to 1.36
+    table = [0.5183, 0.4451, 0.2254, -1.3123, -6.8040]  # README's, modes 0, 1, 2, 5 and 10 at R = 1
+    assert [round(_law_next_term(m, 1.0), 4) for m in (0, 1, 2, 5, 10)] == table
+    mu_rs = (1e3, 1e4, 1e5, 1e6)
+    for mode in (0, 1, 2):
+        gaps = []  # (eps, |g|)
+        for mu_r in mu_rs:
+            bench, _ = exact_case(mode, mu_r)
+            dp, r_in = bench.params, bench.r_in
+            lp = dp.ell_phi
+            assert dp.delta_minus == 1.0
+            assert abs(bench.k_minus * lp - (1.0 + math.sqrt(2.0) + 1j)) <= 1e-14
+            trace, scale = exact_trace(mode, mu_r)
+            remainder = skin_depth_numeric(trace, scale) - skin_depth_asymptotic(dp, 0.5 / r_in)
+            gaps.append((dp.eps_small, abs(remainder / (lp * _law_next_term(mode, r_in) * lp**2) - 1.0)))
+        for i in range(len(gaps) - 1):
+            slope = loglog_slope(gaps[i : i + 2])
+            assert abs(slope - 1.0) <= 0.2, (mode, mu_rs[i + 1], slope)
+        assert gaps[-1][1] <= 5e-3, (mode, gaps[-1])
 
 
 def test_first_crossing_of_a_trace_that_rises_again():
